@@ -30,9 +30,12 @@ from .errors import (
     ForeignEdgeError,
     FormatError,
     IllegalSplitError,
+    InconsistentChainError,
     InvalidConstructionError,
     InvalidTreeError,
+    InvariantError,
     IsBookError,
+    LoopEdgeError,
     NotTwoTreeError,
     NotTwoTreeReason,
     OutOfRangeError,

@@ -27,6 +27,7 @@ from . import counting, enumeration, extremal, formats, generators, recognition
 from .errors import (
     CrossCheckError,
     FormatError,
+    InvariantError,
     NotTwoTreeError,
     OutOfRangeError,
     TooLargeError,
@@ -71,6 +72,9 @@ def main(argv: list[str] | None = None) -> int:
     except CrossCheckError as exc:
         print(f"error: cross-check mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except InvariantError as exc:
+        print(f"error: invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except TwoTreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
@@ -153,7 +157,7 @@ def _input_flags(p: argparse.ArgumentParser) -> None:
 
 def _load_construction(args) -> TwoTreeConstruction:
     if args.infile is not None:
-        parsed = formats.sniff_and_parse(args.infile.read_text())
+        parsed = formats.sniff_and_parse(args.infile.read_text(), two_tree=True)
         if isinstance(parsed, TwoTreeConstruction):
             return parsed
         return recognition.recognize(parsed)
@@ -162,9 +166,9 @@ def _load_construction(args) -> TwoTreeConstruction:
     return _generate(args.family, args.n, args.seed)
 
 
-def _load_graph(args) -> SimpleGraph:
+def _load_graph(args, two_tree: bool = False) -> SimpleGraph:
     if args.infile is not None:
-        parsed = formats.sniff_and_parse(args.infile.read_text())
+        parsed = formats.sniff_and_parse(args.infile.read_text(), two_tree)
         if isinstance(parsed, TwoTreeConstruction):
             return parsed.realize()
         return parsed
@@ -227,7 +231,7 @@ def _cmd_count(args) -> dict:
         c = _load_construction(args)
         value = counting.count_via_construction(c)
         outputs["n"] = c.n
-    else:  # auto: cross-check the determinant against the build recurrence
+    else:  # auto: cross-check the determinant against the linear engine
         c = _load_construction(args)
         by_det = counting.kirchhoff_count(c.realize())
         by_rec = counting.count_via_construction(c)
@@ -284,7 +288,7 @@ def _cmd_survey(args) -> dict:
 
 
 def _cmd_improve(args) -> dict:
-    g = _load_graph(args)
+    g = _load_graph(args, two_tree=True)
     if args.direction == "min":
         rep = extremal.improve_min(g)
         if args.out is not None:

@@ -1,14 +1,14 @@
 """Exact spanning-tree counts: closed forms, chain recurrences, and oracles.
 
-Counts grow like 2.618^n, so everything here runs on Python's arbitrary
-precision integers; the determinant oracle uses fraction-free (Bareiss)
-elimination and never touches floating point.  Two independent routes are
-kept deliberately: the Laplacian-cofactor count and a subset brute force,
-plus a third route that replays a construction step by step via the identity
-
-    T(G_i) = 2 * T(G_{i-1}) + T(G_{i-1}; attach_i)
-
-where ``T(G; S)`` counts spanning trees containing every edge of ``S``.
+Counts grow like 2.618^n, so all arithmetic is on exact integers.  A 2-tree
+is counted in O(n) big-integer steps by series-parallel reduction on its build
+order (Takamizawa, Nishizeki and Saito, JACM 1982; Wald and Colbourn, Networks
+1983).  Edge {x, y} carries (a, b) for the piece hung on it: ``a`` spanning
+trees, ``b`` 2-forests separating x from y; a plain edge starts at (1, 1), a
+required one at (1, 0).  Peeling in reverse build order, vertex v on {x, y}
+joins its two edges in series, (a1 a2, a1 b2 + b1 a2), then that pair in
+parallel into {x, y}, (a b3 + b a3, b b3); the base edge's ``a`` is the count.
+Kirchhoff (Bareiss) and the subset brute force stay as independent oracles.
 
 Chain growth (each new vertex glued onto an edge incident to the previous
 one) satisfies ``t_p = 2 t_{p-1} + s_{p-1}`` and ``s_p = t_{p-1} + s_{p-1}``
@@ -30,10 +30,12 @@ from typing import Iterable
 from .errors import (
     CyclicRequirementError,
     ForeignEdgeError,
+    InconsistentChainError,
+    InvalidConstructionError,
     OutOfRangeError,
     TooLargeError,
 )
-from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge
+from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge, spanning_forest_components
 
 BRUTE_FORCE_EDGE_LIMIT = 25
 
@@ -91,7 +93,7 @@ class ChainState:
         want_total = fibonacci(2 * p + 1) * self.alpha + fibonacci(2 * p) * self.beta
         want_tip = fibonacci(2 * p) * self.alpha + fibonacci(2 * p - 1) * self.beta
         if self.total != want_total or self.tip != want_tip:
-            raise ValueError(
+            raise InconsistentChainError(
                 f"inconsistent chain state at steps={p}: "
                 f"({self.total}, {self.tip}) != ({want_total}, {want_tip})"
             )
@@ -150,8 +152,6 @@ class EdgeCountQuery:
         for u, v in self.required:
             if not (0 <= u < self.graph.n and v in self.graph.adj[u]):
                 raise ForeignEdgeError(f"required edge ({u}, {v}) not in graph")
-        from .graph import spanning_forest_components
-
         if spanning_forest_components(self.graph.n, set(self.required)) is None:
             raise CyclicRequirementError("required edges contain a cycle")
 
@@ -165,6 +165,8 @@ def kirchhoff_count(g: SimpleGraph) -> int:
         raise OutOfRangeError("kirchhoff_count needs at least one vertex")
     if g.n == 1:
         return 1
+    if g.m < g.n - 1:  # too few edges to connect; skip the (n-1)^2 matrix
+        return 0
     weights = {e: 1 for e in g.edges()}
     return _multigraph_tree_count(g.n, weights)
 
@@ -237,18 +239,24 @@ def brute_force_count(g: SimpleGraph) -> int:
     return count
 
 
-def count_via_construction(c: TwoTreeConstruction) -> int:
-    """Replay the build order, doubling and adding the attach-edge count."""
-    total = 1
-    vertices = [c.base[0], c.base[1]]
-    edges: list[Edge] = [c.base]
-    for v, attach in c.attachments:
-        prev, remap = _compact(vertices, edges)
-        total = 2 * total + count_containing(prev, [edge(remap[attach[0]], remap[attach[1]])])
-        vertices.append(v)
-        edges.append(edge(v, attach[0]))
-        edges.append(edge(v, attach[1]))
-    return total
+def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()) -> int:
+    """Trees of ``c.realize()`` through every ``required`` edge, in O(n) steps."""
+    pair = {c.base: (1, 1)}
+    for v, (x, y) in c.attachments:
+        if (x, y) not in pair:
+            raise InvalidConstructionError(f"attach edge {(x, y)} absent when vertex {v} is added")
+        pair[edge(v, x)] = pair[edge(v, y)] = (1, 1)
+    req = {edge(*e) for e in required}
+    if req.difference(pair):
+        raise ForeignEdgeError(f"required edge {min(req.difference(pair))} not in graph")
+    if spanning_forest_components(c.n, req) is None:
+        raise CyclicRequirementError("required edges contain a cycle")
+    pair.update(dict.fromkeys(req, (1, 0)))
+    for v, (x, y) in reversed(c.attachments):
+        (a1, b1), (a2, b2), (a3, b3) = pair.pop(edge(v, x)), pair.pop(edge(v, y)), pair[(x, y)]
+        a, b = a1 * a2, a1 * b2 + b1 * a2  # series: the two edges at v
+        pair[(x, y)] = (a * b3 + b * a3, b * b3)  # parallel into the attach edge
+    return pair[c.base][0]
 
 
 def verify_bounds(g: SimpleGraph) -> tuple[bool, bool]:
@@ -267,15 +275,6 @@ def count_containing_or_zero(g: SimpleGraph, required: Iterable[Edge]) -> int:
         return count_containing(g, required)
     except CyclicRequirementError:
         return 0
-
-
-def _compact(vertices: list[int], edges: list[Edge]) -> tuple[SimpleGraph, dict[int, int]]:
-    kept = sorted(vertices)
-    remap = {old: new for new, old in enumerate(kept)}
-    return (
-        SimpleGraph.from_edges(len(kept), [edge(remap[u], remap[v]) for u, v in edges]),
-        remap,
-    )
 
 
 def _multigraph_tree_count(k: int, weights: dict[Edge, int]) -> int:

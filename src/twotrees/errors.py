@@ -13,6 +13,14 @@ class OutOfRangeError(TwoTreeError, ValueError):
     """A numeric argument is outside its documented range."""
 
 
+class LoopEdgeError(TwoTreeError, ValueError):
+    """An edge joins a vertex to itself."""
+
+
+class InconsistentChainError(TwoTreeError, ValueError):
+    """Chain-state counts disagree with the Fibonacci closed forms."""
+
+
 class TooLargeError(TwoTreeError):
     """An exhaustive operation would exceed its combinatorial guard."""
 
@@ -57,6 +65,10 @@ class CrossCheckError(TwoTreeError):
     """Two independent counting routes disagreed."""
 
 
+class InvariantError(TwoTreeError):
+    """A proven identity or structural invariant failed: an internal bug."""
+
+
 class NotTwoTreeReason(enum.Enum):
     WRONG_EDGE_COUNT = "WrongEdgeCount"
     DISCONNECTED = "Disconnected"
@@ -70,3 +82,10 @@ class NotTwoTreeError(TwoTreeError):
     def __init__(self, reason: NotTwoTreeReason, message: str = ""):
         self.reason = reason
         super().__init__(message or reason.value)
+
+    @classmethod
+    def wrong_edge_count(cls, n: int, m: int) -> NotTwoTreeError:
+        return cls(
+            NotTwoTreeReason.WRONG_EDGE_COUNT,
+            f"a 2-tree on {n} vertices has {2 * n - 3} edges, this graph has {m}",
+        )

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .counting import (
-    count_containing,
     count_containing_or_zero,
     count_book,
     count_two_simplicial,
+    count_via_construction,
     kirchhoff_count,
 )
 from .errors import (
@@ -43,6 +43,7 @@ from .errors import (
     BadGlueError,
     CyclicRequirementError,
     ForeignEdgeError,
+    InvariantError,
     IsBookError,
     OutOfRangeError,
     TooLargeError,
@@ -90,7 +91,7 @@ class SurgeryReport:
 
 def improve_min(g: SimpleGraph) -> SplitReport:
     """Strictly decrease the spanning-tree count of a non-book 2-tree."""
-    recognize(g)
+    c = recognize(g)
     if g.n >= 3 and is_book(g):
         raise IsBookError("every pair of degree-2 vertices shares a neighbourhood")
     if g.n < 5:
@@ -110,22 +111,23 @@ def improve_min(g: SimpleGraph) -> SplitReport:
     h, remap = g.induced_compact(set(range(g.n)) - {v1, v2})
     h_e1 = edge(remap[e1[0]], remap[e1[1]])
     h_e2 = edge(remap[e2[0]], remap[e2[1]])
-    t_h = kirchhoff_count(h)
-    beta1 = count_containing(h, [h_e1])
-    beta2 = count_containing(h, [h_e2])
-    gamma = count_containing(h, [h_e1, h_e2])
+    c_h = recognize(h)
+    t_h = count_via_construction(c_h)
+    beta1 = count_via_construction(c_h, [h_e1])
+    beta2 = count_via_construction(c_h, [h_e2])
+    gamma = count_via_construction(c_h, [h_e1, h_e2])
 
     g1 = _rehome_pair(g, v1, v2, e1)
     g2 = _rehome_pair(g, v1, v2, e2)
-    t_g = kirchhoff_count(g)
-    t_g1 = kirchhoff_count(g1)
-    t_g2 = kirchhoff_count(g2)
+    t_g = count_via_construction(c)
+    t_g1 = count_via_construction(recognize(g1))
+    t_g2 = count_via_construction(recognize(g2))
 
     # The derivation above must hold exactly; a mismatch is an internal bug.
-    assert t_g == 4 * t_h + 2 * beta1 + 2 * beta2 + gamma
-    assert t_g1 == 4 * t_h + 4 * beta1
-    assert t_g2 == 4 * t_h + 4 * beta2
-    assert gamma >= 1 and t_g1 + t_g2 < 2 * t_g
+    _check(t_g == 4 * t_h + 2 * beta1 + 2 * beta2 + gamma, "T(G) = 4T(H) + 2b1 + 2b2 + g")
+    _check(t_g1 == 4 * t_h + 4 * beta1, "T(G1) = 4T(H) + 4b1")
+    _check(t_g2 == 4 * t_h + 4 * beta2, "T(G2) = 4T(H) + 4b2")
+    _check(gamma >= 1 and t_g1 + t_g2 < 2 * t_g, "T(G1) + T(G2) < 2T(G)")
 
     winner = 1 if t_g1 <= t_g2 else 2
     return SplitReport(h, beta1, beta2, gamma, t_g, t_g1, t_g2, winner, g1, g2)
@@ -133,7 +135,7 @@ def improve_min(g: SimpleGraph) -> SplitReport:
 
 def improve_max(g: SimpleGraph) -> SurgeryReport:
     """Strictly increase the spanning-tree count when >2 degree-2 vertices exist."""
-    recognize(g)
+    c = recognize(g)
     simp = [v for v in range(g.n) if g.degree(v) == 2]
     if g.n >= 3 and len(simp) == 2:
         raise AlreadyTwoSimplicialError("graph already has exactly two degree-2 vertices")
@@ -170,10 +172,9 @@ def improve_max(g: SimpleGraph) -> SurgeryReport:
     tip = edge(v, min(g.neighbors(v)))
     g_prime = _reattach(g, kept, interior, crucial, tip)
 
-    t_g = kirchhoff_count(g)
-    t_gprime = kirchhoff_count(g_prime)
-    recognize(g_prime)
-    assert t_gprime > t_g, (t_g, t_gprime)
+    t_g = count_via_construction(c)
+    t_gprime = count_via_construction(recognize(g_prime))
+    _check(t_gprime > t_g, "T(G') > T(G) after the reattachment")
 
     piece, _ = g.induced_compact(set(interior) | {crucial[0], crucial[1]})
     return SurgeryReport(crucial, p, piece, g_prime, t_g, t_gprime)
@@ -351,6 +352,12 @@ def expected_extremes(n: int) -> tuple[int, int]:
     return count_book(n), count_two_simplicial(n)
 
 
+def _check(ok: bool, identity: str) -> None:
+    """Raise InvariantError when a proven identity fails (survives python -O)."""
+    if not ok:
+        raise InvariantError(identity)
+
+
 def _degree_two_count(g: SimpleGraph) -> int:
     return sum(1 for v in range(g.n) if g.degree(v) == 2)
 
@@ -407,11 +414,11 @@ def _core_path_order(
     from .recognition import path_ordering_if_two_simplicial
 
     ordering = path_ordering_if_two_simplicial(sub)
-    assert ordering is not None, "peeled core must have exactly two degree-2 vertices"
+    _check(ordering is not None, "peeled core must have exactly two degree-2 vertices")
     order = [back[w] for w in ordering.order]
     if order[0] != v:
         order.reverse()
-    assert order[0] == v and order[-1] == v_prime
+    _check(order[0] == v and order[-1] == v_prime, "core path must run from v to v'")
     return order
 
 
@@ -435,7 +442,7 @@ def _hanging_pieces(
             root = root_of_vertex[a]
         else:
             ra, rb = root_of_vertex[a], root_of_vertex[b]
-            assert ra == rb
+            _check(ra == rb, "a peeled vertex chains back to one core edge")
             root = ra
         root_of_vertex[u] = root
         pieces.setdefault(root, []).append(u)
@@ -451,7 +458,7 @@ def _attach_edge_positions(
     for u in order[:-2]:
         # Core neighbours at smaller positions are the attach pair at deletion time.
         below = [w for w in g.neighbors(u) if w in core_set and pos[w] < pos[u]]
-        assert len(below) == 2
+        _check(len(below) == 2, "each core vertex has two lower path neighbours")
         f = edge(below[0], below[1])
         out[f] = max(out.get(f, 0), pos[u])
     return out

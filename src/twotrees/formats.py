@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import FormatError
+from .errors import FormatError, NotTwoTreeError
 from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge
 
 
@@ -29,7 +29,12 @@ def serialize_edge_list(g: SimpleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str) -> SimpleGraph:
+def parse_edge_list(text: str, two_tree: bool = False) -> SimpleGraph:
+    """Parse an edge list.
+
+    With ``two_tree``, a header whose m is not 2n - 3 (for n >= 2) raises
+    NotTwoTreeError before the graph's n adjacency sets are allocated.
+    """
     rows = _data_lines(text)
     if not rows:
         raise FormatError("empty edge-list input")
@@ -53,6 +58,8 @@ def parse_edge_list(text: str) -> SimpleGraph:
             raise FormatError(f"duplicate edge {row!r}")
         seen.add(e)
         edges.append(e)
+    if two_tree and n >= 2 and m != 2 * n - 3:
+        raise NotTwoTreeError.wrong_edge_count(n, m)
     return SimpleGraph.from_edges(n, edges)
 
 
@@ -93,14 +100,19 @@ def parse_construction(text: str) -> TwoTreeConstruction:
     return TwoTreeConstruction(n, (base_vertices[0], base_vertices[1]), tuple(attachments))
 
 
-def sniff_and_parse(text: str) -> SimpleGraph | TwoTreeConstruction:
-    """Parse either supported format, keyed off the header token count."""
+def sniff_and_parse(
+    text: str, two_tree: bool = False
+) -> SimpleGraph | TwoTreeConstruction:
+    """Parse either supported format, keyed off the header token count.
+
+    ``two_tree`` is passed on to :func:`parse_edge_list`.
+    """
     rows = _data_lines(text)
     if not rows:
         raise FormatError("empty input")
     width = len(rows[0].split())
     if width == 2:
-        return parse_edge_list(text)
+        return parse_edge_list(text, two_tree)
     if width == 1:
         return parse_construction(text)
     raise FormatError(f"unrecognised header line {rows[0]!r}")
@@ -120,7 +132,10 @@ def parse_tree_line(line: str) -> frozenset:
         parts = token.split("-")
         if len(parts) != 2:
             raise FormatError(f"bad tree token {token!r}")
-        out.append(edge(_int(parts[0]), _int(parts[1])))
+        u, v = _int(parts[0]), _int(parts[1])
+        if u == v:
+            raise FormatError(f"tree token {token!r} is a loop")
+        out.append(edge(u, v))
     return frozenset(out)
 
 

@@ -18,6 +18,7 @@ from typing import Iterable
 from .errors import (
     ForeignEdgeError,
     InvalidConstructionError,
+    LoopEdgeError,
     OutOfRangeError,
 )
 
@@ -27,7 +28,7 @@ Edge = tuple[int, int]
 def edge(u: int, v: int) -> Edge:
     """Return the canonical (min, max) form of an undirected edge."""
     if u == v:
-        raise ValueError(f"loop edge at vertex {u}")
+        raise LoopEdgeError(f"loop edge at vertex {u}")
     return (u, v) if u < v else (v, u)
 
 
@@ -45,7 +46,7 @@ class SimpleGraph:
         neighbors: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
-                raise ValueError(f"loop edge at vertex {u}")
+                raise LoopEdgeError(f"loop edge at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise OutOfRangeError(f"edge ({u}, {v}) outside vertex range [0, {n})")
             neighbors[u].add(v)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotTwoTreeError, NotTwoTreeReason, OutOfRangeError
+from .errors import InvariantError, NotTwoTreeError, NotTwoTreeReason, OutOfRangeError
 from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge
 
 
@@ -56,10 +56,7 @@ def recognize(g: SimpleGraph) -> TwoTreeConstruction:
     if n < 2:
         raise OutOfRangeError(f"recognition needs n >= 2, got {n}")
     if g.m != 2 * n - 3:
-        raise NotTwoTreeError(
-            NotTwoTreeReason.WRONG_EDGE_COUNT,
-            f"a 2-tree on {n} vertices has {2 * n - 3} edges, this graph has {g.m}",
-        )
+        raise NotTwoTreeError.wrong_edge_count(n, g.m)
     if not g.is_connected():
         raise NotTwoTreeError(NotTwoTreeReason.DISCONNECTED, "graph is disconnected")
 
@@ -90,7 +87,8 @@ def recognize(g: SimpleGraph) -> TwoTreeConstruction:
 
     base = [v for v in range(n) if alive[v]]
     # 2(n-2) edges were removed from 2n-3, so exactly the base edge remains.
-    assert len(base) == 2 and base[1] in adj[base[0]]
+    if not (len(base) == 2 and base[1] in adj[base[0]]):
+        raise InvariantError(f"elimination left {base}, not a single edge")
     removed.reverse()
     return TwoTreeConstruction(n, (base[0], base[1]), tuple(removed))
 
@@ -157,7 +155,8 @@ def path_ordering_if_two_simplicial(g: SimpleGraph) -> TwoSimplicialOrdering | N
     order.extend(sorted(alive - {goal}))
     order.append(goal)
     for earlier, later in zip(order, order[1:]):
-        assert g.has_edge(earlier, later)
+        if not g.has_edge(earlier, later):
+            raise InvariantError(f"path ordering steps across non-edge ({earlier}, {later})")
     return TwoSimplicialOrdering(tuple(order))
 
 

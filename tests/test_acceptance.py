@@ -64,7 +64,8 @@ def test_criterion_1_enumeration_completeness(corpus):
             valid = all(is_spanning_tree(g, t) for t in emitted)
             k = kirchhoff_count(g)
             b = brute_force_count(g)
-            ok = ok and distinct and valid and len(emitted) == k == b
+            e = count_via_construction(c)
+            ok = ok and distinct and valid and len(emitted) == k == b == e
             checked += 1
             if not ok:
                 break
@@ -72,7 +73,8 @@ def test_criterion_1_enumeration_completeness(corpus):
             break
     assert report(
         "criterion 1: enumeration complete, duplicate-free, equal to both "
-        "counting oracles over every labeled 2-tree with n=3..8",
+        "counting oracles and the linear engine over every labeled 2-tree "
+        "with n=3..8",
         ok,
         f"{checked} graphs",
     )

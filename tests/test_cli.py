@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -122,6 +123,41 @@ def test_count_not_two_tree_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "count", "--in", str(target), "--method", "recurrence")
     assert code == 3
     assert "WrongEdgeCount" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count"],
+        ["count", "--method", "recurrence"],
+        ["order"],
+        ["enumerate"],
+        ["improve", "min"],
+        ["improve", "max"],
+    ],
+)
+def test_huge_header_without_edges_exits_3_quickly(capsys, tmp_path, argv):
+    target = tmp_path / "huge.edges"
+    target.write_text("300000 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--in", str(target))
+    elapsed = time.perf_counter() - start
+    assert code == 3 and out == ""
+    assert err == (
+        "error: not a 2-tree (WrongEdgeCount): "
+        "a 2-tree on 300000 vertices has 599997 edges, this graph has 0\n"
+    )
+    assert elapsed < 0.5
+
+
+def test_improve_invariant_failure_exit_5(capsys, monkeypatch):
+    real = cli.extremal.count_via_construction
+    monkeypatch.setattr(
+        cli.extremal, "count_via_construction", lambda c, required=(): real(c, required) + 1
+    )
+    code, out, err = run(capsys, "improve", "min", "--family", "path-square", "--n", "6")
+    assert code == 5 and out == ""
+    assert err.startswith("error: invariant failed: ")
 
 
 def test_count_mismatch_exit_4(capsys, tmp_path, monkeypatch):

@@ -10,6 +10,8 @@ from twotrees import (
     ChainState,
     CyclicRequirementError,
     ForeignEdgeError,
+    InconsistentChainError,
+    InvalidConstructionError,
     OutOfRangeError,
     SimpleGraph,
     TooLargeError,
@@ -27,8 +29,9 @@ from twotrees import (
     random_two_tree,
     verify_bounds,
 )
+from twotrees import counting
 from twotrees.counting import _det_bareiss
-from twotrees.graph import edge
+from twotrees.graph import TwoTreeConstruction, edge, spanning_forest_components
 
 from oracle import det_by_cofactors, fib_by_recurrence, tree_count_by_enumeration
 
@@ -82,8 +85,9 @@ def test_chain_state_seeding_and_step():
 
 
 def test_chain_state_rejects_inconsistency():
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentChainError) as info:
         ChainState(1, 1, 1, 99, 2)
+    assert isinstance(info.value, ValueError)
     with pytest.raises(OutOfRangeError):
         ChainState(1, 2, 0, 1, 2)  # beta > alpha
 
@@ -231,6 +235,7 @@ def test_brute_force_values_and_guard():
 
 def test_count_via_construction_families():
     assert count_via_construction(book(2)) == 1
+    assert count_via_construction(book(2), [(0, 1)]) == 1
     assert count_via_construction(book(3)) == 3
     assert count_via_construction(book(5)) == 20
     assert count_via_construction(path_square(5)) == 21
@@ -254,6 +259,56 @@ def test_count_via_construction_on_recognized_labels(n, seed):
     )
     c = recognize(relabeled)
     assert count_via_construction(c) == kirchhoff_count(relabeled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 120), seeds, st.integers(0, 4))
+def test_engine_matches_count_containing_with_requirements(n, seed, k):
+    rng = random.Random(seed)
+    c = random_two_tree(n, seed)
+    g = c.realize()
+    required: list = []
+    for e in rng.sample(g.edges(), min(k, g.m)):
+        if spanning_forest_components(g.n, required + [e]) is not None:
+            required.append(e)
+    assert count_via_construction(c, required) == count_containing(g, required)
+
+
+def test_engine_rejects_requirements_like_count_containing():
+    c = random_two_tree(9, 4)
+    g = c.realize()
+    v, (x, y) = c.attachments[-1]
+    triangle = [edge(v, x), edge(v, y), (x, y)]
+    missing = next((u, w) for u in range(g.n) for w in range(u + 1, g.n) if not g.has_edge(u, w))
+    for required, error in ((triangle, CyclicRequirementError), ([missing], ForeignEdgeError)):
+        with pytest.raises(error):
+            count_containing(g, required)
+        with pytest.raises(error):
+            count_via_construction(c, required)
+    # the required edges may come in either orientation and repeat
+    e = (x, y)
+    assert count_via_construction(c, [e[::-1], e]) == count_containing(g, [e])
+
+
+def test_engine_rejects_a_missing_attach_edge():
+    c = TwoTreeConstruction(5, (0, 1), ((2, (0, 1)), (3, (0, 1)), (4, (2, 3))))
+    with pytest.raises(InvalidConstructionError):
+        count_via_construction(c)
+
+
+def test_engine_at_ten_thousand_vertices():
+    n = 10**4
+    assert count_via_construction(book(n)) == count_book(n)
+    assert count_via_construction(path_square(n)) == fibonacci(2 * n - 2)
+
+
+def test_kirchhoff_skips_the_matrix_without_enough_edges(monkeypatch):
+    def boom(k, weights):
+        pytest.fail("Laplacian built for a graph that cannot be connected")
+
+    monkeypatch.setattr(counting, "_multigraph_tree_count", boom)
+    assert kirchhoff_count(SimpleGraph.from_edges(10_000, [])) == 0
+    assert kirchhoff_count(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3)])) == 0
 
 
 def test_verify_bounds_examples():

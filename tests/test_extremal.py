@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,7 @@ from twotrees import (
     AlreadyTwoSimplicialError,
     BadGlueError,
     CyclicRequirementError,
+    InvariantError,
     IsBookError,
     OutOfRangeError,
     TooLargeError,
@@ -17,6 +23,7 @@ from twotrees import (
     book,
     count_book,
     count_two_simplicial,
+    extremal,
     fan,
     glue,
     glue_identity_check,
@@ -83,6 +90,61 @@ def test_improve_min_iterates_to_book():
         counts.append(kirchhoff_count(g))
     assert counts[-1] == count_book(7) == 112
     assert all(a > b for a, b in zip(counts, counts[1:]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(5, 40), seeds)
+def test_surgery_counts_match_the_determinant(n, seed):
+    g = random_two_tree(n, seed).realize()
+    if not is_book(g):
+        rep = improve_min(g)
+        assert rep.t_g == kirchhoff_count(g)
+        assert rep.t_g1 == kirchhoff_count(rep.graph_g1)
+        assert rep.t_g2 == kirchhoff_count(rep.graph_g2)
+    if sum(1 for v in range(g.n) if g.degree(v) == 2) > 2:
+        rep = improve_max(g)
+        assert (rep.t_g, rep.t_gprime) == (kirchhoff_count(g), kirchhoff_count(rep.g_prime))
+
+
+def test_wrong_counts_raise_invariant_error(monkeypatch):
+    real = extremal.count_via_construction
+    monkeypatch.setattr(
+        extremal, "count_via_construction", lambda c, required=(): real(c, required) + 1
+    )
+    with pytest.raises(InvariantError):
+        improve_min(path_square(6).realize())
+    monkeypatch.setattr(extremal, "count_via_construction", lambda c, required=(): 7)
+    with pytest.raises(InvariantError):
+        improve_max(book(6).realize())
+
+
+def test_invariant_error_survives_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from twotrees import InvariantError, extremal, path_square
+
+        if not sys.flags.optimize:
+            sys.exit("expected to run under python -O")
+        real = extremal.count_via_construction
+        extremal.count_via_construction = lambda c, required=(): real(c, required) + 1
+        try:
+            extremal.improve_min(path_square(6).realize())
+        except InvariantError:
+            sys.exit(0)
+        sys.exit("improve_min accepted a wrong count")
+        """
+    )
+    src = str(Path(extremal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_improve_max_book5():

@@ -116,6 +116,26 @@ def test_tree_line_round_trip():
     assert parse_tree_line(line) == tree
 
 
+@pytest.mark.parametrize("line", ["0-0", "0-1 2-2", "3-03"])
+def test_tree_line_rejects_loops(line):
+    with pytest.raises(FormatError):
+        parse_tree_line(line)
+
+
+def test_two_tree_edge_list_checks_the_header_before_building(monkeypatch):
+    from twotrees import NotTwoTreeError, SimpleGraph
+
+    def boom(n, edges):
+        pytest.fail("graph built before the edge-count check")
+
+    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(boom))
+    with pytest.raises(NotTwoTreeError) as info:
+        sniff_and_parse("300000 0\n", two_tree=True)
+    assert str(info.value) == "a 2-tree on 300000 vertices has 599997 edges, this graph has 0"
+    with pytest.raises(FormatError):  # malformed lines still win over the count
+        parse_edge_list("5 1\n0 x\n", two_tree=True)
+
+
 def test_tree_stream_header():
     assert tree_stream_header(5, 21) == "# n=5 expected=21"
     assert tree_stream_header(5, None) == "# n=5 expected=unknown"

@@ -52,6 +52,15 @@ def test_simple_graph_rejects_bad_edges():
         SimpleGraph.from_edges(3, [(1, 1)])
 
 
+def test_loop_edges_raise_a_typed_value_error():
+    from twotrees import LoopEdgeError, TwoTreeError
+
+    for make in (lambda: edge(2, 2), lambda: SimpleGraph.from_edges(3, [(1, 1)])):
+        with pytest.raises(LoopEdgeError) as info:
+            make()
+        assert isinstance(info.value, TwoTreeError) and isinstance(info.value, ValueError)
+
+
 def test_realize_base_cases():
     k2 = TwoTreeConstruction(2, (0, 1), ()).realize()
     assert k2.n == 2 and k2.m == 1
