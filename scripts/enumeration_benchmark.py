@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Time the streaming enumerator on books and report scaling ratios.
+"""Time the enumerator on books and report scaling ratios.
 
 Usage:
     python scripts/enumeration_benchmark.py [--n-min 12] [--n-max 18] [--repeats 3]
 
-Work should scale like n * T(B_n); the last column shows the measured step
-ratio next to that prediction.
+``seconds`` drains the library view (one frozenset per tree); work should
+scale like n * T(B_n), and the last column shows the measured step ratio next
+to that prediction.  ``line us/tree`` is the cost per tree of the line view
+the CLI writes (walk plus serialization), the figure the 3 us/tree target on
+book(17) is read against.
 """
 
 from __future__ import annotations
@@ -14,15 +17,17 @@ import argparse
 import time
 
 from twotrees import book, count_book, count_stream, enumerate_spanning_trees
+from twotrees.enumeration import spanning_tree_lines
 
 
-def best_time(n: int, repeats: int) -> float:
+def best_time(stream, n: int, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        total = count_stream(enumerate_spanning_trees(book(n)))
+        total = count_stream(stream(book(n)))
         best = min(best, time.perf_counter() - t0)
-        assert total == count_book(n)
+        if total != count_book(n):
+            raise SystemExit(f"book({n}): streamed {total} trees, expected {count_book(n)}")
     return best
 
 
@@ -33,17 +38,18 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    print(f"{'n':>4} {'trees':>10} {'seconds':>9} {'ratio':>7} {'predicted':>9}")
+    print(f"{'n':>4} {'trees':>10} {'seconds':>9} {'ratio':>7} {'predicted':>9} {'line us/tree':>12}")
     prev = None
     for n in range(args.n_min, args.n_max + 1):
-        dt = best_time(n, args.repeats)
+        dt = best_time(enumerate_spanning_trees, n, args.repeats)
         trees = count_book(n)
+        line_us = best_time(spanning_tree_lines, n, args.repeats) / trees * 1e6
         if prev is None:
             ratio = pred = float("nan")
         else:
             ratio = dt / prev[1]
             pred = (n * trees) / (prev[0] * count_book(prev[0]))
-        print(f"{n:>4} {trees:>10} {dt:>9.3f} {ratio:>7.2f} {pred:>9.2f}")
+        print(f"{n:>4} {trees:>10} {dt:>9.3f} {ratio:>7.2f} {pred:>9.2f} {line_us:>12.2f}")
         prev = (n, dt)
 
 

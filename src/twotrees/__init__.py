@@ -20,7 +20,6 @@ from .enumeration import (
     count_stream,
     enumerate_spanning_trees,
     extend_tree,
-    spanning_trees_levelwise,
 )
 from .errors import (
     AlreadyTwoSimplicialError,

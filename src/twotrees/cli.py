@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 from . import counting, enumeration, extremal, formats, generators, recognition
@@ -33,7 +34,7 @@ from .errors import (
     TooLargeError,
     TwoTreeError,
 )
-from .graph import SimpleGraph, TwoTreeConstruction
+from .graph import Edge, SimpleGraph, TwoTreeConstruction
 
 EXIT_OK = 0
 EXIT_RANGE = 2
@@ -166,15 +167,22 @@ def _load_construction(args) -> TwoTreeConstruction:
     return _generate(args.family, args.n, args.seed)
 
 
-def _load_graph(args, two_tree: bool = False) -> SimpleGraph:
+def _load_graph(args) -> SimpleGraph:
+    """The input graph, which must pass the 2-tree edge-count check."""
     if args.infile is not None:
-        parsed = formats.sniff_and_parse(args.infile.read_text(), two_tree)
+        parsed = formats.sniff_and_parse(args.infile.read_text(), two_tree=True)
         if isinstance(parsed, TwoTreeConstruction):
             return parsed.realize()
         return parsed
-    if args.family is None or args.n is None:
-        raise OutOfRangeError("provide either --in FILE or --family NAME with --n N")
-    return _generate(args.family, args.n, args.seed).realize()
+    return _load_construction(args).realize()
+
+
+def _load_edges(args) -> tuple[int, list[Edge]]:
+    """The input's n and edges, with no graph built for an edge-list file."""
+    if args.infile is not None:
+        return formats.read_edges(args.infile.read_text())
+    g = _load_construction(args).realize()
+    return g.n, g.edges()
 
 
 def _generate(family: str, n: int, seed: int) -> TwoTreeConstruction:
@@ -219,14 +227,18 @@ def _cmd_count(args) -> dict:
             raise OutOfRangeError("closed-form counting needs --n")
         value = CLOSED_FORM_FAMILIES[args.family](args.n)
         outputs.update({"n": args.n, "family": args.family})
-    elif method == "kirchhoff":
-        g = _load_graph(args)
-        value = counting.kirchhoff_count(g)
-        outputs["n"] = g.n
-    elif method == "brute":
-        g = _load_graph(args)
-        value = counting.brute_force_count(g)
-        outputs["n"] = g.n
+    elif method in ("kirchhoff", "brute"):
+        n, edges = _load_edges(args)
+        # Fewer than n - 1 edges connect nothing: answer 0 before building
+        # anything sized by the header's n (brute force keeps its edge cap).
+        capped = method == "brute" and len(edges) > counting.BRUTE_FORCE_EDGE_LIMIT
+        if len(edges) < n - 1 and not capped:
+            value = 0
+        else:
+            g = SimpleGraph.from_edges(n, edges)
+            oracle = counting.kirchhoff_count if method == "kirchhoff" else counting.brute_force_count
+            value = oracle(g)
+        outputs["n"] = n
     elif method == "recurrence":
         c = _load_construction(args)
         value = counting.count_via_construction(c)
@@ -253,15 +265,13 @@ def _cmd_enumerate(args) -> dict:
     c = _load_construction(args)
     expected = enumeration.expected_tree_count(c)
     limit = args.limit
+    lines = islice(enumeration.spanning_tree_lines(c), limit)
     sink = sys.stdout if args.out is None else open(args.out, "w")
     emitted = 0
     try:
         sink.write(formats.tree_stream_header(c.n, expected) + "\n")
-        for tree in enumeration.enumerate_spanning_trees(c):
-            if limit is not None and emitted >= limit:
-                break
-            sink.write(formats.serialize_tree(tree) + "\n")
-            emitted += 1
+        for emitted, line in enumerate(lines, 1):
+            sink.write(line + "\n")
     finally:
         if sink is not sys.stdout:
             sink.close()
@@ -288,7 +298,7 @@ def _cmd_survey(args) -> dict:
 
 
 def _cmd_improve(args) -> dict:
-    g = _load_graph(args, two_tree=True)
+    g = _load_graph(args)
     if args.direction == "min":
         rep = extremal.improve_min(g)
         if args.out is not None:

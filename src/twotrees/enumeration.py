@@ -7,21 +7,29 @@ further way with v internal (swap xy for vx plus vy).  Every tree of the
 larger graph arises from exactly one parent this way, so walking the choices
 yields each tree once.
 
-Two modes are offered.  ``streaming`` runs a depth-first walk over the choice
-vectors with O(n) state beyond the consumer, applying and undoing one choice
-at a time; total work is proportional to n times the number of trees.
-``faithful-list`` materialises the per-level lists instead (memory grows with
-the output) and exists to cross-check the streaming walk.  Within one parent
-the order is always: leaf at the smaller endpoint, leaf at the larger
-endpoint, then the swap.
+There is one walk: a depth-first pass over the choice vectors that applies
+and undoes one choice at a time, with O(n) state beyond the consumer.  The
+2n - 3 edges of ``c.realize()`` are indexed once in their sorted order, each
+added vertex becomes a triple of edge indices (vx, vy, xy), and the current
+tree is a bytearray of flags set and cleared in place.  Within one parent the
+order is always: leaf at the smaller endpoint, leaf at the larger endpoint,
+then the swap.
+
+Two thin views read the flags after each step.  ``spanning_tree_lines``
+joins precomputed ``"u-v"`` tokens into the stream line the CLI writes (index
+order is the sorted order, so no per-tree sort or set is needed);
+``enumerate_spanning_trees`` builds a ``frozenset`` of edges for library
+callers.  Both emit the same trees in the same order.
 """
 
 from __future__ import annotations
 
 import enum
+from itertools import compress, repeat
 from typing import Iterable, Iterator
 
 from .errors import IllegalSplitError, InvalidTreeError, OutOfRangeError
+from .formats import edge_tokens
 from .graph import (
     Edge,
     SpanningTree,
@@ -38,9 +46,6 @@ class ExtensionChoice(enum.Enum):
     USE_VX = "use-vx"
     USE_VY = "use-vy"
     SPLIT_XY = "split-xy"
-
-
-MODES = ("streaming", "faithful-list")
 
 
 def extend_tree(tree: Iterable[Edge], new_vertex: int, attach: Edge) -> list[SpanningTree]:
@@ -68,96 +73,88 @@ def extend_tree(tree: Iterable[Edge], new_vertex: int, attach: Edge) -> list[Spa
     return out
 
 
-def enumerate_spanning_trees(
-    c: TwoTreeConstruction, mode: str = "streaming"
-) -> Iterator[SpanningTree]:
-    """Yield every spanning tree of ``c.realize()`` exactly once.
+def enumerate_spanning_trees(c: TwoTreeConstruction) -> Iterator[SpanningTree]:
+    """Yield every spanning tree of ``c.realize()`` exactly once, as edge sets.
 
-    Both modes emit the same multiset of trees; only the order differs.
+    The construction is validated here, before anything is streamed.
     """
-    if mode not in MODES:
-        raise OutOfRangeError(f"mode must be one of {MODES}, got {mode!r}")
-    c.realize()  # validate before streaming anything
-    if mode == "streaming":
-        return _stream(c)
-    return iter(spanning_trees_levelwise(c))
+    edges = c.realize().edges()
+    return map(frozenset, map(compress, repeat(edges), _walk(c, edges)))
 
 
-def spanning_trees_levelwise(c: TwoTreeConstruction) -> list[SpanningTree]:
-    """The list-growing formulation: one fully materialised list per level."""
-    level: list[frozenset] = [frozenset({c.base})]
-    for v, (x, y) in c.attachments:
-        evx, evy, exy = edge(v, x), edge(v, y), (x, y)
-        nxt: list[frozenset] = []
-        for tree in level:
-            nxt.append(tree | {evx})
-            nxt.append(tree | {evy})
-            if exy in tree:
-                nxt.append(tree - {exy} | {evx, evy})
-        level = nxt
-    return level
+def spanning_tree_lines(c: TwoTreeConstruction) -> Iterator[str]:
+    """Yield every spanning tree of ``c.realize()`` as its tree-stream line.
+
+    Same trees, same order as :func:`enumerate_spanning_trees`; each line
+    equals ``formats.serialize_tree`` of the matching edge set.
+    """
+    edges = c.realize().edges()
+    tokens = edge_tokens(edges)
+    return map(" ".join, map(compress, repeat(tokens), _walk(c, edges)))
 
 
-def _stream(c: TwoTreeConstruction) -> Iterator[SpanningTree]:
-    steps = [(edge(v, x), edge(v, y), (x, y)) for v, (x, y) in c.attachments]
-    tree = {c.base}
-    k = len(steps)
-    if k == 0:
-        yield frozenset(tree)
+def _walk(c: TwoTreeConstruction, edges: list[Edge]) -> Iterator[bytearray]:
+    """Depth-first walk over the choice vectors, one flag per edge of ``edges``.
+
+    Yields the same bytearray for every tree, updated in place; a consumer
+    must read it before asking for the next tree.  Each level is one added
+    vertex with edge indices (vx, vy, xy); its choices, in order, are
+    vx, vy, and (when xy is in the tree) the split.
+    """
+    index = {e: i for i, e in enumerate(edges)}
+    steps = [
+        (index[edge(v, x)], index[edge(v, y)], index[(x, y)]) for v, (x, y) in c.attachments
+    ]
+    flags = bytearray(len(edges))
+    flags[index[c.base]] = 1
+    if not steps:
+        yield flags
         return
-    alt = [0] * k
-    undo: list = [None] * k
-    last = k - 1
+    # The last level is unrolled: it emits almost every tree.
+    lvx, lvy, lxy = steps.pop()
+    depth = len(steps)
+    tried = [0] * depth  # choices taken so far at each inner level
     level = 0
     while True:
-        evx, evy, exy = steps[level]
-        a = alt[level]
-        descended = False
-        while a < 3:
-            if a == 0:
-                added, removed = evx, None
-            elif a == 1:
-                added, removed = evy, None
-            elif exy in tree:
-                added, removed = None, exy  # split: remove xy, add both v-edges
+        if level == depth:
+            flags[lvx] = 1
+            yield flags
+            flags[lvx] = 0
+            flags[lvy] = 1
+            yield flags
+            if flags[lxy]:
+                flags[lxy] = 0
+                flags[lvx] = 1
+                yield flags
+                flags[lvx] = 0
+                flags[lxy] = 1
+            flags[lvy] = 0
+            level -= 1
+            if level < 0:
+                return
+        vx, vy, xy = steps[level]
+        t = tried[level]
+        if t == 0:
+            flags[vx] = 1
+        elif t == 1:
+            flags[vx] = 0
+            flags[vy] = 1
+        elif t == 2 and flags[xy]:
+            flags[xy] = 0
+            flags[vx] = 1
+        else:  # choices exhausted: undo the last one and backtrack
+            if t == 2:
+                flags[vy] = 0
             else:
-                a = 3
-                break
-            a += 1
-            if removed is None:
-                tree.add(added)
-            else:
-                tree.remove(removed)
-                tree.add(evx)
-                tree.add(evy)
-            if level == last:
-                yield frozenset(tree)
-                if removed is None:
-                    tree.discard(added)
-                else:
-                    tree.discard(evx)
-                    tree.discard(evy)
-                    tree.add(removed)
-            else:
-                alt[level] = a
-                undo[level] = (added, removed)
-                level += 1
-                alt[level] = 0
-                descended = True
-                break
-        if descended:
+                flags[vx] = flags[vy] = 0
+                flags[xy] = 1
+            tried[level] = 0
+            level -= 1
+            if level < 0:
+                return
             continue
-        level -= 1
-        if level < 0:
-            return
-        added, removed = undo[level]
-        if removed is None:
-            tree.discard(added)
-        else:
-            evx, evy, _ = steps[level]
-            tree.discard(evx)
-            tree.discard(evy)
-            tree.add(removed)
+        tried[level] = t + 1
+        level += 1
 
 
 def choice_vector_decode(

@@ -35,6 +35,14 @@ def parse_edge_list(text: str, two_tree: bool = False) -> SimpleGraph:
     With ``two_tree``, a header whose m is not 2n - 3 (for n >= 2) raises
     NotTwoTreeError before the graph's n adjacency sets are allocated.
     """
+    n, edges = _read_edge_list(text)
+    if two_tree and n >= 2 and len(edges) != 2 * n - 3:
+        raise NotTwoTreeError.wrong_edge_count(n, len(edges))
+    return SimpleGraph.from_edges(n, edges)
+
+
+def _read_edge_list(text: str) -> tuple[int, list[Edge]]:
+    """Validate an edge list; its n and edges, with nothing sized by n built."""
     rows = _data_lines(text)
     if not rows:
         raise FormatError("empty edge-list input")
@@ -58,9 +66,7 @@ def parse_edge_list(text: str, two_tree: bool = False) -> SimpleGraph:
             raise FormatError(f"duplicate edge {row!r}")
         seen.add(e)
         edges.append(e)
-    if two_tree and n >= 2 and m != 2 * n - 3:
-        raise NotTwoTreeError.wrong_edge_count(n, m)
-    return SimpleGraph.from_edges(n, edges)
+    return n, edges
 
 
 def serialize_construction(c: TwoTreeConstruction) -> str:
@@ -107,19 +113,41 @@ def sniff_and_parse(
 
     ``two_tree`` is passed on to :func:`parse_edge_list`.
     """
+    if _is_edge_list(text):
+        return parse_edge_list(text, two_tree)
+    return parse_construction(text)
+
+
+def read_edges(text: str) -> tuple[int, list[Edge]]:
+    """The n and the edges of either format.
+
+    An edge list is validated line by line but no graph is built, so a
+    header's n costs nothing until the caller decides to build one.
+    """
+    if _is_edge_list(text):
+        return _read_edge_list(text)
+    g = parse_construction(text).realize()
+    return g.n, g.edges()
+
+
+def _is_edge_list(text: str) -> bool:
+    """True for an ``n m`` header, False for an ``n`` header."""
     rows = _data_lines(text)
     if not rows:
         raise FormatError("empty input")
     width = len(rows[0].split())
-    if width == 2:
-        return parse_edge_list(text, two_tree)
-    if width == 1:
-        return parse_construction(text)
-    raise FormatError(f"unrecognised header line {rows[0]!r}")
+    if width not in (1, 2):
+        raise FormatError(f"unrecognised header line {rows[0]!r}")
+    return width == 2
 
 
 def serialize_tree(tree: Iterable[Edge]) -> str:
-    return " ".join(f"{u}-{v}" for u, v in sorted(tree))
+    return " ".join(edge_tokens(sorted(tree)))
+
+
+def edge_tokens(edges: Iterable[Edge]) -> list[str]:
+    """The tree-stream token ``u-v`` of each edge, in the order given."""
+    return [f"{u}-{v}" for u, v in edges]
 
 
 def tree_stream_header(n: int, expected: int | None) -> str:

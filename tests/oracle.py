@@ -3,7 +3,9 @@
 Spanning trees are counted here by filtering edge subsets with a BFS
 connectivity check (the package's own brute force uses union-find, and the
 production path is a determinant); determinants come from cofactor
-expansion; Fibonacci numbers from the plain recurrence.
+expansion; Fibonacci numbers from the plain recurrence.  The list-growing
+enumeration materialises every level of the build order, as a reference for
+the package's depth-first walk.
 """
 
 from __future__ import annotations
@@ -66,3 +68,27 @@ def fib_by_recurrence(k: int) -> int:
     for _ in range(k):
         a, b = b, a + b
     return a
+
+
+def spanning_trees_levelwise(c) -> list[frozenset]:
+    """Every spanning tree of the 2-tree built by ``c``, one full list per level.
+
+    Each parent tree contributes, in order: the new vertex as a leaf on the
+    smaller attach endpoint, on the larger one, then (when the tree holds the
+    attach edge) the swap of that edge for both new edges.
+    """
+
+    def canon(u, v):
+        return (min(u, v), max(u, v))
+
+    level = [frozenset({canon(*c.base)})]
+    for v, (x, y) in c.attachments:
+        evx, evy, exy = canon(v, x), canon(v, y), canon(x, y)
+        nxt = []
+        for tree in level:
+            nxt.append(tree | {evx})
+            nxt.append(tree | {evy})
+            if exy in tree:
+                nxt.append(tree - {exy} | {evx, evy})
+        level = nxt
+    return level

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import time
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twotrees import cli
-from twotrees.formats import parse_edge_list
+from twotrees import SimpleGraph, cli, enumerate_spanning_trees, random_two_tree
+from twotrees.formats import parse_edge_list, serialize_tree
 
 
 def run(capsys, *argv):
@@ -150,6 +155,32 @@ def test_huge_header_without_edges_exits_3_quickly(capsys, tmp_path, argv):
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("method", ["kirchhoff", "brute"])
+def test_sparse_header_counts_zero_without_building_a_graph(capsys, tmp_path, monkeypatch, method):
+    target = tmp_path / "sparse.edges"
+    target.write_text("100000 0\n")
+
+    def refuse(n, edges):
+        raise AssertionError(f"from_edges called with n={n}")
+
+    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(refuse))
+    code, out, err = run(capsys, "count", "--method", method, "--in", str(target), "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["outputs"] == {"count": "0", "method": method, "n": 100000}
+    code, out, _ = run(capsys, "count", "--method", method, "--in", str(target))
+    assert code == 0 and out == "0\n"
+
+
+def test_brute_force_edge_cap_still_applies_to_sparse_graphs(capsys, tmp_path):
+    # 26 edges on 40 vertices: no spanning tree, but past brute force's cap
+    target = tmp_path / "sparse.edges"
+    target.write_text("40 26\n" + "".join(f"0 {v}\n" for v in range(1, 27)))
+    code, _, err = run(capsys, "count", "--method", "brute", "--in", str(target))
+    assert code == 2 and "brute force capped" in err
+    code, out, _ = run(capsys, "count", "--method", "kirchhoff", "--in", str(target))
+    assert code == 0 and out == "0\n"
+
+
 def test_improve_invariant_failure_exit_5(capsys, monkeypatch):
     real = cli.extremal.count_via_construction
     monkeypatch.setattr(
@@ -247,6 +278,51 @@ def test_enumerate_limit_truncates(capsys, tmp_path):
     assert report["outputs"]["truncated"] is True
     assert report["outputs"]["emitted"] == 1000
     assert len(target.read_text().strip().splitlines()) == 1001
+
+
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (
+            ["--family", "book", "--n", "12"],
+            6145,
+            "b0aaa70484204d5df37b6908ee65f46b2f91880b5f4e98d6fc21a0910a2ff117",
+        ),
+        (
+            ["--family", "random", "--n", "20", "--seed", "7", "--limit", "3000"],
+            3001,
+            "3b210c2109914114c64e959835e375a51e03534b39c865ae979710851fe05349",
+        ),
+    ],
+    ids=["book12", "random20-limit3000"],
+)
+def test_enumerate_stream_bytes_golden(capsys, argv, lines, digest):
+    # header, tree order and --limit pinned byte for byte
+    code, out, _ = run(capsys, "enumerate", *argv)
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _enumerate_stdout(*argv: str) -> tuple[int, list[str]]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["enumerate", *argv])
+    return code, out.getvalue().splitlines()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.integers(0, 60))
+def test_enumerate_lines_are_the_serialized_library_trees(n, seed, k):
+    expected = [serialize_tree(t) for t in enumerate_spanning_trees(random_two_tree(n, seed))]
+    family = ["--family", "random", "--n", str(n), "--seed", str(seed)]
+    code, full = _enumerate_stdout(*family)
+    assert code == 0
+    assert full[0] == f"# n={n} expected={len(expected)}"
+    assert full[1:] == expected
+    code, limited = _enumerate_stdout(*family, "--limit", str(k))
+    assert code == 0
+    assert limited[1:] == expected[:k]
 
 
 def test_enumerate_rejects_non_two_tree(capsys, tmp_path):
