@@ -50,7 +50,7 @@ from .errors import (
 )
 from .generators import all_labeled_two_trees
 from .graph import Edge, SimpleGraph, edge, spanning_forest_components
-from .recognition import is_book, recognize
+from .recognition import _peel, is_book, path_ordering_if_two_simplicial, recognize
 
 
 @dataclass(frozen=True)
@@ -379,30 +379,8 @@ def _peel_to_core(
     g: SimpleGraph, v: int, v_prime: int
 ) -> tuple[set[int], list[tuple[int, Edge]]]:
     """Delete surplus degree-2 vertices (smallest first) until only v, v' remain."""
-    adj = [set(s) for s in g.adj]
-    alive = set(range(g.n))
-    deletions: list[tuple[int, Edge]] = []
-    while True:
-        ready = [
-            u
-            for u in sorted(alive - {v, v_prime})
-            if len(adj[u]) == 2 and _pair_adjacent(adj, u)
-        ]
-        if not ready:
-            break
-        u = ready[0]
-        a, b = sorted(adj[u])
-        deletions.append((u, edge(a, b)))
-        adj[a].discard(u)
-        adj[b].discard(u)
-        adj[u].clear()
-        alive.discard(u)
-    return alive, deletions
-
-
-def _pair_adjacent(adj: list[set[int]], u: int) -> bool:
-    a, b = adj[u]
-    return b in adj[a]
+    deletions = _peel([set(s) for s in g.adj], keep={v, v_prime})
+    return set(range(g.n)).difference(u for u, _ in deletions), deletions
 
 
 def _core_path_order(
@@ -411,8 +389,6 @@ def _core_path_order(
     """Path ordering of the peeled core, reusing the recognizer's walk."""
     sub, remap = g.induced_compact(core)
     back = {new: old for old, new in remap.items()}
-    from .recognition import path_ordering_if_two_simplicial
-
     ordering = path_ordering_if_two_simplicial(sub)
     _check(ordering is not None, "peeled core must have exactly two degree-2 vertices")
     order = [back[w] for w in ordering.order]

@@ -151,7 +151,26 @@ def edge_tokens(edges: Iterable[Edge]) -> list[str]:
 
 
 def tree_stream_header(n: int, expected: int | None) -> str:
-    return f"# n={n} expected={expected if expected is not None else 'unknown'}"
+    return f"# n={n} expected={decimal(expected) if expected is not None else 'unknown'}"
+
+
+_BLOCK_DIGITS = 4000
+_BLOCK = 10**_BLOCK_DIGITS
+
+
+def decimal(count: int) -> str:
+    """The decimal digits of a nonnegative count of any length.
+
+    ``str`` refuses ints past 4,300 digits (a guard for parsing, which stays
+    in force for inputs), and 2-trees past about 10^4 vertices have longer
+    counts, so long ones are written in 4,000-digit blocks.
+    """
+    blocks = []
+    while count >= _BLOCK:
+        count, low = divmod(count, _BLOCK)
+        blocks.append(str(low).zfill(_BLOCK_DIGITS))
+    blocks.append(str(count))
+    return "".join(reversed(blocks))
 
 
 def parse_tree_line(line: str) -> frozenset:

@@ -4,13 +4,16 @@ A graph is a 2-tree iff repeatedly deleting a degree-2 vertex whose two
 neighbours are adjacent reduces it to a single edge.  The deletion order,
 reversed, is the construction order returned by :func:`recognize`.  Cheap
 necessary conditions (edge count 2n-3, connectivity) are checked before the
-elimination loop.  Ties always go to the smallest-index eligible vertex so
-results are reproducible.
+elimination.  Ties always go to the smallest-index eligible vertex so
+results are reproducible; :func:`_peel` keeps the candidates in a heap, so
+the whole elimination is O(n log n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import Collection
 
 from .errors import InvariantError, NotTwoTreeError, NotTwoTreeReason, OutOfRangeError
 from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge
@@ -61,32 +64,21 @@ def recognize(g: SimpleGraph) -> TwoTreeConstruction:
         raise NotTwoTreeError(NotTwoTreeReason.DISCONNECTED, "graph is disconnected")
 
     adj = [set(s) for s in g.adj]
-    alive = [True] * n
-    removed: list[tuple[int, Edge]] = []
-    for _ in range(n - 2):
-        deg2 = [v for v in range(n) if alive[v] and len(adj[v]) == 2]
-        if not deg2:
-            raise NotTwoTreeError(
-                NotTwoTreeReason.NO_DEGREE2_SIMPLICIAL,
-                "no degree-2 vertex left to eliminate",
-            )
-        for v in deg2:
-            a, b = sorted(adj[v])
-            if b in adj[a]:
-                break
-        else:
+    removed = _peel(adj)
+    if len(removed) < n - 2:
+        if any(len(s) == 2 for s in adj):
             raise NotTwoTreeError(
                 NotTwoTreeReason.NONADJACENT_NEIGHBORS,
                 "every degree-2 vertex has nonadjacent neighbours",
             )
-        removed.append((v, edge(a, b)))
-        adj[a].discard(v)
-        adj[b].discard(v)
-        adj[v].clear()
-        alive[v] = False
+        raise NotTwoTreeError(
+            NotTwoTreeReason.NO_DEGREE2_SIMPLICIAL,
+            "no degree-2 vertex left to eliminate",
+        )
 
-    base = [v for v in range(n) if alive[v]]
-    # 2(n-2) edges were removed from 2n-3, so exactly the base edge remains.
+    # 2(n-2) edges were removed from 2n-3, so exactly the base edge remains,
+    # and only its two ends still have neighbours.
+    base = [v for v in range(n) if adj[v]]
     if not (len(base) == 2 and base[1] in adj[base[0]]):
         raise InvariantError(f"elimination left {base}, not a single edge")
     removed.reverse()
@@ -129,30 +121,12 @@ def path_ordering_if_two_simplicial(g: SimpleGraph) -> TwoSimplicialOrdering | N
     simp = _degree_two(g)
     if len(simp) != 2:
         return None
-    start, goal = simp
+    goal = simp[1]
     adj = [set(s) for s in g.adj]
-    alive = set(range(g.n))
-    order = [start]
-    prev = start
-    while True:
-        a, b = sorted(adj[prev])
-        _delete(adj, alive, prev)
-        if len(alive) == 2:
-            break
-        candidates = [
-            v
-            for v in (a, b)
-            if v in alive and v != goal and len(adj[v]) == 2 and _clique_pair(adj, v)
-        ]
-        # Unique except at the closing triangle, where both neighbours work.
-        if not candidates:
-            raise NotTwoTreeError(
-                NotTwoTreeReason.NONADJACENT_NEIGHBORS,
-                "path peeling stalled; graph is not a 2-tree",
-            )
-        prev = min(candidates)
-        order.append(prev)
-    order.extend(sorted(alive - {goal}))
+    # Only one vertex besides goal is ever eligible until the closing
+    # triangle, so the smallest-first peel walks the path from simp[0].
+    order = [v for v, _ in _peel(adj, keep={goal})]
+    order.extend(v for v in range(g.n) if adj[v] and v != goal)
     order.append(goal)
     for earlier, later in zip(order, order[1:]):
         if not g.has_edge(earlier, later):
@@ -164,13 +138,28 @@ def _degree_two(g: SimpleGraph) -> list[int]:
     return [v for v in range(g.n) if g.degree(v) == 2]
 
 
-def _clique_pair(adj: list[set[int]], v: int) -> bool:
-    a, b = adj[v]
-    return b in adj[a]
+def _peel(adj: list[set[int]], keep: Collection[int] = ()) -> list[tuple[int, Edge]]:
+    """Delete degree-2 vertices with adjacent neighbours, smallest index first.
 
-
-def _delete(adj: list[set[int]], alive: set[int], v: int) -> None:
-    for w in adj[v]:
-        adj[w].discard(v)
-    adj[v].clear()
-    alive.discard(v)
+    ``adj`` is updated in place; vertices in ``keep`` are never deleted.
+    Returns the deletions in order as ``(v, attach_edge)``.  Deletions only
+    remove edges, so a degree-2 vertex with nonadjacent neighbours never
+    becomes eligible again, and every vertex reaches degree 2 at most once.
+    """
+    heap = [v for v in range(len(adj)) if len(adj[v]) == 2 and v not in keep]
+    deletions: list[tuple[int, Edge]] = []
+    while heap:
+        v = heappop(heap)
+        if len(adj[v]) != 2:
+            continue  # deleted, or a deletion took it below degree 2
+        a, b = adj[v]
+        if b not in adj[a]:
+            continue
+        adj[a].discard(v)
+        adj[b].discard(v)
+        adj[v].clear()
+        deletions.append((v, edge(a, b)))
+        for w in (a, b):
+            if len(adj[w]) == 2 and w not in keep:
+                heappush(heap, w)
+    return deletions

@@ -10,8 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twotrees import SimpleGraph, cli, enumerate_spanning_trees, random_two_tree
-from twotrees.formats import parse_edge_list, serialize_tree
+from twotrees import (
+    SimpleGraph,
+    cli,
+    count_two_simplicial,
+    count_via_construction,
+    enumerate_spanning_trees,
+    random_two_tree,
+)
+from twotrees.formats import parse_edge_list, serialize_edge_list, serialize_tree
+
+from oracle import decimal_by_str
 
 
 def run(capsys, *argv):
@@ -198,6 +207,42 @@ def test_count_mismatch_exit_4(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "count", "--in", str(target), "--method", "auto")
     assert code == 4
     assert "mismatch" in err
+
+
+@pytest.mark.parametrize("n, cross_check", [(100, "kirchhoff"), (101, "skipped")])
+def test_count_auto_cross_checks_up_to_n_100(capsys, tmp_path, n, cross_check):
+    target = tmp_path / "g.edges"
+    run(capsys, "gen", "random", str(n), "--seed", "5", "--out", str(target))
+    code, out, _ = run(capsys, "count", "--in", str(target), "--json")
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["cross_check"] == cross_check
+    assert outputs["count"] == str(count_via_construction(random_two_tree(n, 5)))
+
+
+def test_count_at_n_10_000_prints_the_engine_count(capsys, tmp_path, monkeypatch):
+    c = random_two_tree(10**4, 3)
+    target = tmp_path / "big.edges"
+    target.write_text(serialize_edge_list(c.realize()))
+    want = str(count_via_construction(c))
+
+    def refuse(g):
+        raise AssertionError(f"kirchhoff_count called at n={g.n}")
+
+    monkeypatch.setattr(cli.counting, "kirchhoff_count", refuse)
+    code, out, _ = run(capsys, "count", "--in", str(target))
+    assert code == 0 and out == want + "\n"
+    code, out, _ = run(capsys, "count", "--in", str(target), "--json")
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert (outputs["count"], outputs["cross_check"]) == (want, "skipped")
+
+
+def test_count_prints_counts_past_4300_digits(capsys):
+    want = decimal_by_str(count_two_simplicial(12_000))
+    assert len(want) > 4300
+    code, out, err = run(capsys, "count", "--family", "path-square", "--n", "12000")
+    assert (code, out, err) == (0, want + "\n", "")
 
 
 def _schema():

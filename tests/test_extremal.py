@@ -39,6 +39,8 @@ from twotrees import (
 )
 from twotrees.graph import spanning_forest_components
 
+from oracle import peel_to_core_by_rescan
+
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -153,6 +155,15 @@ def test_improve_max_book5():
     assert rep.t_gprime == 21  # the only larger count at n=5 is F(8)
     assert recognize(rep.g_prime)
     assert rep.g_prime.n == 5
+
+
+def test_core_peel_matches_rescan_on_corpus(corpus):
+    for n in range(3, 8):
+        for g in corpus[n]:
+            edges = g.edges()
+            for v in range(n):
+                for w in range(v + 1, n):
+                    assert extremal._peel_to_core(g, v, w) == peel_to_core_by_rescan(n, edges, v, w)
 
 
 def test_improve_max_rejects_two_simplicial():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from twotrees import FormatError, TwoTreeConstruction, book, random_two_tree, recognize
 from twotrees.formats import (
+    decimal,
     parse_construction,
     parse_edge_list,
     parse_tree_line,
@@ -15,6 +16,8 @@ from twotrees.formats import (
     sniff_and_parse,
     tree_stream_header,
 )
+
+from oracle import decimal_by_str
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -139,3 +142,9 @@ def test_two_tree_edge_list_checks_the_header_before_building(monkeypatch):
 def test_tree_stream_header():
     assert tree_stream_header(5, 21) == "# n=5 expected=21"
     assert tree_stream_header(5, None) == "# n=5 expected=unknown"
+
+
+def test_decimal_writes_counts_past_the_str_digit_cap():
+    for count in (0, 7, 10**4000 - 1, 10**4000, 10**4000 + 1, 3**30000, 10**12001 + 5):
+        assert decimal(count) == decimal_by_str(count)
+        assert tree_stream_header(3, count) == f"# n=3 expected={decimal_by_str(count)}"

@@ -23,6 +23,8 @@ from twotrees import (
     simplicial_vertices,
 )
 
+from oracle import NotTwoTree, path_ordering_by_walk, recognize_by_rescan
+
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -213,3 +215,66 @@ def test_ordering_validation_rejects_wrong_orders():
     assert not TwoSimplicialOrdering((0, 2, 1, 3, 4)).is_valid_for(g)
     assert not TwoSimplicialOrdering((0, 1, 2, 3)).is_valid_for(g)
     assert not TwoSimplicialOrdering((0, 1, 2, 3, 3)).is_valid_for(g)
+
+
+def _relabelled(n, seed):
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    return [
+        (min(label[u], label[v]), max(label[u], label[v]))
+        for u, v in random_two_tree(n, seed).realize().edges()
+    ]
+
+
+def _same_as_rescan(n, edges):
+    try:
+        want = recognize_by_rescan(n, edges)
+    except NotTwoTree as rejected:
+        with pytest.raises(NotTwoTreeError) as err:
+            recognize(SimpleGraph.from_edges(n, edges))
+        assert err.value.reason.value == rejected.reason
+        assert str(err.value) == str(rejected)
+    else:
+        c = recognize(SimpleGraph.from_edges(n, edges))
+        assert (c.base, c.attachments) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_recognize_matches_rescan_on_arbitrary_graphs(data):
+    n = data.draw(st.integers(2, 10))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=2 * n - 3, max_size=2 * n - 3, unique=True))
+    _same_as_rescan(n, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 300), seeds)
+def test_recognize_matches_rescan_on_random_two_trees(n, seed):
+    _same_as_rescan(n, _relabelled(n, seed))
+
+
+def test_recognize_matches_rescan_on_each_failure_reason():
+    for n, edges in [
+        (6, [(a, b) for a in range(5) for b in range(a + 1, 5) if (a, b) != (3, 4)]),
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)]),
+        (6, [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]),
+    ]:
+        _same_as_rescan(n, edges)
+
+
+def test_path_ordering_matches_walk_on_corpus(corpus):
+    for n in range(3, 8):
+        for g in corpus[n]:
+            ordering = path_ordering_if_two_simplicial(g)
+            got = None if ordering is None else ordering.order
+            assert got == path_ordering_by_walk(n, g.edges())
+
+
+def test_recognize_at_scale():
+    g = path_square(10**5).realize()
+    assert recognize(g).realize().edge_set() == g.edge_set()
+    n = 5 * 10**4
+    g = SimpleGraph.from_edges(n, _relabelled(n, 1))
+    assert recognize(g).realize().edge_set() == g.edge_set()
