@@ -24,7 +24,6 @@ with the convention F(-1) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .errors import (
@@ -208,35 +207,45 @@ def count_containing(g: SimpleGraph, required: Iterable[Edge]) -> int:
 
 
 def brute_force_count(g: SimpleGraph) -> int:
-    """Independent oracle: count (n-1)-edge subsets forming spanning trees."""
-    edges = g.edges()
-    if len(edges) > BRUTE_FORCE_EDGE_LIMIT:
-        raise TooLargeError(
-            f"brute force capped at {BRUTE_FORCE_EDGE_LIMIT} edges, graph has {len(edges)}"
-        )
+    """Independent oracle: count acyclic (n-1)-edge subsets one by one.
+
+    Backtracks over the sorted edges, skipping each one and then taking it if
+    it joins two components, so no cyclic prefix is extended; without path
+    compression a join undoes with one assignment.
+    """
     n = g.n
+    if n < 1:
+        raise OutOfRangeError("brute_force_count needs at least one vertex")
+    edges = g.edges()
+    m = len(edges)
+    if m > BRUTE_FORCE_EDGE_LIMIT:
+        raise TooLargeError(
+            f"brute force capped at {BRUTE_FORCE_EDGE_LIMIT} edges, graph has {m}"
+        )
     if n == 1:
         return 1
-    if len(edges) < n - 1:
+    if m < n - 1:
         return 0
-    count = 0
-    for subset in combinations(edges, n - 1):
-        parent = list(range(n))
-        ok = True
-        for u, v in subset:
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u == v:
-                ok = False
-                break
+    parent = list(range(n))
+
+    def walk(i: int, need: int) -> int:
+        # Subsets of edges[i:] with `need` edges that complete the forest;
+        # callers keep m - i >= need, so edges[i] exists while need > 0.
+        if need == 0:
+            return 1
+        total = walk(i + 1, need) if m - i > need else 0
+        u, v = edges[i]
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u != v:
             parent[u] = v
-        if ok:
-            count += 1
-    return count
+            total += walk(i + 1, need - 1)
+            parent[u] = u
+        return total
+
+    return walk(0, n - 1)
 
 
 def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()) -> int:
@@ -260,11 +269,10 @@ def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()
 
 
 def verify_bounds(g: SimpleGraph) -> tuple[bool, bool]:
-    """Check 2^(n-2) <= T(g) <= 3^(n-2) for a 2-tree g."""
+    """Check 2^(n-2) <= T(g) <= 3^(n-2) for a 2-tree g, counted by the linear engine."""
     from .recognition import recognize
 
-    recognize(g)
-    t = kirchhoff_count(g)
+    t = count_via_construction(recognize(g))
     n = g.n
     return (2 ** (n - 2) <= t, t <= 3 ** (n - 2))
 

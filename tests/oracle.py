@@ -1,11 +1,13 @@
 """Test-side oracles, kept independent of the package implementations.
 
 Spanning trees are counted here by filtering edge subsets with a BFS
-connectivity check (the package's own brute force uses union-find, and the
-production path is a determinant); determinants come from cofactor
-expansion; Fibonacci numbers from the plain recurrence.  The list-growing
-enumeration materialises every level of the build order, as a reference for
-the package's depth-first walk.  The rescanning degree-2 eliminations are the
+connectivity check (the package's own brute force backtracks with a
+union-find, and the production path is the series-parallel engine);
+determinants come from cofactor expansion; Fibonacci numbers from the plain
+recurrence.  The package's former brute force, a fresh union-find per
+(n-1)-subset, is kept as the reference for its backtracking walk.  The
+list-growing enumeration materialises every level of the build order, as a
+reference for the package's depth-first walk.  The rescanning degree-2 eliminations are the
 package's former quadratic loops (recognition, the path walk and the max
 surgery's core peel), kept as references for its heap-driven peel.
 """
@@ -50,6 +52,35 @@ def is_connected(adj: list[set[int]]) -> bool:
 def tree_count_by_enumeration(n: int, edges) -> int:
     edges = sorted(set(edges))
     return sum(1 for sub in combinations(edges, n - 1) if is_tree_edge_set(n, sub))
+
+
+def brute_force_by_subsets(g) -> int:
+    """Count (n-1)-edge subsets of ``g`` that form spanning trees, each checked
+    by a fresh union-find (no edge cap; n >= 1)."""
+    edges = g.edges()
+    n = g.n
+    if n == 1:
+        return 1
+    if len(edges) < n - 1:
+        return 0
+    count = 0
+    for subset in combinations(edges, n - 1):
+        parent = list(range(n))
+        ok = True
+        for u, v in subset:
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u == v:
+                ok = False
+                break
+            parent[u] = v
+        if ok:
+            count += 1
+    return count
 
 
 def spanning_trees_by_enumeration(n: int, edges) -> set[frozenset]:

@@ -116,11 +116,13 @@ def test_criterion_4_bounds():
     ok = True
     for seed in range(1000):
         n = 3 + seed % 14  # n = 3..16
-        lower_ok, upper_ok = verify_bounds(random_two_tree(n, seed).realize())
+        g = random_two_tree(n, seed).realize()
+        lower_ok, upper_ok = verify_bounds(g)
         ok = ok and lower_ok and upper_ok
+        ok = ok and count_via_construction(recognize(g)) == kirchhoff_count(g)
     assert report(
         "criterion 4: 2^(n-2) <= T <= 3^(n-2) over 1000 seeded random "
-        "2-trees with n <= 16",
+        "2-trees with n <= 16, the engine's count equal to the determinant",
         ok,
     )
 

@@ -180,6 +180,20 @@ def test_sparse_header_counts_zero_without_building_a_graph(capsys, tmp_path, mo
     assert code == 0 and out == "0\n"
 
 
+@pytest.mark.parametrize(
+    "method, oracle", [("kirchhoff", "kirchhoff_count"), ("brute", "brute_force_count")]
+)
+def test_oracle_count_on_empty_and_single_vertex_graphs(capsys, tmp_path, method, oracle):
+    target = tmp_path / "g.edges"
+    target.write_text("0 0\n")
+    code, out, err = run(capsys, "count", "--method", method, "--in", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: {oracle} needs at least one vertex\n"
+    target.write_text("1 0\n")
+    code, out, _ = run(capsys, "count", "--method", method, "--in", str(target))
+    assert code == 0 and out == "1\n"
+
+
 def test_brute_force_edge_cap_still_applies_to_sparse_graphs(capsys, tmp_path):
     # 26 edges on 40 vertices: no spanning tree, but past brute force's cap
     target = tmp_path / "sparse.edges"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twotrees import (
@@ -33,7 +33,12 @@ from twotrees import counting
 from twotrees.counting import _det_bareiss
 from twotrees.graph import TwoTreeConstruction, edge, spanning_forest_components
 
-from oracle import det_by_cofactors, fib_by_recurrence, tree_count_by_enumeration
+from oracle import (
+    brute_force_by_subsets,
+    det_by_cofactors,
+    fib_by_recurrence,
+    tree_count_by_enumeration,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -231,6 +236,29 @@ def test_brute_force_values_and_guard():
     assert brute_force_count(book(6).realize()) == 48 == count_book(6)
     with pytest.raises(TooLargeError):
         brute_force_count(book(15).realize())  # 27 edges
+
+
+@st.composite
+def simple_graphs(draw, n_max=8, m_max=14):
+    n = draw(st.integers(1, n_max))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=m_max)) if pairs else []
+    return SimpleGraph.from_edges(n, chosen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_graphs())
+@example(SimpleGraph.from_edges(1, []))
+@example(SimpleGraph.from_edges(6, [(0, 1), (2, 3)]))  # sparse: m < n - 1
+@example(SimpleGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))  # K4 + isolated
+@example(SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))  # two triangles
+def test_brute_force_matches_subset_filter(g):
+    assert brute_force_count(g) == brute_force_by_subsets(g)
+
+
+def test_brute_force_rejects_empty_graph():
+    with pytest.raises(OutOfRangeError):
+        brute_force_count(SimpleGraph.from_edges(0, []))
 
 
 def test_count_via_construction_families():
