@@ -1,11 +1,8 @@
 """Exact spanning-tree enumeration, counting, and extremal rewiring for 2-trees."""
 
 from .counting import (
-    ChainState,
-    EdgeCountQuery,
     brute_force_count,
     chain_edge_counts,
-    chain_step,
     count_book,
     count_containing,
     count_two_simplicial,
@@ -15,11 +12,8 @@ from .counting import (
     verify_bounds,
 )
 from .enumeration import (
-    ExtensionChoice,
-    choice_vector_decode,
     count_stream,
     enumerate_spanning_trees,
-    extend_tree,
 )
 from .errors import (
     AlreadyTwoSimplicialError,
@@ -28,10 +22,7 @@ from .errors import (
     CyclicRequirementError,
     ForeignEdgeError,
     FormatError,
-    IllegalSplitError,
-    InconsistentChainError,
     InvalidConstructionError,
-    InvalidTreeError,
     InvariantError,
     IsBookError,
     LoopEdgeError,
@@ -45,7 +36,6 @@ from .extremal import (
     ExtremalSurvey,
     SplitReport,
     SurgeryReport,
-    align_for_glue,
     glue,
     glue_identity_check,
     improve_max,

@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         outputs = args.handler(args)
-    except (OutOfRangeError, TooLargeError, FormatError, FileNotFoundError) as exc:
+    except (OutOfRangeError, TooLargeError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
     except NotTwoTreeError as exc:
@@ -161,9 +161,17 @@ def _input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true")
 
 
+def _read_input(path: Path) -> str:
+    """The text of an ``--in`` file; bytes that are not UTF-8 are a FormatError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_construction(args) -> TwoTreeConstruction:
     if args.infile is not None:
-        parsed = formats.sniff_and_parse(args.infile.read_text(), two_tree=True)
+        parsed = formats.sniff_and_parse(_read_input(args.infile), two_tree=True)
         if isinstance(parsed, TwoTreeConstruction):
             return parsed
         return recognition.recognize(parsed)
@@ -175,7 +183,7 @@ def _load_construction(args) -> TwoTreeConstruction:
 def _load_graph(args) -> SimpleGraph:
     """The input graph, which must pass the 2-tree edge-count check."""
     if args.infile is not None:
-        parsed = formats.sniff_and_parse(args.infile.read_text(), two_tree=True)
+        parsed = formats.sniff_and_parse(_read_input(args.infile), two_tree=True)
         if isinstance(parsed, TwoTreeConstruction):
             return parsed.realize()
         return parsed
@@ -185,7 +193,7 @@ def _load_graph(args) -> SimpleGraph:
 def _load_edges(args) -> tuple[int, list[Edge]]:
     """The input's n and edges, with no graph built for an edge-list file."""
     if args.infile is not None:
-        return formats.read_edges(args.infile.read_text())
+        return formats.read_edges(_read_input(args.infile))
     g = _load_construction(args).realize()
     return g.n, g.edges()
 
@@ -334,6 +342,8 @@ def _cmd_improve(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     suite = args.suite
+    if args.trials is not None and args.trials < 1:
+        raise OutOfRangeError(f"--trials must be at least 1, got {args.trials}")
     checks: list[tuple[str, bool]] = []
     if suite == "oracle":
         n_max = 8 if args.n_max is None else args.n_max
@@ -348,6 +358,8 @@ def _cmd_verify(args) -> dict:
     elif suite == "bounds":
         trials = 200 if args.trials is None else args.trials
         n_max = 16 if args.n_max is None else args.n_max
+        if n_max < 3:
+            raise OutOfRangeError(f"bounds suite needs n-max >= 3, got {n_max}")
         ok = True
         for i in range(trials):
             n = 3 + (i % max(n_max - 2, 1))
@@ -398,11 +410,10 @@ def _check_glue_identities(trials: int, seed: int) -> bool:
         h = generators.random_two_tree(3 + rng.randrange(5), seed * 1000 + 2 * i).realize()
         j = generators.random_two_tree(3 + rng.randrange(5), seed * 1000 + 2 * i + 1).realize()
         h_edges, j_edges = h.edges(), j.edges()
-        h2, j2, shared = extremal.align_for_glue(
-            h, h_edges[rng.randrange(len(h_edges))], j, j_edges[rng.randrange(len(j_edges))]
-        )
-        req = _random_acyclic_subset(j2, shared, rng)
-        if not extremal.glue_identity_check(h2, j2, shared, req):
+        h2 = extremal.relabel_edge_to_base(h, h_edges[rng.randrange(len(h_edges))])
+        j2 = extremal.relabel_edge_to_base(j, j_edges[rng.randrange(len(j_edges))])
+        req = _random_acyclic_subset(j2, (0, 1), rng)
+        if not extremal.glue_identity_check(h2, j2, (0, 1), req):
             return False
     return True
 

@@ -23,18 +23,23 @@ with the convention F(-1) = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
     CyclicRequirementError,
     ForeignEdgeError,
-    InconsistentChainError,
     InvalidConstructionError,
     OutOfRangeError,
     TooLargeError,
 )
-from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge, spanning_forest_components
+from .graph import (
+    Edge,
+    SimpleGraph,
+    TwoTreeConstruction,
+    _union_find,
+    edge,
+    spanning_forest_components,
+)
 
 BRUTE_FORCE_EDGE_LIMIT = 25
 
@@ -65,54 +70,6 @@ def count_two_simplicial(n: int) -> int:
     return fibonacci(2 * n - 2)
 
 
-@dataclass(frozen=True)
-class ChainState:
-    """Tree counts along a chain grown edge by edge from a seeded host.
-
-    ``alpha``/``beta`` are the host totals (all trees / trees through the
-    start edge); ``total`` and ``tip`` are the same two quantities after
-    ``steps`` single-vertex extensions.  ``beta <= alpha`` always, and the
-    Fibonacci closed forms above are enforced as an invariant.
-    """
-
-    alpha: int
-    beta: int
-    steps: int
-    total: int
-    tip: int
-
-    def __post_init__(self):
-        if not (0 <= self.beta <= self.alpha):
-            raise OutOfRangeError(
-                f"need 0 <= beta <= alpha, got alpha={self.alpha}, beta={self.beta}"
-            )
-        if self.steps < 0:
-            raise OutOfRangeError(f"steps must be nonnegative, got {self.steps}")
-        p = self.steps
-        want_total = fibonacci(2 * p + 1) * self.alpha + fibonacci(2 * p) * self.beta
-        want_tip = fibonacci(2 * p) * self.alpha + fibonacci(2 * p - 1) * self.beta
-        if self.total != want_total or self.tip != want_tip:
-            raise InconsistentChainError(
-                f"inconsistent chain state at steps={p}: "
-                f"({self.total}, {self.tip}) != ({want_total}, {want_tip})"
-            )
-
-    @staticmethod
-    def start(alpha: int, beta: int) -> ChainState:
-        return ChainState(alpha, beta, 0, alpha, beta)
-
-
-def chain_step(state: ChainState) -> ChainState:
-    """Advance one chain extension: total' = 2*total + tip, tip' = total + tip."""
-    return ChainState(
-        state.alpha,
-        state.beta,
-        state.steps + 1,
-        2 * state.total + state.tip,
-        state.total + state.tip,
-    )
-
-
 def chain_edge_counts(alpha: int, beta: int, p: int) -> tuple[int, int, int]:
     """Closed-form edge-constrained counts after ``p`` chain extensions.
 
@@ -137,27 +94,6 @@ def chain_edge_counts(alpha: int, beta: int, p: int) -> tuple[int, int, int]:
     return through_start, through_side, through_tip
 
 
-@dataclass(frozen=True)
-class EdgeCountQuery:
-    """A graph plus an acyclic required edge set, validated on construction."""
-
-    graph: SimpleGraph
-    required: tuple[Edge, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "required", tuple(edge(*e) for e in self.required)
-        )
-        for u, v in self.required:
-            if not (0 <= u < self.graph.n and v in self.graph.adj[u]):
-                raise ForeignEdgeError(f"required edge ({u}, {v}) not in graph")
-        if spanning_forest_components(self.graph.n, set(self.required)) is None:
-            raise CyclicRequirementError("required edges contain a cycle")
-
-    def count(self) -> int:
-        return count_containing(self.graph, self.required)
-
-
 def kirchhoff_count(g: SimpleGraph) -> int:
     """Spanning-tree count as a Laplacian cofactor, exactly; 0 if disconnected."""
     if g.n < 1:
@@ -180,20 +116,9 @@ def count_containing(g: SimpleGraph, required: Iterable[Edge]) -> int:
     for u, v in req:
         if not (0 <= u < g.n and v in g.adj[u]):
             raise ForeignEdgeError(f"required edge ({u}, {v}) not in graph")
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in set(req):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise CyclicRequirementError(f"required edges contain a cycle at ({u}, {v})")
-        parent[ru] = rv
-
+    find = _union_find(g.n, set(req))
+    if find is None:
+        raise CyclicRequirementError("required edges contain a cycle")
     roots = sorted({find(v) for v in range(g.n)})
     index = {r: i for i, r in enumerate(roots)}
     weights: dict[Edge, int] = {}

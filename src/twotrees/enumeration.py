@@ -13,7 +13,8 @@ and undoes one choice at a time, with O(n) state beyond the consumer.  The
 added vertex becomes a triple of edge indices (vx, vy, xy), and the current
 tree is a bytearray of flags set and cleared in place.  Within one parent the
 order is always: leaf at the smaller endpoint, leaf at the larger endpoint,
-then the swap.
+then the swap.  The choice rule lives only in this walk; the list-growing
+enumeration in ``tests/oracle.py`` is the reference for its order.
 
 Two thin views read the flags after each step.  ``spanning_tree_lines``
 joins precomputed ``"u-v"`` tokens into the stream line the CLI writes (index
@@ -24,53 +25,11 @@ callers.  Both emit the same trees in the same order.
 
 from __future__ import annotations
 
-import enum
 from itertools import compress, repeat
 from typing import Iterable, Iterator
 
-from .errors import IllegalSplitError, InvalidTreeError, OutOfRangeError
 from .formats import edge_tokens
-from .graph import (
-    Edge,
-    SpanningTree,
-    TwoTreeConstruction,
-    edge,
-    spanning_forest_components,
-    tree_vertex_span,
-)
-
-
-class ExtensionChoice(enum.Enum):
-    """How one added vertex v with attach edge {x, y} joins the tree."""
-
-    USE_VX = "use-vx"
-    USE_VY = "use-vy"
-    SPLIT_XY = "split-xy"
-
-
-def extend_tree(tree: Iterable[Edge], new_vertex: int, attach: Edge) -> list[SpanningTree]:
-    """All spanning trees of the one-vertex-larger graph extending ``tree``.
-
-    Returns two trees (new vertex as a leaf on either attach endpoint), plus
-    a third with the attach edge swapped out when the tree contains it.
-    """
-    current = frozenset(edge(*e) for e in tree)
-    span = tree_vertex_span(current)
-    if spanning_forest_components(1 + max(span, default=0), current) is None:
-        raise InvalidTreeError("edge set contains a cycle")
-    if len(current) != len(span) - 1:
-        raise InvalidTreeError(
-            f"{len(current)} edges cannot span {len(span)} vertices as a tree"
-        )
-    x, y = edge(*attach)
-    if x not in span or y not in span:
-        raise InvalidTreeError(f"attach edge ({x}, {y}) does not lie in the tree's graph")
-    if new_vertex in span:
-        raise InvalidTreeError(f"vertex {new_vertex} is already spanned")
-    out = [current | {edge(new_vertex, x)}, current | {edge(new_vertex, y)}]
-    if (x, y) in current:
-        out.append(current - {(x, y)} | {edge(new_vertex, x), edge(new_vertex, y)})
-    return out
+from .graph import Edge, SpanningTree, TwoTreeConstruction, edge
 
 
 def enumerate_spanning_trees(c: TwoTreeConstruction) -> Iterator[SpanningTree]:
@@ -155,32 +114,6 @@ def _walk(c: TwoTreeConstruction, edges: list[Edge]) -> Iterator[bytearray]:
             continue
         tried[level] = t + 1
         level += 1
-
-
-def choice_vector_decode(
-    c: TwoTreeConstruction, choices: Iterable[ExtensionChoice]
-) -> SpanningTree:
-    """Apply one extension choice per attachment and return the unique tree."""
-    picks = list(choices)
-    if len(picks) != c.n - 2:
-        raise OutOfRangeError(
-            f"need exactly {c.n - 2} choices for n={c.n}, got {len(picks)}"
-        )
-    tree = {c.base}
-    for (v, (x, y)), pick in zip(c.attachments, picks):
-        if pick is ExtensionChoice.USE_VX:
-            tree.add(edge(v, x))
-        elif pick is ExtensionChoice.USE_VY:
-            tree.add(edge(v, y))
-        else:
-            if (x, y) not in tree:
-                raise IllegalSplitError(
-                    f"attach edge ({x}, {y}) not in tree when adding vertex {v}"
-                )
-            tree.remove((x, y))
-            tree.add(edge(v, x))
-            tree.add(edge(v, y))
-    return frozenset(tree)
 
 
 def count_stream(trees: Iterable[SpanningTree]) -> int:

@@ -17,10 +17,6 @@ class LoopEdgeError(TwoTreeError, ValueError):
     """An edge joins a vertex to itself."""
 
 
-class InconsistentChainError(TwoTreeError, ValueError):
-    """Chain-state counts disagree with the Fibonacci closed forms."""
-
-
 class TooLargeError(TwoTreeError):
     """An exhaustive operation would exceed its combinatorial guard."""
 
@@ -31,14 +27,6 @@ class InvalidConstructionError(TwoTreeError):
 
 class ForeignEdgeError(TwoTreeError):
     """An edge set refers to an edge absent from the host graph."""
-
-
-class InvalidTreeError(TwoTreeError):
-    """An edge set violates the spanning-tree invariants it claims."""
-
-
-class IllegalSplitError(TwoTreeError):
-    """A split choice was requested while the attach edge is not in the tree."""
 
 
 class CyclicRequirementError(TwoTreeError):

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .generators import all_labeled_two_trees
 from .graph import Edge, SimpleGraph, edge, spanning_forest_components
-from .recognition import _peel, is_book, path_ordering_if_two_simplicial, recognize
+from .recognition import _path_order, _peel, recognize
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,14 @@ class SurgeryReport:
 def improve_min(g: SimpleGraph) -> SplitReport:
     """Strictly decrease the spanning-tree count of a non-book 2-tree."""
     c = recognize(g)
-    if g.n >= 3 and is_book(g):
+    simp = [v for v in range(g.n) if g.degree(v) == 2]
+    # A 2-tree with n >= 4 is a book iff n - 2 of its vertices have degree 2;
+    # K3 has three.
+    if g.n >= 3 and len(simp) >= g.n - 2:
         raise IsBookError("every pair of degree-2 vertices shares a neighbourhood")
     if g.n < 5:
         raise OutOfRangeError(f"improve_min needs n >= 5, got {g.n}")
 
-    simp = [v for v in range(g.n) if g.degree(v) == 2]
     pair = next(
         (v1, v2)
         for i, v1 in enumerate(simp)
@@ -142,11 +144,18 @@ def improve_max(g: SimpleGraph) -> SurgeryReport:
     if g.n < 5:
         raise OutOfRangeError(f"improve_max needs n >= 5, got {g.n}")
 
+    # Delete the surplus degree-2 vertices (smallest first) until only v and
+    # v' remain; the core left behind has exactly those two.
     v, v_prime = simp[0], simp[1]
-    core, deletions = _peel_to_core(g, v, v_prime)
+    adj = [set(s) for s in g.adj]
+    deletions = _peel(adj, keep={v, v_prime})
+    core = set(range(g.n)).difference(u for u, _ in deletions)
+    ends = [w for w in range(g.n) if len(adj[w]) == 2]
+    _check(ends == [v, v_prime], "peeled core must have exactly two degree-2 vertices")
 
-    # Hamiltonian-path ordering of the core, from v down to v_prime.
-    order = _core_path_order(g, core, v, v_prime)
+    # Peeling on with only v' kept walks the core's Hamiltonian path from v.
+    order = _path_order(g, adj, v_prime)
+    _check(order[0] == v and order[-1] == v_prime, "core path must run from v to v'")
     q = len(order)
     pos = {vertex: q - i for i, vertex in enumerate(order)}  # order[0]=v has pos q
 
@@ -204,21 +213,6 @@ def glue(h: SimpleGraph, j: SimpleGraph, shared: Edge) -> tuple[SimpleGraph, dic
     edges = set(h.edges())
     edges.update(edge(mapping[a], mapping[b]) for a, b in j.edges())
     return SimpleGraph.from_edges(h.n + j.n - 2, sorted(edges)), mapping
-
-
-def align_for_glue(
-    h: SimpleGraph, h_edge: Edge, j: SimpleGraph, j_edge: Edge
-) -> tuple[SimpleGraph, SimpleGraph, Edge]:
-    """Relabel both graphs so the chosen edges coincide on labels (0, 1).
-
-    Convenience for building :func:`glue` inputs out of two independently
-    labelled graphs and one picked edge of each.
-    """
-    return (
-        relabel_edge_to_base(h, h_edge),
-        relabel_edge_to_base(j, j_edge),
-        (0, 1),
-    )
 
 
 def relabel_edge_to_base(g: SimpleGraph, e: Edge) -> SimpleGraph:
@@ -373,29 +367,6 @@ def _rehome_pair(g: SimpleGraph, v1: int, v2: int, target: Edge) -> SimpleGraph:
         edges.append(edge(v, target[0]))
         edges.append(edge(v, target[1]))
     return SimpleGraph.from_edges(g.n, edges)
-
-
-def _peel_to_core(
-    g: SimpleGraph, v: int, v_prime: int
-) -> tuple[set[int], list[tuple[int, Edge]]]:
-    """Delete surplus degree-2 vertices (smallest first) until only v, v' remain."""
-    deletions = _peel([set(s) for s in g.adj], keep={v, v_prime})
-    return set(range(g.n)).difference(u for u, _ in deletions), deletions
-
-
-def _core_path_order(
-    g: SimpleGraph, core: set[int], v: int, v_prime: int
-) -> list[int]:
-    """Path ordering of the peeled core, reusing the recognizer's walk."""
-    sub, remap = g.induced_compact(core)
-    back = {new: old for old, new in remap.items()}
-    ordering = path_ordering_if_two_simplicial(sub)
-    _check(ordering is not None, "peeled core must have exactly two degree-2 vertices")
-    order = [back[w] for w in ordering.order]
-    if order[0] != v:
-        order.reverse()
-    _check(order[0] == v and order[-1] == v_prime, "core path must run from v to v'")
-    return order
 
 
 def _hanging_pieces(

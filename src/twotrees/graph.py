@@ -13,7 +13,7 @@ trip with their original labels.  All types are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import (
     ForeignEdgeError,
@@ -141,37 +141,16 @@ class TwoTreeConstruction:
                 f"0..{self.n - 1} exactly once"
             )
 
-    def vertices_in_build_order(self) -> list[int]:
-        return [self.base[0], self.base[1]] + [v for v, _ in self.attachments]
-
     def realize(self) -> SimpleGraph:
         """Build the 2-tree this recipe describes.
 
         Raises InvalidConstructionError if an attach edge is missing at the
         moment its vertex is added.  The result always has 2n - 3 edges.
         """
-        edges = self._edges_checked(self.n)
-        return SimpleGraph.from_edges(self.n, edges)
-
-    def prefix_graph(self, i: int) -> SimpleGraph:
-        """The 2-tree spanned by the first ``i`` constructed vertices.
-
-        Labels are compacted in sorted order; for canonically labelled
-        constructions this is the identity, so ``prefix_graph(n)`` equals
-        ``realize()``.
-        """
-        if i < 2 or i > self.n:
-            raise OutOfRangeError(f"prefix size must be in [2, {self.n}], got {i}")
-        edges = self._edges_checked(i)
-        kept = sorted(self.vertices_in_build_order()[:i])
-        remap = {old: new for new, old in enumerate(kept)}
-        return SimpleGraph.from_edges(i, [edge(remap[u], remap[v]) for u, v in edges])
-
-    def _edges_checked(self, upto: int) -> list[Edge]:
         present = {self.base}
         seen = {self.base[0], self.base[1]}
         out = [self.base]
-        for v, attach in self.attachments[: upto - 2]:
+        for v, attach in self.attachments:
             if v in seen:
                 raise InvalidConstructionError(f"vertex {v} attached twice")
             if attach not in present:
@@ -183,7 +162,7 @@ class TwoTreeConstruction:
             present.add(e2)
             out.extend((e1, e2))
             seen.add(v)
-        return out
+        return SimpleGraph.from_edges(self.n, out)
 
 
 SpanningTree = frozenset  # frozenset[Edge]; edge set of a spanning tree
@@ -198,26 +177,22 @@ def is_spanning_tree(g: SimpleGraph, tree: Iterable[Edge]) -> bool:
     for u, v in edges:
         if not (0 <= u < g.n and v in g.adj[u]):
             raise ForeignEdgeError(f"edge ({u}, {v}) is not an edge of the host graph")
-    if len(set(edges)) != g.n - 1 or len(edges) != g.n - 1:
-        return False
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    return spanning_forest_components(g.n, edges) == 1
 
 
 def spanning_forest_components(n: int, edges: Iterable[Edge]) -> int | None:
     """Number of components of an acyclic edge set on n vertices, else None."""
+    edges = list(edges)
+    return None if _union_find(n, edges) is None else n - len(edges)
+
+
+def _union_find(n: int, edges: Iterable[Edge]) -> Callable[[int], int] | None:
+    """``find`` after joining every edge, or None when an edge, a repeated one
+    included, closes a cycle.
+
+    This path-halving union-find is the package's only one outside the
+    brute-force oracle.
+    """
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -226,20 +201,9 @@ def spanning_forest_components(n: int, edges: Iterable[Edge]) -> int | None:
             x = parent[x]
         return x
 
-    comps = n
     for u, v in edges:
         ru, rv = find(u), find(v)
         if ru == rv:
             return None
         parent[ru] = rv
-        comps -= 1
-    return comps
-
-
-def tree_vertex_span(tree: Iterable[Edge]) -> set[int]:
-    """Vertices touched by an edge set."""
-    span: set[int] = set()
-    for u, v in tree:
-        span.add(u)
-        span.add(v)
-    return span
+    return find

@@ -121,21 +121,28 @@ def path_ordering_if_two_simplicial(g: SimpleGraph) -> TwoSimplicialOrdering | N
     simp = _degree_two(g)
     if len(simp) != 2:
         return None
-    goal = simp[1]
-    adj = [set(s) for s in g.adj]
-    # Only one vertex besides goal is ever eligible until the closing
-    # triangle, so the smallest-first peel walks the path from simp[0].
-    order = [v for v, _ in _peel(adj, keep={goal})]
-    order.extend(v for v in range(g.n) if adj[v] and v != goal)
-    order.append(goal)
-    for earlier, later in zip(order, order[1:]):
-        if not g.has_edge(earlier, later):
-            raise InvariantError(f"path ordering steps across non-edge ({earlier}, {later})")
-    return TwoSimplicialOrdering(tuple(order))
+    return TwoSimplicialOrdering(tuple(_path_order(g, [set(s) for s in g.adj], simp[1])))
 
 
 def _degree_two(g: SimpleGraph) -> list[int]:
     return [v for v in range(g.n) if g.degree(v) == 2]
+
+
+def _path_order(g: SimpleGraph, adj: list[set[int]], goal: int) -> list[int]:
+    """The Hamiltonian path of the 2-tree left in ``adj``, which is peeled in
+    place, from its degree-2 vertex other than ``goal`` to ``goal``.
+
+    Only one vertex besides goal is ever eligible until the closing triangle,
+    so the smallest-first peel walks the path; the one vertex it leaves
+    beside goal comes second to last.  ``g`` holds every edge of ``adj``.
+    """
+    order = [v for v, _ in _peel(adj, keep={goal})]
+    order.extend(v for v in range(len(adj)) if adj[v] and v != goal)
+    order.append(goal)
+    for earlier, later in zip(order, order[1:]):
+        if not g.has_edge(earlier, later):
+            raise InvariantError(f"path ordering steps across non-edge ({earlier}, {later})")
+    return order
 
 
 def _peel(adj: list[set[int]], keep: Collection[int] = ()) -> list[tuple[int, Edge]]:

@@ -3,13 +3,17 @@
 Spanning trees are counted here by filtering edge subsets with a BFS
 connectivity check (the package's own brute force backtracks with a
 union-find, and the production path is the series-parallel engine);
+the same BFS tree test and a BFS component count are the references for the
+package's union-find (``is_spanning_tree``, ``spanning_forest_components``);
 determinants come from cofactor expansion; Fibonacci numbers from the plain
 recurrence.  The package's former brute force, a fresh union-find per
 (n-1)-subset, is kept as the reference for its backtracking walk.  The
 list-growing enumeration materialises every level of the build order, as a
-reference for the package's depth-first walk.  The rescanning degree-2 eliminations are the
-package's former quadratic loops (recognition, the path walk and the max
-surgery's core peel), kept as references for its heap-driven peel.
+reference for the package's depth-first walk and its choice order.  The
+rescanning degree-2 eliminations are the package's former quadratic loops
+(recognition, the path walk and the max surgery's core peel), kept as
+references for its heap-driven peel.  Only references live here: nothing
+from the package is moved in to keep it alive.
 """
 
 from __future__ import annotations
@@ -47,6 +51,25 @@ def is_connected(adj: list[set[int]]) -> bool:
                 seen.add(w)
                 queue.append(w)
     return len(seen) == len(adj)
+
+
+def component_count(n: int, edges) -> int:
+    """Connected components of the graph on n vertices with these edges."""
+    adj = adjacency(n, edges)
+    seen: set[int] = set()
+    count = 0
+    for start in range(n):
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return count
 
 
 def tree_count_by_enumeration(n: int, edges) -> int:

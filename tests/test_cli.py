@@ -468,3 +468,42 @@ def test_missing_input_exit_2(capsys):
     code, _, err = run(capsys, "count")
     assert code == 2
     assert "--in" in err or "--family" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "book", "5", "--out", "{dir}"],
+        ["enumerate", "--family", "book", "--n", "4", "--out", "{dir}"],
+        ["improve", "min", "--family", "path-square", "--n", "6", "--out", "{dir}"],
+        ["improve", "max", "--family", "book", "--n", "6", "--out", "{dir}"],
+        ["count", "--in", "{dir}"],
+        ["count", "--in", "{latin1}"],
+        ["count", "--method", "kirchhoff", "--in", "{latin1}"],
+        ["order", "--in", "{latin1}"],
+        ["enumerate", "--in", "{latin1}"],
+        ["improve", "max", "--in", "{latin1}"],
+    ],
+)
+def test_bad_paths_and_bytes_exit_2_with_one_error_line(capsys, tmp_path, argv):
+    latin1 = tmp_path / "g.edges"
+    latin1.write_bytes("3 3\n0 1\n0 2\n1 2\n# é\n".encode("latin-1"))
+    paths = {"dir": str(tmp_path), "latin1": str(latin1)}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bounds", "--trials", "-3"], "--trials"),
+        (["bounds", "--trials", "0"], "--trials"),
+        (["identities", "--trials", "-3"], "--trials"),
+        (["bounds", "--n-max", "2"], "n-max"),
+    ],
+)
+def test_verify_rejects_out_of_range_arguments(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and flag in err

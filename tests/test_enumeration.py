@@ -7,16 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twotrees import (
-    ExtensionChoice,
-    IllegalSplitError,
-    InvalidTreeError,
-    OutOfRangeError,
     TwoTreeConstruction,
     book,
-    choice_vector_decode,
     count_stream,
     enumerate_spanning_trees,
-    extend_tree,
     is_spanning_tree,
     kirchhoff_count,
     random_two_tree,
@@ -88,55 +82,6 @@ def test_modes_agree_as_multisets():
         lst = spanning_trees_levelwise(c)
         assert sorted(stream, key=sorted) == sorted(lst, key=sorted)
         assert stream == lst
-
-
-def test_extend_tree_triangle():
-    out = extend_tree({(0, 1)}, 2, (0, 1))
-    assert out == [
-        frozenset({(0, 1), (0, 2)}),
-        frozenset({(0, 1), (1, 2)}),
-        frozenset({(0, 2), (1, 2)}),
-    ]
-
-
-def test_extend_tree_without_attach_edge_gives_two():
-    # tree on a triangle lacking edge (0, 1)
-    out = extend_tree({(0, 2), (1, 2)}, 3, (0, 1))
-    assert len(out) == 2
-
-
-def test_extend_tree_book4_total():
-    level = [frozenset({(0, 1)})]
-    for v in (2, 3):
-        level = [t for tree in level for t in extend_tree(tree, v, (0, 1))]
-    assert len(level) == 8 == len(set(level))
-
-
-def test_extend_tree_validation():
-    with pytest.raises(InvalidTreeError):
-        extend_tree({(0, 1), (1, 2), (0, 2)}, 3, (0, 1))  # cycle
-    with pytest.raises(InvalidTreeError):
-        extend_tree({(0, 1), (2, 3)}, 4, (0, 1))  # disconnected
-    with pytest.raises(InvalidTreeError):
-        extend_tree({(0, 1)}, 1, (0, 1))  # vertex already spanned
-    with pytest.raises(InvalidTreeError):
-        extend_tree({(0, 1)}, 2, (0, 3))  # attach outside the tree's graph
-
-
-def test_choice_vector_decode():
-    star = choice_vector_decode(book(4), [ExtensionChoice.USE_VX, ExtensionChoice.USE_VX])
-    assert star == frozenset({(0, 1), (0, 2), (0, 3)})
-
-    split = choice_vector_decode(K3, [ExtensionChoice.SPLIT_XY])
-    assert split == frozenset({(0, 2), (1, 2)})
-
-    k2 = choice_vector_decode(TwoTreeConstruction(2, (0, 1), ()), [])
-    assert k2 == frozenset({(0, 1)})
-
-    with pytest.raises(IllegalSplitError):
-        choice_vector_decode(book(4), [ExtensionChoice.SPLIT_XY, ExtensionChoice.SPLIT_XY])
-    with pytest.raises(OutOfRangeError):
-        choice_vector_decode(book(4), [ExtensionChoice.USE_VX])
 
 
 @settings(max_examples=30, deadline=None)

@@ -19,7 +19,6 @@ from twotrees import (
     IsBookError,
     OutOfRangeError,
     TooLargeError,
-    align_for_glue,
     book,
     count_book,
     count_two_simplicial,
@@ -37,7 +36,9 @@ from twotrees import (
     relabel_edge_to_base,
     survey_extremal,
 )
+from twotrees import recognition
 from twotrees.graph import spanning_forest_components
+from twotrees.recognition import _peel
 
 from oracle import peel_to_core_by_rescan
 
@@ -163,7 +164,27 @@ def test_core_peel_matches_rescan_on_corpus(corpus):
             edges = g.edges()
             for v in range(n):
                 for w in range(v + 1, n):
-                    assert extremal._peel_to_core(g, v, w) == peel_to_core_by_rescan(n, edges, v, w)
+                    deletions = _peel([set(s) for s in g.adj], keep={v, w})
+                    alive = set(range(n)).difference(u for u, _ in deletions)
+                    assert (alive, deletions) == peel_to_core_by_rescan(n, edges, v, w)
+
+
+def test_each_surgery_recognizes_each_graph_once(monkeypatch):
+    # improve_min: G, H, G1 and G2; improve_max: G and G'
+    calls = []
+    real = recognition.recognize
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(recognition, "recognize", counting)
+    monkeypatch.setattr(extremal, "recognize", counting)
+    rep = improve_min(path_square(7).realize())
+    assert calls == [path_square(7).realize(), rep.graph_h, rep.graph_g1, rep.graph_g2]
+    calls.clear()
+    rep = improve_max(book(7).realize())
+    assert calls == [book(7).realize(), rep.g_prime]
 
 
 def test_improve_max_rejects_two_simplicial():
@@ -304,7 +325,8 @@ def test_glue_identity_check_randomized(seed):
     j = random_two_tree(3 + rng.randrange(5), rng.randrange(2**30)).realize()
     h_edge = h.edges()[rng.randrange(h.m)]
     j_edge = j.edges()[rng.randrange(j.m)]
-    h2, j2, shared = align_for_glue(h, h_edge, j, j_edge)
+    h2, j2 = relabel_edge_to_base(h, h_edge), relabel_edge_to_base(j, j_edge)
+    shared = (0, 1)
     off = [w for w in range(j2.n) if j2.degree(w) == 2 and w not in shared]
     v = min(off)
     pool = [e for e in j2.edges() if v not in e]

@@ -15,6 +15,9 @@ from twotrees import (
     is_spanning_tree,
     random_two_tree,
 )
+from twotrees.graph import spanning_forest_components
+
+from oracle import component_count, is_tree_edge_set
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -91,33 +94,12 @@ def test_construction_shape_validation():
         TwoTreeConstruction(4, (0, 1), ((2, (0, 1)), (2, (0, 2))))  # repeat
 
 
-def test_prefix_graph_cases():
-    c = book(5)
-    assert c.prefix_graph(2).edge_set() == {(0, 1)}
-    assert c.prefix_graph(3).edge_set() == {(0, 1), (0, 2), (1, 2)}
-    assert c.prefix_graph(5).edge_set() == c.realize().edge_set()
-    with pytest.raises(OutOfRangeError):
-        c.prefix_graph(1)
-    with pytest.raises(OutOfRangeError):
-        c.prefix_graph(6)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 12), seeds)
 def test_realize_edge_count_invariant(n, seed):
     g = random_two_tree(n, seed).realize()
     assert g.m == 2 * n - 3
     assert g.is_connected()
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(3, 10), seeds)
-def test_prefix_monotone(n, seed):
-    c = random_two_tree(n, seed)
-    for i in range(2, n):
-        smaller = c.prefix_graph(i).edge_set()
-        larger = c.prefix_graph(i + 1).edge_set()
-        assert smaller <= larger
 
 
 def test_is_spanning_tree_examples():
@@ -131,3 +113,25 @@ def test_is_spanning_tree_examples():
 
     with pytest.raises(ForeignEdgeError):
         is_spanning_tree(b4, [(0, 1), (0, 2), (2, 3)])
+
+
+@st.composite
+def edge_lists(draw):
+    """Part of a random 2-tree's edge set, or arbitrary edges with repeats."""
+    if draw(st.booleans()):
+        g = random_two_tree(draw(st.integers(2, 9)), draw(seeds)).realize()
+        return g.n, draw(st.permutations(g.edges()))[: draw(st.integers(0, g.n))]
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    return n, draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_union_find_matches_the_bfs_oracle(case):
+    # repeated edges, cycles, isolated vertices and both orientations occur
+    n, edges = case
+    g = SimpleGraph.from_edges(n, edges)
+    assert is_spanning_tree(g, edges) == is_tree_edge_set(n, edges)
+    is_forest = len(edges) == n - component_count(n, edges)
+    assert spanning_forest_components(n, edges) == (n - len(edges) if is_forest else None)
