@@ -22,6 +22,10 @@ Two constructive surgeries drive the extremal picture:
   count of a glued pair is strictly increasing in that quantity, so the
   rewired graph strictly beats the original.
 
+Both surgeries, like the paper's proofs, edit G's construction order rather
+than a graph: ``recognize`` runs once, on G, and every graph a surgery
+reports is realized from a construction built out of G's own degree-2 peel.
+
 ``survey_extremal`` runs both classifications over every distinct small
 labeled 2-tree and reports the attained extremes.
 """
@@ -33,8 +37,6 @@ from typing import Iterable
 
 from .counting import (
     count_containing_or_zero,
-    count_book,
-    count_two_simplicial,
     count_via_construction,
     kirchhoff_count,
 )
@@ -49,8 +51,8 @@ from .errors import (
     TooLargeError,
 )
 from .generators import all_labeled_two_trees
-from .graph import Edge, SimpleGraph, edge, spanning_forest_components
-from .recognition import _path_order, _peel, recognize
+from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge, spanning_forest_components
+from .recognition import _degree_two, _is_book_shape, _path_order, _peel, recognize
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,8 @@ class SurgeryReport:
 def improve_min(g: SimpleGraph) -> SplitReport:
     """Strictly decrease the spanning-tree count of a non-book 2-tree."""
     c = recognize(g)
-    simp = [v for v in range(g.n) if g.degree(v) == 2]
-    # A 2-tree with n >= 4 is a book iff n - 2 of its vertices have degree 2;
-    # K3 has three.
-    if g.n >= 3 and len(simp) >= g.n - 2:
+    simp = _degree_two(g)
+    if g.n >= 3 and _is_book_shape(g.n, simp):
         raise IsBookError("every pair of degree-2 vertices shares a neighbourhood")
     if g.n < 5:
         raise OutOfRangeError(f"improve_min needs n >= 5, got {g.n}")
@@ -110,20 +110,28 @@ def improve_min(g: SimpleGraph) -> SplitReport:
     e1 = edge(*g.neighbors(v1))
     e2 = edge(*g.neighbors(v2))
 
-    h, remap = g.induced_compact(set(range(g.n)) - {v1, v2})
-    h_e1 = edge(remap[e1[0]], remap[e1[1]])
-    h_e2 = edge(remap[e2[0]], remap[e2[1]])
-    c_h = recognize(h)
-    t_h = count_via_construction(c_h)
-    beta1 = count_via_construction(c_h, [h_e1])
-    beta2 = count_via_construction(c_h, [h_e2])
-    gamma = count_via_construction(c_h, [h_e1, h_e2])
+    # Nothing hangs on the edges of a degree-2 vertex, so peeling G minus the
+    # pair builds H in G's labels, and re-appending the pair gives G1 and G2.
+    adj = [set() if v in pair else set(s).difference(pair) for v, s in enumerate(g.adj)]
+    rest = tuple(reversed(_peel(adj)))
+    base = edge(*(w for w in range(g.n) if adj[w]))
+    c_g1 = TwoTreeConstruction(g.n, base, rest + ((v1, e1), (v2, e1)))
+    c_g2 = TwoTreeConstruction(g.n, base, rest + ((v1, e2), (v2, e2)))
 
-    g1 = _rehome_pair(g, v1, v2, e1)
-    g2 = _rehome_pair(g, v1, v2, e2)
+    remap = {old: new for new, old in enumerate(w for w in range(g.n) if w not in pair)}
+
+    def in_h(f: Edge) -> Edge:
+        return edge(remap[f[0]], remap[f[1]])
+
+    c_h = TwoTreeConstruction(g.n - 2, in_h(base), tuple((remap[u], in_h(f)) for u, f in rest))
+    t_h = count_via_construction(c_h)
+    beta1 = count_via_construction(c_h, [in_h(e1)])
+    beta2 = count_via_construction(c_h, [in_h(e2)])
+    gamma = count_via_construction(c_h, [in_h(e1), in_h(e2)])
+
     t_g = count_via_construction(c)
-    t_g1 = count_via_construction(recognize(g1))
-    t_g2 = count_via_construction(recognize(g2))
+    t_g1 = count_via_construction(c_g1)
+    t_g2 = count_via_construction(c_g2)
 
     # The derivation above must hold exactly; a mismatch is an internal bug.
     _check(t_g == 4 * t_h + 2 * beta1 + 2 * beta2 + gamma, "T(G) = 4T(H) + 2b1 + 2b2 + g")
@@ -132,13 +140,15 @@ def improve_min(g: SimpleGraph) -> SplitReport:
     _check(gamma >= 1 and t_g1 + t_g2 < 2 * t_g, "T(G1) + T(G2) < 2T(G)")
 
     winner = 1 if t_g1 <= t_g2 else 2
-    return SplitReport(h, beta1, beta2, gamma, t_g, t_g1, t_g2, winner, g1, g2)
+    return SplitReport(
+        c_h.realize(), beta1, beta2, gamma, t_g, t_g1, t_g2, winner, c_g1.realize(), c_g2.realize()
+    )
 
 
 def improve_max(g: SimpleGraph) -> SurgeryReport:
     """Strictly increase the spanning-tree count when >2 degree-2 vertices exist."""
     c = recognize(g)
-    simp = [v for v in range(g.n) if g.degree(v) == 2]
+    simp = _degree_two(g)
     if g.n >= 3 and len(simp) == 2:
         raise AlreadyTwoSimplicialError("graph already has exactly two degree-2 vertices")
     if g.n < 5:
@@ -154,13 +164,15 @@ def improve_max(g: SimpleGraph) -> SurgeryReport:
     _check(ends == [v, v_prime], "peeled core must have exactly two degree-2 vertices")
 
     # Peeling on with only v' kept walks the core's Hamiltonian path from v.
-    order = _path_order(g, adj, v_prime)
+    order, path_deletions = _path_order(g, adj, v_prime)
     _check(order[0] == v and order[-1] == v_prime, "core path must run from v to v'")
     q = len(order)
     pos = {vertex: q - i for i, vertex in enumerate(order)}  # order[0]=v has pos q
 
     hanging = _hanging_pieces(core, deletions)
-    attach_positions = _attach_edge_positions(g, order, pos)
+    # Each core edge's highest position among the path vertices it was the
+    # attach edge of; the path peel deletes from the top down, so the first wins.
+    attach_positions = {f: pos[u] for u, f in reversed(path_deletions)}
 
     def edge_index(f: Edge) -> int:
         by_attach = attach_positions.get(f, 0)
@@ -175,18 +187,27 @@ def improve_max(g: SimpleGraph) -> SurgeryReport:
     crucial = min(incident) if incident else min(at_peak)
 
     p = q - j_star + 1
-    interior = hanging[crucial]
+    moved = set(hanging[crucial])
 
-    kept = set(range(g.n)) - set(interior)
+    # G' rebuilds the core in path order, then re-adds every peeled vertex,
+    # with the moved piece's glue vertices renamed canonical endpoint to
+    # canonical endpoint onto the tip edge, which the core already holds.
     tip = edge(v, min(g.neighbors(v)))
-    g_prime = _reattach(g, kept, interior, crucial, tip)
+    rename = {crucial[0]: tip[0], crucial[1]: tip[1]}
+    rebuilt = tuple(
+        (u, edge(rename.get(f[0], f[0]), rename.get(f[1], f[1])) if u in moved else f)
+        for u, f in reversed(deletions)
+    )
+    c_prime = TwoTreeConstruction(
+        g.n, edge(order[-2], v_prime), tuple(reversed(path_deletions)) + rebuilt
+    )
 
     t_g = count_via_construction(c)
-    t_gprime = count_via_construction(recognize(g_prime))
+    t_gprime = count_via_construction(c_prime)
     _check(t_gprime > t_g, "T(G') > T(G) after the reattachment")
 
-    piece, _ = g.induced_compact(set(interior) | {crucial[0], crucial[1]})
-    return SurgeryReport(crucial, p, piece, g_prime, t_g, t_gprime)
+    piece, _ = g.induced_compact(moved | set(crucial))
+    return SurgeryReport(crucial, p, piece, c_prime.realize(), t_g, t_gprime)
 
 
 def glue(h: SimpleGraph, j: SimpleGraph, shared: Edge) -> tuple[SimpleGraph, dict[int, int]]:
@@ -250,9 +271,7 @@ def glue_identity_check(
     shared = edge(*shared)
     full, mapping = glue(h, j, shared)
 
-    off_shared = [
-        w for w in range(j.n) if j.degree(w) == 2 and w not in shared
-    ]
+    off_shared = [w for w in _degree_two(j) if w not in shared]
     if not off_shared:
         raise BadGlueError("second graph has no degree-2 vertex off the shared edge")
     v = min(off_shared)
@@ -333,40 +352,18 @@ def survey_extremal(n: int) -> ExtremalSurvey:
     counts = [kirchhoff_count(g) for g in corpus]
     lo, hi = min(counts), max(counts)
     min_ok = all(
-        _is_book_shape(g) for g, c in zip(corpus, counts) if c == lo
+        _is_book_shape(g.n, _degree_two(g)) for g, c in zip(corpus, counts) if c == lo
     )
     max_ok = all(
-        _degree_two_count(g) == 2 for g, c in zip(corpus, counts) if c == hi
+        len(_degree_two(g)) == 2 for g, c in zip(corpus, counts) if c == hi
     )
     return ExtremalSurvey(n, len(corpus), lo, hi, min_ok, max_ok)
-
-
-def expected_extremes(n: int) -> tuple[int, int]:
-    """The proven extreme values for an n-vertex 2-tree."""
-    return count_book(n), count_two_simplicial(n)
 
 
 def _check(ok: bool, identity: str) -> None:
     """Raise InvariantError when a proven identity fails (survives python -O)."""
     if not ok:
         raise InvariantError(identity)
-
-
-def _degree_two_count(g: SimpleGraph) -> int:
-    return sum(1 for v in range(g.n) if g.degree(v) == 2)
-
-
-def _is_book_shape(g: SimpleGraph) -> bool:
-    return g.n == 3 or _degree_two_count(g) == g.n - 2
-
-
-def _rehome_pair(g: SimpleGraph, v1: int, v2: int, target: Edge) -> SimpleGraph:
-    """Both split vertices re-homed onto the endpoints of ``target``."""
-    edges = [e for e in g.edges() if v1 not in e and v2 not in e]
-    for v in (v1, v2):
-        edges.append(edge(v, target[0]))
-        edges.append(edge(v, target[1]))
-    return SimpleGraph.from_edges(g.n, edges)
 
 
 def _hanging_pieces(
@@ -394,35 +391,3 @@ def _hanging_pieces(
         root_of_vertex[u] = root
         pieces.setdefault(root, []).append(u)
     return pieces
-
-
-def _attach_edge_positions(
-    g: SimpleGraph, order: list[int], pos: dict[int, int]
-) -> dict[Edge, int]:
-    """Highest path position whose vertex has a given core edge as attach edge."""
-    out: dict[Edge, int] = {}
-    core_set = set(order)
-    for u in order[:-2]:
-        # Core neighbours at smaller positions are the attach pair at deletion time.
-        below = [w for w in g.neighbors(u) if w in core_set and pos[w] < pos[u]]
-        _check(len(below) == 2, "each core vertex has two lower path neighbours")
-        f = edge(below[0], below[1])
-        out[f] = max(out.get(f, 0), pos[u])
-    return out
-
-
-def _reattach(
-    g: SimpleGraph, kept: set[int], interior: list[int], crucial: Edge, tip: Edge
-) -> SimpleGraph:
-    """Move the piece hanging at ``crucial`` so it hangs at ``tip`` instead.
-
-    The piece's interior keeps its labels; only its two glue vertices are
-    renamed, canonical endpoint to canonical endpoint.
-    """
-    interior_set = set(interior)
-    mapping = {crucial[0]: tip[0], crucial[1]: tip[1]}
-    edges = {e for e in g.edges() if e[0] in kept and e[1] in kept}
-    for a, b in g.edges():
-        if a in interior_set or b in interior_set:
-            edges.add(edge(mapping.get(a, a), mapping.get(b, b)))
-    return SimpleGraph.from_edges(g.n, sorted(edges))

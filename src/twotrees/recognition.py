@@ -103,9 +103,7 @@ def is_book(g: SimpleGraph) -> bool:
     if g.n < 3:
         raise OutOfRangeError(f"is_book needs n >= 3, got {g.n}")
     recognize(g)
-    if g.n == 3:
-        return True
-    return len(_degree_two(g)) == g.n - 2
+    return _is_book_shape(g.n, _degree_two(g))
 
 
 def path_ordering_if_two_simplicial(g: SimpleGraph) -> TwoSimplicialOrdering | None:
@@ -121,28 +119,38 @@ def path_ordering_if_two_simplicial(g: SimpleGraph) -> TwoSimplicialOrdering | N
     simp = _degree_two(g)
     if len(simp) != 2:
         return None
-    return TwoSimplicialOrdering(tuple(_path_order(g, [set(s) for s in g.adj], simp[1])))
+    order, _ = _path_order(g, [set(s) for s in g.adj], simp[1])
+    return TwoSimplicialOrdering(tuple(order))
 
 
 def _degree_two(g: SimpleGraph) -> list[int]:
     return [v for v in range(g.n) if g.degree(v) == 2]
 
 
-def _path_order(g: SimpleGraph, adj: list[set[int]], goal: int) -> list[int]:
+def _is_book_shape(n: int, degree_two: list[int]) -> bool:
+    """The degree rule of :func:`is_book` for a 2-tree with n >= 3 vertices."""
+    return n == 3 or len(degree_two) == n - 2
+
+
+def _path_order(
+    g: SimpleGraph, adj: list[set[int]], goal: int
+) -> tuple[list[int], list[tuple[int, Edge]]]:
     """The Hamiltonian path of the 2-tree left in ``adj``, which is peeled in
-    place, from its degree-2 vertex other than ``goal`` to ``goal``.
+    place, from its degree-2 vertex other than ``goal`` to ``goal``, and the
+    peel's deletions.
 
     Only one vertex besides goal is ever eligible until the closing triangle,
     so the smallest-first peel walks the path; the one vertex it leaves
     beside goal comes second to last.  ``g`` holds every edge of ``adj``.
     """
-    order = [v for v, _ in _peel(adj, keep={goal})]
+    deletions = _peel(adj, keep={goal})
+    order = [v for v, _ in deletions]
     order.extend(v for v in range(len(adj)) if adj[v] and v != goal)
     order.append(goal)
     for earlier, later in zip(order, order[1:]):
         if not g.has_edge(earlier, later):
             raise InvariantError(f"path ordering steps across non-edge ({earlier}, {later})")
-    return order
+    return order, deletions
 
 
 def _peel(adj: list[set[int]], keep: Collection[int] = ()) -> list[tuple[int, Edge]]:

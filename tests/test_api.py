@@ -24,7 +24,10 @@ REMOVED = {
     "counting": ["ChainState", "chain_step", "EdgeCountQuery"],
     "enumeration": ["extend_tree", "choice_vector_decode", "ExtensionChoice"],
     "graph": ["tree_vertex_span"],
-    "extremal": ["align_for_glue", "_peel_to_core", "_core_path_order"],
+    "extremal": [
+        "align_for_glue", "_peel_to_core", "_core_path_order", "_rehome_pair", "_reattach",
+        "_attach_edge_positions", "_degree_two_count",
+    ],
     "errors": ["InconsistentChainError", "InvalidTreeError", "IllegalSplitError"],
 }
 

@@ -3,8 +3,12 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -501,9 +505,29 @@ def test_bad_paths_and_bytes_exit_2_with_one_error_line(capsys, tmp_path, argv):
         (["bounds", "--trials", "0"], "--trials"),
         (["identities", "--trials", "-3"], "--trials"),
         (["bounds", "--n-max", "2"], "n-max"),
+        (["identities", "--n-max", "2", "--trials", "2"], "--n-max"),
+        (["oracle", "--n-max", "4", "--trials", "9", "--seed", "3"], "--trials"),
+        (["oracle", "--seed", "3"], "--seed"),
+        (["extremal", "--trials", "5"], "--trials"),
+        (["extremal", "--n-max", "5", "--seed", "0"], "--seed"),
     ],
 )
 def test_verify_rejects_out_of_range_arguments(capsys, argv, flag):
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and flag in err
+
+
+def test_closed_stdout_pipe_exits_0_quietly():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twotrees", "enumerate", "--family", "book", "--n", "14"],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"# n=14 expected=28672\n"
+    proc.stdout.close()  # the tree lines that follow overrun the pipe buffer
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -18,7 +19,9 @@ from twotrees import (
     InvariantError,
     IsBookError,
     OutOfRangeError,
+    SimpleGraph,
     TooLargeError,
+    TwoTreeError,
     book,
     count_book,
     count_two_simplicial,
@@ -169,8 +172,45 @@ def test_core_peel_matches_rescan_on_corpus(corpus):
                     assert (alive, deletions) == peel_to_core_by_rescan(n, edges, v, w)
 
 
+SURGERY_REPORTS_SHA256 = "5470ce564e4946766981fae864147021e7c57f44e829e333e3f0184ef1faa36a"
+
+
+def _surgery_digest(graphs) -> str:
+    """sha256 over every field of both surgeries' reports, or their errors."""
+    digest = hashlib.sha256()
+    for g in graphs:
+        for surgery in (improve_min, improve_max):
+            try:
+                rep = surgery(g)
+            except TwoTreeError as exc:
+                line = f"{type(exc).__name__}: {exc}"
+            else:
+                line = repr([
+                    (name, (val.n, val.edges()) if isinstance(val, SimpleGraph) else val)
+                    for name, val in vars(rep).items()
+                ])
+            digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _relabelled_random(count: int, n_max: int):
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randrange(5, n_max + 1)
+        label = list(range(n))
+        rng.shuffle(label)
+        edges = random_two_tree(n, seed).realize().edges()
+        yield SimpleGraph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def test_surgery_reports_match_golden(corpus):
+    graphs = [g for n in (5, 6, 7) for g in corpus[n]]
+    graphs.extend(_relabelled_random(200, 200))
+    assert _surgery_digest(graphs) == SURGERY_REPORTS_SHA256
+
+
 def test_each_surgery_recognizes_each_graph_once(monkeypatch):
-    # improve_min: G, H, G1 and G2; improve_max: G and G'
+    # only G: every other graph is built from G's own peel
     calls = []
     real = recognition.recognize
 
@@ -180,11 +220,11 @@ def test_each_surgery_recognizes_each_graph_once(monkeypatch):
 
     monkeypatch.setattr(recognition, "recognize", counting)
     monkeypatch.setattr(extremal, "recognize", counting)
-    rep = improve_min(path_square(7).realize())
-    assert calls == [path_square(7).realize(), rep.graph_h, rep.graph_g1, rep.graph_g2]
+    improve_min(path_square(7).realize())
+    assert calls == [path_square(7).realize()]
     calls.clear()
-    rep = improve_max(book(7).realize())
-    assert calls == [book(7).realize(), rep.g_prime]
+    improve_max(book(7).realize())
+    assert calls == [book(7).realize()]
 
 
 def test_improve_max_rejects_two_simplicial():
@@ -227,8 +267,6 @@ def test_improve_max_multiple_hanging_pieces():
         (2, 6), (3, 6),   # piece at (2, 3)
         (1, 7), (3, 7),   # piece at (1, 3)
     ]
-    from twotrees import SimpleGraph
-
     g = SimpleGraph.from_edges(8, edges)
     assert recognize(g)
     rep = improve_max(g)
