@@ -17,7 +17,6 @@ from .enumeration import (
 )
 from .errors import (
     AlreadyTwoSimplicialError,
-    BadGlueError,
     CrossCheckError,
     CyclicRequirementError,
     ForeignEdgeError,
@@ -36,11 +35,9 @@ from .extremal import (
     ExtremalSurvey,
     SplitReport,
     SurgeryReport,
-    glue,
     glue_identity_check,
     improve_max,
     improve_min,
-    relabel_edge_to_base,
     survey_extremal,
 )
 from .generators import (

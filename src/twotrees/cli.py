@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 from itertools import islice
@@ -38,7 +39,7 @@ from .errors import (
     TooLargeError,
     TwoTreeError,
 )
-from .graph import Edge, SimpleGraph, TwoTreeConstruction
+from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge, spanning_forest_components
 
 EXIT_OK = 0
 EXIT_RANGE = 2
@@ -426,43 +427,24 @@ def _verify_flags(args) -> dict[str, int]:
 
 
 def _check_glue_identities(trials: int, seed: int) -> bool:
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for i in range(trials):
-        h = generators.random_two_tree(3 + rng.randrange(5), seed * 1000 + 2 * i).realize()
-        j = generators.random_two_tree(3 + rng.randrange(5), seed * 1000 + 2 * i + 1).realize()
-        h_edges, j_edges = h.edges(), j.edges()
-        h2 = extremal.relabel_edge_to_base(h, h_edges[rng.randrange(len(h_edges))])
-        j2 = extremal.relabel_edge_to_base(j, j_edges[rng.randrange(len(j_edges))])
-        req = _random_acyclic_subset(j2, (0, 1), rng)
-        if not extremal.glue_identity_check(h2, j2, (0, 1), req):
+        n = 4 + rng.randrange(5) + rng.randrange(5)
+        c = generators.random_two_tree(n, seed * 1000 + i)
+        v = c.attachments[-1][0]
+        pool = [e for e in c.realize().edges() if v not in e]
+        rng.shuffle(pool)
+        req: list[Edge] = []
+        for e in pool:
+            if rng.random() < 0.4 and spanning_forest_components(n, req + [e]) is not None:
+                req.append(e)
+        if not extremal.glue_identity_check(c, req):
             return False
     return True
 
 
-def _random_acyclic_subset(j: SimpleGraph, shared, rng) -> list:
-    """An acyclic edge set of j avoiding its smallest off-edge degree-2 vertex."""
-    from .graph import spanning_forest_components
-
-    off = [w for w in range(j.n) if j.degree(w) == 2 and w not in shared]
-    v = min(off)
-    pool = [e for e in j.edges() if v not in e]
-    rng.shuffle(pool)
-    chosen: list = []
-    for e in pool:
-        if rng.random() < 0.4:
-            if spanning_forest_components(j.n, chosen + [e]) is not None:
-                chosen.append(e)
-    return chosen
-
-
 def _check_chain_formulas(trials: int, seed: int) -> bool:
-    import random as _random
-
-    from .graph import edge as _edge
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for i in range(trials):
         host = generators.random_two_tree(3 + rng.randrange(5), seed * 77 + i).realize()
         edges = host.edges()
@@ -473,7 +455,7 @@ def _check_chain_formulas(trials: int, seed: int) -> bool:
             grown, records = generators.extend_with_chain(host, start, p, seed + p)
             through_start, _, through_tip = counting.chain_edge_counts(alpha, beta, p)
             tip_vertex, tip_attach = records[-1]
-            tip_edge = _edge(tip_vertex, tip_attach[0])
+            tip_edge = edge(tip_vertex, tip_attach[0])
             if counting.count_containing(grown, [start]) != through_start:
                 return False
             if counting.count_containing(grown, [tip_edge]) != through_tip:
@@ -482,9 +464,7 @@ def _check_chain_formulas(trials: int, seed: int) -> bool:
 
 
 def _check_deletion_contraction(trials: int, seed: int) -> bool:
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for i in range(trials):
         g = generators.random_two_tree(4 + rng.randrange(7), seed * 31 + i).realize()
         edges = g.edges()

@@ -28,7 +28,6 @@ from typing import Iterable
 from .errors import (
     CyclicRequirementError,
     ForeignEdgeError,
-    InvalidConstructionError,
     OutOfRangeError,
     TooLargeError,
 )
@@ -177,8 +176,6 @@ def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()
     """Trees of ``c.realize()`` through every ``required`` edge, in O(n) steps."""
     pair = {c.base: (1, 1)}
     for v, (x, y) in c.attachments:
-        if (x, y) not in pair:
-            raise InvalidConstructionError(f"attach edge {(x, y)} absent when vertex {v} is added")
         pair[edge(v, x)] = pair[edge(v, y)] = (1, 1)
     req = {edge(*e) for e in required}
     if req.difference(pair):

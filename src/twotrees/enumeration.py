@@ -33,10 +33,7 @@ from .graph import Edge, SpanningTree, TwoTreeConstruction, edge
 
 
 def enumerate_spanning_trees(c: TwoTreeConstruction) -> Iterator[SpanningTree]:
-    """Yield every spanning tree of ``c.realize()`` exactly once, as edge sets.
-
-    The construction is validated here, before anything is streamed.
-    """
+    """Yield every spanning tree of ``c.realize()`` exactly once, as edge sets."""
     edges = c.realize().edges()
     return map(frozenset, map(compress, repeat(edges), _walk(c, edges)))
 

@@ -41,10 +41,6 @@ class AlreadyTwoSimplicialError(TwoTreeError):
     """The graph already has exactly two degree-2 vertices."""
 
 
-class BadGlueError(TwoTreeError):
-    """Two graphs cannot be glued along the requested shared edge."""
-
-
 class FormatError(TwoTreeError):
     """A text input does not match the documented file format."""
 

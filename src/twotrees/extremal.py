@@ -42,7 +42,6 @@ from .counting import (
 )
 from .errors import (
     AlreadyTwoSimplicialError,
-    BadGlueError,
     CyclicRequirementError,
     ForeignEdgeError,
     InvariantError,
@@ -210,112 +209,46 @@ def improve_max(g: SimpleGraph) -> SurgeryReport:
     return SurgeryReport(crucial, p, piece, c_prime.realize(), t_g, t_gprime)
 
 
-def glue(h: SimpleGraph, j: SimpleGraph, shared: Edge) -> tuple[SimpleGraph, dict[int, int]]:
-    """Union of two graphs overlapping in exactly one common edge.
+def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> bool:
+    """Verify the leaf-splitting count identities at the last vertex of ``c``.
 
-    ``shared`` must name an edge of both inputs under their own labels; the
-    identification is pointwise on those two labels, and every other vertex
-    of ``j`` is relabelled above ``h``'s range.  Returns the glued graph and
-    the map from ``j``'s labels into it.
-    """
-    u, v = edge(*shared)
-    if not (v < h.n and h.has_edge(u, v)):
-        raise BadGlueError(f"shared edge ({u}, {v}) not an edge of the first graph")
-    if not (v < j.n and j.has_edge(u, v)):
-        raise BadGlueError(f"shared edge ({u}, {v}) not an edge of the second graph")
-    mapping: dict[int, int] = {}
-    fresh = h.n
-    for w in range(j.n):
-        if w == u or w == v:
-            mapping[w] = w
-        else:
-            mapping[w] = fresh
-            fresh += 1
-    edges = set(h.edges())
-    edges.update(edge(mapping[a], mapping[b]) for a, b in j.edges())
-    return SimpleGraph.from_edges(h.n + j.n - 2, sorted(edges)), mapping
-
-
-def relabel_edge_to_base(g: SimpleGraph, e: Edge) -> SimpleGraph:
-    """Permute labels so that ``e`` becomes the edge (0, 1)."""
-    a, b = edge(*e)
-    if not g.has_edge(a, b):
-        raise BadGlueError(f"({a}, {b}) is not an edge of the graph")
-    m = list(range(g.n))
-
-    def send(src: int, dst: int) -> None:
-        holder = m.index(dst)
-        m[holder], m[src] = m[src], dst
-
-    send(a, 0)
-    send(b, 1)
-    return SimpleGraph.from_edges(g.n, [edge(m[x], m[y]) for x, y in g.edges()])
-
-
-def glue_identity_check(
-    h: SimpleGraph, j: SimpleGraph, shared: Edge, required: Iterable[Edge]
-) -> bool:
-    """Verify the leaf-splitting count identities on a glued pair.
-
-    Let v be the smallest degree-2 vertex of ``j`` off the shared edge, with
-    neighbours {w, z} and e = wz.  With t and s the constrained counts of the
-    glued graph minus v (through S, and through S plus e), the glued graph
-    must satisfy, for S not containing e:
+    The last vertex v arrives on its attach edge e = wz, so G = ``c.realize()``
+    is G - v glued to the triangle vwz along e.  For an acyclic edge set S of
+    G - v, with t and s the constrained counts of G - v (through S, and
+    through S plus e), G must satisfy, for S not containing e:
 
         T(S) = 2t + s    T(S+vw) = t + s    T(S+vz) = t + s    T(S+vw+vz) = s
 
     and for S containing e: 2s, s, s, 0.  Returns True iff all four hold.
     """
-    recognize(h)
-    recognize(j)
-    shared = edge(*shared)
-    full, mapping = glue(h, j, shared)
-
-    off_shared = [w for w in _degree_two(j) if w not in shared]
-    if not off_shared:
-        raise BadGlueError("second graph has no degree-2 vertex off the shared edge")
-    v = min(off_shared)
-    w, z = sorted(j.neighbors(v))
-    e_j = edge(w, z)
-
-    req = [edge(*e) for e in required]
+    if c.n < 3:
+        raise OutOfRangeError(f"glue_identity_check needs n >= 3, got {c.n}")
+    full = c.realize()
+    v, (w, z) = c.attachments[-1]
+    req = [edge(*f) for f in required]
     for a, b in req:
-        if not (max(a, b) < j.n and j.has_edge(a, b)):
-            raise ForeignEdgeError(f"required edge ({a}, {b}) not in the second graph")
+        if not (0 <= a < c.n and full.has_edge(a, b)):
+            raise ForeignEdgeError(f"required edge ({a}, {b}) not in the graph")
         if v in (a, b):
             raise ForeignEdgeError(f"required edge ({a}, {b}) touches the split vertex")
-    if spanning_forest_components(j.n, req) is None:
+    if spanning_forest_components(c.n, req) is None:
         raise CyclicRequirementError("required edge set contains a cycle")
 
-    prime, prime_map = full.induced_compact(set(range(full.n)) - {mapping[v]})
-
-    def to_full(e: Edge) -> Edge:
-        return edge(mapping[e[0]], mapping[e[1]])
-
-    def to_prime(e: Edge) -> Edge:
-        return edge(prime_map[e[0]], prime_map[e[1]])
-
-    s_full = [to_full(e) for e in req]
-    e_full = to_full(e_j)
-    vw_full = to_full(edge(v, w))
-    vz_full = to_full(edge(v, z))
-
-    t = count_containing_or_zero(prime, [to_prime(e) for e in s_full])
-    if e_full in s_full:
-        s_val = t
+    prime, remap = full.induced_compact(u for u in range(c.n) if u != v)
+    s_prime = [edge(remap[a], remap[b]) for a, b in req]
+    t = count_containing_or_zero(prime, s_prime)
+    if (w, z) in req:
+        expected = (2 * t, t, t, 0)
     else:
-        s_val = count_containing_or_zero(prime, [to_prime(e) for e in s_full + [e_full]])
-
-    if e_full in s_full:
-        expected = (2 * s_val, s_val, s_val, 0)
-    else:
+        s_val = count_containing_or_zero(prime, s_prime + [edge(remap[w], remap[z])])
         expected = (2 * t + s_val, t + s_val, t + s_val, s_val)
 
+    vw, vz = edge(v, w), edge(v, z)
     got = (
-        count_containing_or_zero(full, s_full),
-        count_containing_or_zero(full, s_full + [vw_full]),
-        count_containing_or_zero(full, s_full + [vz_full]),
-        count_containing_or_zero(full, s_full + [vw_full, vz_full]),
+        count_containing_or_zero(full, req),
+        count_containing_or_zero(full, req + [vw]),
+        count_containing_or_zero(full, req + [vz]),
+        count_containing_or_zero(full, req + [vw, vz]),
     )
     return got == expected
 

@@ -7,7 +7,10 @@ remaining vertex; reading the attachments backwards gives an elimination
 ordering in which every removed vertex has degree 2.  Generators emit the
 canonical labelling (base ``{0, 1}``, vertex ``k`` added at step ``k - 2``),
 but the type accepts any introduction order so that recognised graphs round
-trip with their original labels.  All types are immutable after construction.
+trip with their original labels.  The constructor checks the whole build rule
+(each attach edge present when its vertex arrives), so every construction
+realizes and counts without further checks.  All types are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -112,7 +115,8 @@ class TwoTreeConstruction:
     ``attachments[i]`` is ``(new_vertex, attach_edge)``: the vertex added at
     step ``i``, glued onto both endpoints of an edge already present.  The
     base endpoints together with the attached vertices must cover
-    ``0 .. n-1`` exactly once each.
+    ``0 .. n-1`` exactly once each.  The constructor raises
+    InvalidConstructionError when either rule fails.
     """
 
     n: int
@@ -123,45 +127,42 @@ class TwoTreeConstruction:
         if self.n < 2:
             raise OutOfRangeError(f"a construction needs n >= 2, got {self.n}")
         object.__setattr__(self, "base", edge(*self.base))
-        object.__setattr__(
-            self,
-            "attachments",
-            tuple((v, edge(*attach)) for v, attach in self.attachments),
-        )
-        if len(self.attachments) != self.n - 2:
+        atts = tuple((v, edge(*attach)) for v, attach in self.attachments)
+        object.__setattr__(self, "attachments", atts)
+        if len(atts) != self.n - 2:
             raise InvalidConstructionError(
-                f"expected {self.n - 2} attachments for n={self.n}, "
-                f"got {len(self.attachments)}"
+                f"expected {self.n - 2} attachments for n={self.n}, got {len(atts)}"
             )
         introduced = [self.base[0], self.base[1]]
-        introduced.extend(v for v, _ in self.attachments)
+        introduced.extend(v for v, _ in atts)
         if sorted(introduced) != list(range(self.n)):
             raise InvalidConstructionError(
                 "base endpoints plus attached vertices must cover each of "
                 f"0..{self.n - 1} exactly once"
             )
+        # Edge {x, y} appears when the later of x and y arrives.  Checked in
+        # build order, it exists at step i iff both are vertices, that one
+        # arrived before i and is a base vertex or holds the other in its own
+        # attach edge.
+        step = [-1] * self.n
+        for i, (v, _) in enumerate(atts):
+            step[v] = i
+        for i, (v, (x, y)) in enumerate(atts):
+            if 0 <= x and y < self.n:
+                later, other = (y, x) if step[y] > step[x] else (x, y)
+                k = step[later]
+                if k < i and (k < 0 or other in atts[k][1]):
+                    continue
+            raise InvalidConstructionError(
+                f"attach edge {(x, y)} absent when vertex {v} is added"
+            )
 
     def realize(self) -> SimpleGraph:
-        """Build the 2-tree this recipe describes.
-
-        Raises InvalidConstructionError if an attach edge is missing at the
-        moment its vertex is added.  The result always has 2n - 3 edges.
-        """
-        present = {self.base}
-        seen = {self.base[0], self.base[1]}
+        """Build the 2-tree this recipe describes; it has 2n - 3 edges."""
         out = [self.base]
-        for v, attach in self.attachments:
-            if v in seen:
-                raise InvalidConstructionError(f"vertex {v} attached twice")
-            if attach not in present:
-                raise InvalidConstructionError(
-                    f"attach edge {attach} absent when vertex {v} is added"
-                )
-            e1, e2 = edge(v, attach[0]), edge(v, attach[1])
-            present.add(e1)
-            present.add(e2)
-            out.extend((e1, e2))
-            seen.add(v)
+        for v, (x, y) in self.attachments:
+            out.append(edge(v, x))
+            out.append(edge(v, y))
         return SimpleGraph.from_edges(self.n, out)
 
 

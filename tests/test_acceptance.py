@@ -42,7 +42,7 @@ from twotrees import (
     survey_extremal,
     verify_bounds,
 )
-from twotrees.extremal import glue_identity_check, relabel_edge_to_base
+from twotrees.extremal import glue_identity_check
 from twotrees.graph import edge, spanning_forest_components
 
 
@@ -219,25 +219,22 @@ def test_criterion_7_surgery_directions(corpus):
 
 
 def test_criterion_8_glue_identities():
+    # G is G - v glued to the triangle on its last vertex v; S is drawn from
+    # all of E(G - v)
     ok = True
     for seed in range(200):
         rng = random.Random(10_000 + seed)
-        h = random_two_tree(3 + rng.randrange(5), rng.randrange(2**30)).realize()
-        j = random_two_tree(3 + rng.randrange(5), rng.randrange(2**30)).realize()
-        h2 = relabel_edge_to_base(h, h.edges()[rng.randrange(h.m)])
-        j2 = relabel_edge_to_base(j, j.edges()[rng.randrange(j.m)])
-        shared = (0, 1)
-        off = [w for w in range(j2.n) if j2.degree(w) == 2 and w not in shared]
-        v = min(off)
-        pool = [e for e in j2.edges() if v not in e]
+        c = random_two_tree(4 + rng.randrange(5) + rng.randrange(5), rng.randrange(2**30))
+        v = c.attachments[-1][0]
+        pool = [e for e in c.realize().edges() if v not in e]
         rng.shuffle(pool)
         required: list = []
         for e in pool:
             if rng.random() < 0.45 and spanning_forest_components(
-                j2.n, required + [e]
+                c.n, required + [e]
             ) is not None:
                 required.append(e)
-        ok = ok and glue_identity_check(h2, j2, shared, required)
+        ok = ok and glue_identity_check(c, required)
     assert report(
         "criterion 8: glued-pair count identities hold on 200 randomized "
         "instances",

@@ -5,7 +5,7 @@ import importlib
 import twotrees
 
 PUBLIC = [
-    "AlreadyTwoSimplicialError", "BadGlueError", "CrossCheckError", "CyclicRequirementError",
+    "AlreadyTwoSimplicialError", "CrossCheckError", "CyclicRequirementError",
     "Edge", "ExtremalSurvey", "ForeignEdgeError", "FormatError", "InvalidConstructionError",
     "InvariantError", "IsBookError", "LoopEdgeError", "NotTwoTreeError", "NotTwoTreeReason",
     "OutOfRangeError", "Seed", "SimpleGraph", "SpanningTree", "SplitReport", "SurgeryReport",
@@ -13,10 +13,10 @@ PUBLIC = [
     "all_labeled_two_trees", "book", "brute_force_count", "chain_edge_counts", "count_book",
     "count_containing", "count_stream", "count_two_simplicial", "count_via_construction",
     "counting", "edge", "enumerate_spanning_trees", "enumeration", "errors",
-    "extend_with_chain", "extremal", "fan", "fibonacci", "formats", "generators", "glue",
+    "extend_with_chain", "extremal", "fan", "fibonacci", "formats", "generators",
     "glue_identity_check", "graph", "improve_max", "improve_min", "is_book",
     "is_spanning_tree", "kirchhoff_count", "path_ordering_if_two_simplicial", "path_square",
-    "random_chain", "random_two_tree", "recognition", "recognize", "relabel_edge_to_base",
+    "random_chain", "random_two_tree", "recognition", "recognize",
     "simplicial_vertices", "survey_extremal", "verify_bounds",
 ]
 
@@ -26,9 +26,9 @@ REMOVED = {
     "graph": ["tree_vertex_span"],
     "extremal": [
         "align_for_glue", "_peel_to_core", "_core_path_order", "_rehome_pair", "_reattach",
-        "_attach_edge_positions", "_degree_two_count",
+        "_attach_edge_positions", "_degree_two_count", "glue", "relabel_edge_to_base",
     ],
-    "errors": ["InconsistentChainError", "InvalidTreeError", "IllegalSplitError"],
+    "errors": ["InconsistentChainError", "InvalidTreeError", "IllegalSplitError", "BadGlueError"],
 }
 
 

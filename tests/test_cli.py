@@ -78,6 +78,19 @@ def test_order_accepts_construction_file(capsys, tmp_path):
     assert [int(t) for t in out.split()] == [4, 3, 2, 0, 1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["order"], ["count"], ["count", "--method", "kirchhoff"], ["enumerate"], ["improve", "max"]],
+)
+def test_construction_with_a_missing_attach_edge_exits_2(capsys, tmp_path, argv):
+    # vertex 3 arrives on (0, 3), an edge it would itself create
+    target = tmp_path / "c.txt"
+    target.write_text("4\n2 0 1\n3 0 3\n")
+    code, out, err = run(capsys, *argv, "--in", str(target))
+    assert (code, out) == (2, "")
+    assert err == "error: attach edge (0, 3) absent when vertex 3 is added\n"
+
+
 def test_gen_json_report(capsys):
     code, out, _ = run(capsys, "gen", "book", "4", "--json", "--out", "/dev/null")
     assert code == 0

@@ -69,9 +69,9 @@ def test_streaming_order_prefix_golden():
 def test_validation_happens_at_call_time():
     from twotrees import InvalidConstructionError
 
-    bad = TwoTreeConstruction(4, (0, 1), ((2, (0, 1)), (3, (0, 3))))
+    # an invalid construction never exists, so no walk can start on one
     with pytest.raises(InvalidConstructionError):
-        enumerate_spanning_trees(bad)  # raises before any iteration
+        TwoTreeConstruction(4, (0, 1), ((2, (0, 1)), (3, (0, 3))))
 
 
 def test_modes_agree_as_multisets():

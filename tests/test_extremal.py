@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from twotrees import (
     AlreadyTwoSimplicialError,
-    BadGlueError,
     CyclicRequirementError,
+    ForeignEdgeError,
     InvariantError,
     IsBookError,
     OutOfRangeError,
@@ -27,7 +27,6 @@ from twotrees import (
     count_two_simplicial,
     extremal,
     fan,
-    glue,
     glue_identity_check,
     improve_max,
     improve_min,
@@ -36,7 +35,6 @@ from twotrees import (
     path_square,
     random_two_tree,
     recognize,
-    relabel_edge_to_base,
     survey_extremal,
 )
 from twotrees import recognition
@@ -306,76 +304,84 @@ def test_surgeries_climb_and_descend_to_extremes():
         assert count == count_book(10) == 1280
 
 
-def test_glue_shapes():
-    glued, mapping = glue(k3(), k3(), (0, 1))
-    assert glued.n == 4 and glued.m == 5  # the 4-vertex 2-tree
-    assert mapping[2] == 3
-    with pytest.raises(BadGlueError):
-        glue(k3(), k3(), (0, 3))
-
-
-def test_relabel_edge_to_base():
-    g = path_square(5).realize()
-    for e in g.edges():
-        h = relabel_edge_to_base(g, e)
-        assert h.has_edge(0, 1)
-        assert sorted(d for d in map(h.degree, range(5))) == sorted(
-            g.degree(v) for v in range(5)
-        )
-
-
-def test_glue_identity_check_triangles():
-    assert glue_identity_check(k3(), k3(), (0, 1), [])
-
-
-def test_glue_identity_check_mixed():
-    h = book(4).realize()
-    j = path_square(4).realize()
-    # split vertex is 3, so the requirement must come from j minus vertex 3
-    assert glue_identity_check(h, j, (0, 1), [(1, 2)])
-    assert glue_identity_check(h, j, (0, 1), [(0, 2), (1, 2)])
-    j5 = path_square(5).realize()
-    assert glue_identity_check(h, j5, (0, 1), [(2, 3)])
-
-
-def test_glue_identity_check_with_required_e():
-    # force the column where the split vertex's opposite edge is required
-    h = book(4).realize()
-    j = path_square(5).realize()
-    off = [w for w in range(j.n) if j.degree(w) == 2 and w not in (0, 1)]
-    v = min(off)
-    w, z = sorted(j.neighbors(v))
-    assert glue_identity_check(h, j, (0, 1), [(w, z)])
-
-
-def test_glue_identity_check_rejects_cycle():
-    h = book(4).realize()
-    j = path_square(6).realize()
-    with pytest.raises(CyclicRequirementError):
-        glue_identity_check(h, j, (0, 1), [(1, 2), (2, 3), (1, 3)])
-
-
-@settings(max_examples=40, deadline=None)
-@given(seeds)
-def test_glue_identity_check_randomized(seed):
-    rng = random.Random(seed)
-    h = random_two_tree(3 + rng.randrange(5), rng.randrange(2**30)).realize()
-    j = random_two_tree(3 + rng.randrange(5), rng.randrange(2**30)).realize()
-    h_edge = h.edges()[rng.randrange(h.m)]
-    j_edge = j.edges()[rng.randrange(j.m)]
-    h2, j2 = relabel_edge_to_base(h, h_edge), relabel_edge_to_base(j, j_edge)
-    shared = (0, 1)
-    off = [w for w in range(j2.n) if j2.degree(w) == 2 and w not in shared]
-    v = min(off)
-    pool = [e for e in j2.edges() if v not in e]
+def _random_acyclic_subset(c, rng, p):
+    """Each edge of G - v, in shuffled order, kept with probability p if S stays acyclic."""
+    v = c.attachments[-1][0]
+    pool = [e for e in c.realize().edges() if v not in e]
     rng.shuffle(pool)
     required = []
     for e in pool:
-        if rng.random() < 0.5 and spanning_forest_components(
-            j2.n, required + [e]
-        ) is not None:
+        if rng.random() < p and spanning_forest_components(c.n, required + [e]) is not None:
             required.append(e)
-    assert glue_identity_check(h2, j2, shared, required)
+    return required
+
+
+def test_glue_identity_check_triangles():
+    # book(4) is two triangles glued along (0, 1); vertex 3 is the split vertex
+    assert glue_identity_check(book(4), [])
+    assert glue_identity_check(book(3), [])
+
+
+def test_glue_identity_check_mixed():
+    # path_square(4): vertex 3 arrives on (1, 2)
+    assert glue_identity_check(path_square(4), [(0, 2)])
+    assert glue_identity_check(path_square(4), [(0, 1), (0, 2)])
+    assert glue_identity_check(path_square(5), [(2, 3)])
+    # recognition labels the split vertex 0, so G - v is relabelled
+    c = recognize(path_square(5).realize())
+    assert c.attachments[-1][0] == 0
+    assert glue_identity_check(c, [(3, 4), (2, 4)])
+    assert glue_identity_check(fan(6), [(0, 1), (1, 2), (3, 4)])
+
+
+def test_glue_identity_check_with_required_e():
+    # force the column where the split vertex's attach edge is required
+    c = path_square(5)
+    v, wz = c.attachments[-1]
+    assert (v, wz) == (4, (2, 3))
+    assert glue_identity_check(c, [wz])
+    assert glue_identity_check(c, [wz, (1, 3)])
+
+
+def test_glue_identity_check_rejects_cycle():
+    with pytest.raises(CyclicRequirementError):
+        glue_identity_check(path_square(6), [(1, 2), (2, 3), (1, 3)])
+
+
+def test_glue_identity_check_rejects_bad_input():
+    with pytest.raises(ForeignEdgeError, match="touches the split vertex"):
+        glue_identity_check(path_square(5), [(3, 4)])
+    with pytest.raises(ForeignEdgeError, match="not in the graph"):
+        glue_identity_check(path_square(5), [(0, 3)])
+    with pytest.raises(ForeignEdgeError, match="not in the graph"):
+        glue_identity_check(path_square(5), [(2, 9)])
+    with pytest.raises(OutOfRangeError):
+        glue_identity_check(book(2), [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 12), seeds)
+def test_glue_identity_check_randomized(n, seed):
+    # relabel a random 2-tree so that the split vertex carries any label
+    rng = random.Random(seed)
+    g = random_two_tree(n, rng.randrange(2**30)).realize()
+    perm = list(range(n))
+    rng.shuffle(perm)
+    c = recognize(SimpleGraph.from_edges(n, [(perm[a], perm[b]) for a, b in g.edges()]))
+    assert glue_identity_check(c, _random_acyclic_subset(c, rng, 0.5))
+
+
+def test_glue_identity_check_notices_a_wrong_count(monkeypatch):
+    c = random_two_tree(9, 4)
+    required = _random_acyclic_subset(c, random.Random(1), 0.4)
+    assert glue_identity_check(c, required)
+    real = extremal.count_containing_or_zero
+
+    def off_by_one_on_g(g, req):
+        return real(g, req) + (g.n == c.n)
+
+    monkeypatch.setattr(extremal, "count_containing_or_zero", off_by_one_on_g)
+    assert not glue_identity_check(c, required)
 
 
 def test_survey_small_values():

@@ -105,11 +105,10 @@ def test_construction_rejects(text):
 def test_construction_parses_but_fails_to_realize():
     from twotrees import InvalidConstructionError
 
-    # syntactically fine, but the first attach edge does not exist yet
-    c = parse_construction("4\n2 0 1\n1 0 2\n")
-    assert c.base == (0, 3)
-    with pytest.raises(InvalidConstructionError):
-        c.realize()
+    # syntactically fine (base (0, 3)), but the first attach edge does not
+    # exist yet, so the parser's constructor call rejects it
+    with pytest.raises(InvalidConstructionError, match=r"attach edge \(0, 1\) absent when vertex 2"):
+        parse_construction("4\n2 0 1\n1 0 2\n")
 
 
 def test_tree_line_round_trip():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from twotrees import (
     ForeignEdgeError,
     InvalidConstructionError,
+    LoopEdgeError,
     OutOfRangeError,
     SimpleGraph,
     TwoTreeConstruction,
@@ -56,7 +57,7 @@ def test_simple_graph_rejects_bad_edges():
 
 
 def test_loop_edges_raise_a_typed_value_error():
-    from twotrees import LoopEdgeError, TwoTreeError
+    from twotrees import TwoTreeError
 
     for make in (lambda: edge(2, 2), lambda: SimpleGraph.from_edges(3, [(1, 1)])):
         with pytest.raises(LoopEdgeError) as info:
@@ -76,13 +77,17 @@ def test_realize_base_cases():
 
 
 def test_realize_rejects_missing_attach_edge():
-    c = TwoTreeConstruction(4, (0, 1), ((2, (0, 1)), (3, (1, 3))))
-    # attach edge (1, 3) names the new vertex itself
-    with pytest.raises(InvalidConstructionError):
-        c.realize()
-    c2 = TwoTreeConstruction(4, (0, 1), ((2, (0, 1)), (3, (0, 3))))
-    with pytest.raises(InvalidConstructionError):
-        c2.realize()
+    # the constructor checks the build rule, so nothing invalid reaches realize
+    with pytest.raises(InvalidConstructionError, match=r"attach edge \(1, 3\) absent"):
+        TwoTreeConstruction(4, (0, 1), ((2, (0, 1)), (3, (1, 3))))  # names vertex 3 itself
+    with pytest.raises(InvalidConstructionError, match=r"attach edge \(0, 3\) absent"):
+        TwoTreeConstruction(4, (0, 1), ((2, (0, 1)), (3, (0, 3))))
+    # labels outside 0..n-1 are never present, and a negative one must not
+    # wrap around to a real vertex
+    with pytest.raises(InvalidConstructionError, match=r"attach edge \(0, 7\) absent"):
+        TwoTreeConstruction(4, (0, 1), ((2, (0, 1)), (3, (0, 7))))
+    with pytest.raises(InvalidConstructionError, match=r"attach edge \(-1, 0\) absent"):
+        TwoTreeConstruction(5, (0, 1), ((4, (0, 1)), (2, (0, 4)), (3, (-1, 0))))
 
 
 def test_construction_shape_validation():
@@ -92,6 +97,58 @@ def test_construction_shape_validation():
         TwoTreeConstruction(4, (0, 1), ((2, (0, 1)),))  # missing vertex 3
     with pytest.raises(InvalidConstructionError):
         TwoTreeConstruction(4, (0, 1), ((2, (0, 1)), (2, (0, 2))))  # repeat
+
+
+def test_construction_errors_keep_their_precedence():
+    # loop, then attachment count, then coverage, then the missing attach edge
+    with pytest.raises(LoopEdgeError):
+        TwoTreeConstruction(4, (0, 1), ((2, (3, 3)),))
+    with pytest.raises(InvalidConstructionError, match="expected 2 attachments"):
+        TwoTreeConstruction(4, (0, 1), ((2, (0, 3)),))
+    with pytest.raises(InvalidConstructionError, match="exactly once"):
+        TwoTreeConstruction(4, (0, 1), ((2, (0, 3)), (2, (0, 1))))
+
+
+def test_construction_canonicalizes_its_edges():
+    attachments = ((2, (0, 1)), (3, (1, 2)))
+    for given in ([(2, (1, 0)), (3, (2, 1))], ((2, [0, 1]), (3, [1, 2])), ([2, (0, 1)], [3, (1, 2)])):
+        c = TwoTreeConstruction(4, (1, 0), given)
+        assert (c.base, c.attachments) == ((0, 1), attachments)
+        assert hash(c) == hash(TwoTreeConstruction(4, (0, 1), attachments))
+
+
+def _attach_edges_present(n, base, attachments):
+    """Reference rule: replay the build with an explicit set of present edges."""
+    present = {edge(*base)}
+    for v, (x, y) in attachments:
+        if edge(x, y) not in present:
+            return False
+        present.update((edge(v, x), edge(v, y)))
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 9), st.data())
+def test_constructor_accepts_exactly_the_buildable_orders(n, data):
+    # a random introduction order with each attach edge drawn from all pairs
+    # of earlier vertices, so most draws break the build rule somewhere
+    order = data.draw(st.permutations(range(n)))
+    attachments = []
+    for i in range(2, n):
+        x, y = data.draw(st.lists(st.sampled_from(order[:i]), min_size=2, max_size=2, unique=True))
+        attachments.append((order[i], (x, y)))
+    if data.draw(st.booleans()):  # and sometimes one on a later or a non-vertex
+        i = data.draw(st.integers(0, n - 3))
+        v, (x, _) = attachments[i]
+        others = [w for w in order if w != x] + [-1, n]
+        attachments[i] = (v, (x, data.draw(st.sampled_from(others))))
+    base = (order[0], order[1])
+    if _attach_edges_present(n, base, attachments):
+        c = TwoTreeConstruction(n, base, tuple(attachments))
+        assert c.realize().m == 2 * n - 3 and c.realize().is_connected()
+    else:
+        with pytest.raises(InvalidConstructionError, match="absent when vertex"):
+            TwoTreeConstruction(n, base, tuple(attachments))
 
 
 @settings(max_examples=40, deadline=None)
