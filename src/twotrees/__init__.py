@@ -59,7 +59,6 @@ from .graph import (
     is_spanning_tree,
 )
 from .recognition import (
-    TwoSimplicialOrdering,
     is_book,
     path_ordering_if_two_simplicial,
     recognize,

@@ -182,33 +182,28 @@ def _read_input(path: Path) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _load_construction(args) -> TwoTreeConstruction:
+def _load(args) -> TwoTreeConstruction | tuple[int, list[Edge]]:
+    """The ``--in`` file as parsed (an edge list stays ``(n, edges)``, with no
+    graph built), or the ``--family`` construction."""
     if args.infile is not None:
-        parsed = formats.sniff_and_parse(_read_input(args.infile), two_tree=True)
-        if isinstance(parsed, TwoTreeConstruction):
-            return parsed
-        return recognition.recognize(parsed)
+        return formats.sniff_and_parse(_read_input(args.infile))
     if args.family is None or args.n is None:
         raise OutOfRangeError("provide either --in FILE or --family NAME with --n N")
     return _generate(args.family, args.n, args.seed)
 
 
-def _load_graph(args) -> SimpleGraph:
-    """The input graph, which must pass the 2-tree edge-count check."""
-    if args.infile is not None:
-        parsed = formats.sniff_and_parse(_read_input(args.infile), two_tree=True)
-        if isinstance(parsed, TwoTreeConstruction):
-            return parsed.realize()
-        return parsed
-    return _load_construction(args).realize()
-
-
-def _load_edges(args) -> tuple[int, list[Edge]]:
-    """The input's n and edges, with no graph built for an edge-list file."""
-    if args.infile is not None:
-        return formats.read_edges(_read_input(args.infile))
-    g = _load_construction(args).realize()
-    return g.n, g.edges()
+def _load_construction(args) -> TwoTreeConstruction:
+    """The input as a construction.  An edge list is recognized here, once;
+    its header must promise 2n - 3 edges before a graph sized by n is built."""
+    loaded = _load(args)
+    if isinstance(loaded, TwoTreeConstruction):
+        return loaded
+    n, edges = loaded
+    if n >= 2 and len(edges) != 2 * n - 3:
+        raise NotTwoTreeError.wrong_edge_count(n, len(edges))
+    g = SimpleGraph.from_edges(n, edges)
+    del loaded, edges  # the edge list is as large as g: free it before recognize peaks
+    return recognition.recognize(g)
 
 
 def _generate(family: str, n: int, seed: int) -> TwoTreeConstruction:
@@ -254,11 +249,17 @@ def _cmd_count(args) -> dict:
         value = CLOSED_FORM_FAMILIES[args.family](args.n)
         outputs.update({"n": args.n, "family": args.family})
     elif method in ("kirchhoff", "brute"):
-        n, edges = _load_edges(args)
-        # Fewer than n - 1 edges connect nothing: answer 0 before building
-        # anything sized by the header's n (brute force keeps its edge cap).
-        capped = method == "brute" and len(edges) > counting.BRUTE_FORCE_EDGE_LIMIT
-        if len(edges) < n - 1 and not capped:
+        loaded = _load(args)
+        if isinstance(loaded, TwoTreeConstruction):
+            loaded = loaded.n, loaded.realize().edges()
+        n, edges = loaded
+        # Check the header's n against the edges before building anything
+        # sized by it: brute force has an edge cap, and fewer than n - 1
+        # edges connect nothing.
+        cap = counting.BRUTE_FORCE_EDGE_LIMIT
+        if method == "brute" and len(edges) > cap:
+            raise TooLargeError(f"brute force capped at {cap} edges, graph has {len(edges)}")
+        if len(edges) < n - 1:
             value = 0
         else:
             g = SimpleGraph.from_edges(n, edges)
@@ -323,9 +324,9 @@ def _cmd_survey(args) -> dict:
 
 
 def _cmd_improve(args) -> dict:
-    g = _load_graph(args)
+    c = _load_construction(args)
     if args.direction == "min":
-        rep = extremal.improve_min(g)
+        rep = extremal.improve_min(c)
         if args.out is not None:
             args.out.write_text(formats.serialize_edge_list(rep.winner_graph))
         outputs = {
@@ -338,7 +339,7 @@ def _cmd_improve(args) -> dict:
             "winner_count": formats.decimal(rep.winner_count),
         }
     else:
-        rep = extremal.improve_max(g)
+        rep = extremal.improve_max(c)
         if args.out is not None:
             args.out.write_text(formats.serialize_edge_list(rep.g_prime))
         outputs = {
@@ -372,7 +373,7 @@ def _cmd_verify(args) -> dict:
         for i in range(trials):
             n = 3 + (i % max(n_max - 2, 1))
             c = generators.random_two_tree(n, flags["seed"] + i)
-            lo, hi = counting.verify_bounds(c.realize())
+            lo, hi = counting.verify_bounds(c)
             ok = ok and lo and hi
         checks.append((f"2^(n-2) <= T <= 3^(n-2) over {trials} random 2-trees", ok))
     elif suite == "extremal":

@@ -190,13 +190,10 @@ def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()
     return pair[c.base][0]
 
 
-def verify_bounds(g: SimpleGraph) -> tuple[bool, bool]:
-    """Check 2^(n-2) <= T(g) <= 3^(n-2) for a 2-tree g, counted by the linear engine."""
-    from .recognition import recognize
-
-    t = count_via_construction(recognize(g))
-    n = g.n
-    return (2 ** (n - 2) <= t, t <= 3 ** (n - 2))
+def verify_bounds(c: TwoTreeConstruction) -> tuple[bool, bool]:
+    """Check 2^(n-2) <= T <= 3^(n-2) for the 2-tree ``c``, counted by the linear engine."""
+    t = count_via_construction(c)
+    return (2 ** (c.n - 2) <= t, t <= 3 ** (c.n - 2))
 
 
 def count_containing_or_zero(g: SimpleGraph, required: Iterable[Edge]) -> int:

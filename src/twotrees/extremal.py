@@ -22,9 +22,9 @@ Two constructive surgeries drive the extremal picture:
   count of a glued pair is strictly increasing in that quantity, so the
   rewired graph strictly beats the original.
 
-Both surgeries, like the paper's proofs, edit G's construction order rather
-than a graph: ``recognize`` runs once, on G, and every graph a surgery
-reports is realized from a construction built out of G's own degree-2 peel.
+Both surgeries, like the paper's proofs, take G's construction and edit its
+order rather than a graph: every graph a surgery reports is realized from a
+construction built out of G's own degree-2 peel.
 
 ``survey_extremal`` runs both classifications over every distinct small
 labeled 2-tree and reports the attained extremes.
@@ -51,7 +51,7 @@ from .errors import (
 )
 from .generators import all_labeled_two_trees
 from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge, spanning_forest_components
-from .recognition import _degree_two, _is_book_shape, _path_order, _peel, recognize
+from .recognition import _degree_two, _is_book_shape, _path_order, _peel
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,9 @@ class SurgeryReport:
     t_gprime: int
 
 
-def improve_min(g: SimpleGraph) -> SplitReport:
+def improve_min(c: TwoTreeConstruction) -> SplitReport:
     """Strictly decrease the spanning-tree count of a non-book 2-tree."""
-    c = recognize(g)
+    g = c.realize()
     simp = _degree_two(g)
     if g.n >= 3 and _is_book_shape(g.n, simp):
         raise IsBookError("every pair of degree-2 vertices shares a neighbourhood")
@@ -144,9 +144,9 @@ def improve_min(g: SimpleGraph) -> SplitReport:
     )
 
 
-def improve_max(g: SimpleGraph) -> SurgeryReport:
+def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
     """Strictly increase the spanning-tree count when >2 degree-2 vertices exist."""
-    c = recognize(g)
+    g = c.realize()
     simp = _degree_two(g)
     if g.n >= 3 and len(simp) == 2:
         raise AlreadyTwoSimplicialError("graph already has exactly two degree-2 vertices")

@@ -11,15 +11,17 @@ Construction format::
     v x y        (n-2 lines: vertex v attached to edge {x, y}, in build order)
 
 The two base vertices are the ones never introduced by an attachment line.
-Tree streams carry one tree per line ("u-v" tokens, canonically sorted) after
-a header line ``# n=<n> expected=<count>``.
+An edge list parses to ``(n, edges)`` with no graph built, so a header's n
+costs nothing until the caller checks it; a construction parses to a checked
+``TwoTreeConstruction``.  Tree streams carry one tree per line ("u-v" tokens,
+canonically sorted) after a header line ``# n=<n> expected=<count>``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .errors import FormatError, NotTwoTreeError
+from .errors import FormatError
 from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge
 
 
@@ -29,21 +31,9 @@ def serialize_edge_list(g: SimpleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str, two_tree: bool = False) -> SimpleGraph:
-    """Parse an edge list.
-
-    With ``two_tree``, a header whose m is not 2n - 3 (for n >= 2) raises
-    NotTwoTreeError before the graph's n adjacency sets are allocated.
-    """
-    n, edges = _read_edge_list(text)
-    if two_tree and n >= 2 and len(edges) != 2 * n - 3:
-        raise NotTwoTreeError.wrong_edge_count(n, len(edges))
-    return SimpleGraph.from_edges(n, edges)
-
-
-def _read_edge_list(text: str) -> tuple[int, list[Edge]]:
+def parse_edge_list(text: str) -> tuple[int, list[Edge]]:
     """Validate an edge list; its n and edges, with nothing sized by n built."""
-    rows = _data_lines(text)
+    rows = list(_data_lines(text))
     if not rows:
         raise FormatError("empty edge-list input")
     head = rows[0].split()
@@ -76,7 +66,7 @@ def serialize_construction(c: TwoTreeConstruction) -> str:
 
 
 def parse_construction(text: str) -> TwoTreeConstruction:
-    rows = _data_lines(text)
+    rows = list(_data_lines(text))
     if not rows:
         raise FormatError("empty construction input")
     if len(rows[0].split()) != 1:
@@ -106,39 +96,19 @@ def parse_construction(text: str) -> TwoTreeConstruction:
     return TwoTreeConstruction(n, (base_vertices[0], base_vertices[1]), tuple(attachments))
 
 
-def sniff_and_parse(
-    text: str, two_tree: bool = False
-) -> SimpleGraph | TwoTreeConstruction:
+def sniff_and_parse(text: str) -> TwoTreeConstruction | tuple[int, list[Edge]]:
     """Parse either supported format, keyed off the header token count.
 
-    ``two_tree`` is passed on to :func:`parse_edge_list`.
+    Only the lines up to the header are stripped here; the parser chosen makes
+    the one full pass.  An edge list comes back as ``(n, edges)``.
     """
-    if _is_edge_list(text):
-        return parse_edge_list(text, two_tree)
-    return parse_construction(text)
-
-
-def read_edges(text: str) -> tuple[int, list[Edge]]:
-    """The n and the edges of either format.
-
-    An edge list is validated line by line but no graph is built, so a
-    header's n costs nothing until the caller decides to build one.
-    """
-    if _is_edge_list(text):
-        return _read_edge_list(text)
-    g = parse_construction(text).realize()
-    return g.n, g.edges()
-
-
-def _is_edge_list(text: str) -> bool:
-    """True for an ``n m`` header, False for an ``n`` header."""
-    rows = _data_lines(text)
-    if not rows:
+    header = next(_data_lines(text), None)
+    if header is None:
         raise FormatError("empty input")
-    width = len(rows[0].split())
+    width = len(header.split())
     if width not in (1, 2):
-        raise FormatError(f"unrecognised header line {rows[0]!r}")
-    return width == 2
+        raise FormatError(f"unrecognised header line {header!r}")
+    return parse_edge_list(text) if width == 2 else parse_construction(text)
 
 
 def serialize_tree(tree: Iterable[Edge]) -> str:
@@ -186,8 +156,9 @@ def parse_tree_line(line: str) -> frozenset:
     return frozenset(out)
 
 
-def _data_lines(text: str) -> list[str]:
-    return [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+def _data_lines(text: str) -> Iterator[str]:
+    """The stripped lines of ``text`` that are neither blank nor comments, lazily."""
+    return (row for row in map(str.strip, text.splitlines()) if row and not row.startswith("#"))
 
 
 def _int(token: str) -> int:

@@ -11,42 +11,11 @@ the whole elimination is O(n log n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Collection
 
 from .errors import InvariantError, NotTwoTreeError, NotTwoTreeReason, OutOfRangeError
 from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge
-
-
-@dataclass(frozen=True)
-class TwoSimplicialOrdering:
-    """A vertex ordering whose prefixes always delete a degree-2 vertex.
-
-    ``order[0]`` is removed first; the final two entries are the base edge.
-    """
-
-    order: tuple[int, ...]
-
-    def is_valid_for(self, g: SimpleGraph) -> bool:
-        """True iff this is an elimination ordering of ``g`` whose deleted
-        vertices always have degree 2 with adjacent neighbours, and
-        consecutive entries are adjacent (the Hamiltonian-path property)."""
-        if sorted(self.order) != list(range(g.n)):
-            return False
-        if any(not g.has_edge(a, b) for a, b in zip(self.order, self.order[1:])):
-            return False
-        adj = [set(s) for s in g.adj]
-        for v in self.order[:-2]:
-            if len(adj[v]) != 2:
-                return False
-            a, b = adj[v]
-            if b not in adj[a]:
-                return False
-            for w in adj[v]:
-                adj[w].discard(v)
-            adj[v].clear()
-        return True
 
 
 def recognize(g: SimpleGraph) -> TwoTreeConstruction:
@@ -106,21 +75,22 @@ def is_book(g: SimpleGraph) -> bool:
     return _is_book_shape(g.n, _degree_two(g))
 
 
-def path_ordering_if_two_simplicial(g: SimpleGraph) -> TwoSimplicialOrdering | None:
+def path_ordering_if_two_simplicial(g: SimpleGraph) -> tuple[int, ...] | None:
     """An elimination ordering forming a Hamiltonian path, when one exists.
 
-    Present exactly when ``g`` has two simplicial vertices; consecutive
-    entries are then adjacent in ``g``.  Of the two valid orientations the
-    one starting at the smaller-index simplicial vertex is returned.
+    Present exactly when ``g`` has two simplicial vertices.  Each entry but
+    the last two is deleted at degree 2 with adjacent neighbours, consecutive
+    entries are adjacent in ``g``, and of the two valid orientations the one
+    starting at the smaller-index simplicial vertex is returned.
     """
     recognize(g)
     if g.n == 2:
-        return TwoSimplicialOrdering((0, 1))
+        return (0, 1)
     simp = _degree_two(g)
     if len(simp) != 2:
         return None
     order, _ = _path_order(g, [set(s) for s in g.adj], simp[1])
-    return TwoSimplicialOrdering(tuple(order))
+    return tuple(order)
 
 
 def _degree_two(g: SimpleGraph) -> list[int]:

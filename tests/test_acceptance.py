@@ -116,8 +116,9 @@ def test_criterion_4_bounds():
     ok = True
     for seed in range(1000):
         n = 3 + seed % 14  # n = 3..16
-        g = random_two_tree(n, seed).realize()
-        lower_ok, upper_ok = verify_bounds(g)
+        c = random_two_tree(n, seed)
+        g = c.realize()
+        lower_ok, upper_ok = verify_bounds(c)
         ok = ok and lower_ok and upper_ok
         ok = ok and count_via_construction(recognize(g)) == kirchhoff_count(g)
     assert report(
@@ -195,14 +196,15 @@ def test_criterion_7_surgery_directions(corpus):
     splits = surgeries = 0
     for n in range(5, 9):
         for g in corpus[n]:
+            c = recognize(g)
             if not is_book(g):
-                rep = improve_min(g)
+                rep = improve_min(c)
                 ok = ok and rep.winner_count < rep.t_g
                 ok = ok and 2 * rep.t_g == rep.t_g1 + rep.t_g2 + 2 * rep.gamma
                 ok = ok and rep.gamma >= 1
                 splits += 1
             if sum(1 for v in range(g.n) if g.degree(v) == 2) > 2:
-                rep = improve_max(g)
+                rep = improve_max(c)
                 ok = ok and rep.t_gprime > rep.t_g
                 surgeries += 1
             if not ok:

@@ -9,7 +9,7 @@ PUBLIC = [
     "Edge", "ExtremalSurvey", "ForeignEdgeError", "FormatError", "InvalidConstructionError",
     "InvariantError", "IsBookError", "LoopEdgeError", "NotTwoTreeError", "NotTwoTreeReason",
     "OutOfRangeError", "Seed", "SimpleGraph", "SpanningTree", "SplitReport", "SurgeryReport",
-    "TooLargeError", "TwoSimplicialOrdering", "TwoTreeConstruction", "TwoTreeError",
+    "TooLargeError", "TwoTreeConstruction", "TwoTreeError",
     "all_labeled_two_trees", "book", "brute_force_count", "chain_edge_counts", "count_book",
     "count_containing", "count_stream", "count_two_simplicial", "count_via_construction",
     "counting", "edge", "enumerate_spanning_trees", "enumeration", "errors",
@@ -29,6 +29,8 @@ REMOVED = {
         "_attach_edge_positions", "_degree_two_count", "glue", "relabel_edge_to_base",
     ],
     "errors": ["InconsistentChainError", "InvalidTreeError", "IllegalSplitError", "BadGlueError"],
+    "recognition": ["TwoSimplicialOrdering"],
+    "formats": ["read_edges"],
 }
 
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,13 +17,19 @@ from hypothesis import strategies as st
 
 from twotrees import (
     SimpleGraph,
+    TwoTreeConstruction,
     cli,
     count_two_simplicial,
     count_via_construction,
     enumerate_spanning_trees,
     random_two_tree,
 )
-from twotrees.formats import parse_edge_list, serialize_edge_list, serialize_tree
+from twotrees.formats import (
+    parse_edge_list,
+    serialize_construction,
+    serialize_edge_list,
+    serialize_tree,
+)
 
 from oracle import decimal_by_str
 
@@ -181,15 +188,41 @@ def test_huge_header_without_edges_exits_3_quickly(capsys, tmp_path, argv):
     assert elapsed < 0.5
 
 
+def _refuse_from_edges(n, edges):
+    raise AssertionError(f"from_edges called with n={n}")
+
+
+@pytest.mark.parametrize(
+    "argv", [["order"], ["count"], ["enumerate"], ["improve", "min"]], ids="-".join
+)
+def test_two_tree_edge_list_checks_the_header_before_building(capsys, tmp_path, monkeypatch, argv):
+    target = tmp_path / "g.edges"
+    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(_refuse_from_edges))
+    target.write_text("300000 0\n")
+    code, out, err = run(capsys, *argv, "--in", str(target))
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: not a 2-tree (WrongEdgeCount): "
+        "a 2-tree on 300000 vertices has 599997 edges, this graph has 0\n"
+    )
+    target.write_text("5 1\n0 x\n")  # a malformed line is reported before the count
+    assert run(capsys, *argv, "--in", str(target)) == (2, "", "error: expected an integer, got 'x'\n")
+
+
+def test_brute_force_cap_is_checked_before_building_a_graph(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "huge.edges"
+    target.write_text("1000000000 26\n" + "".join(f"0 {v}\n" for v in range(1, 27)))
+    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(_refuse_from_edges))
+    code, out, err = run(capsys, "count", "--method", "brute", "--in", str(target))
+    assert (code, out, err) == (2, "", "error: brute force capped at 25 edges, graph has 26\n")
+
+
 @pytest.mark.parametrize("method", ["kirchhoff", "brute"])
 def test_sparse_header_counts_zero_without_building_a_graph(capsys, tmp_path, monkeypatch, method):
     target = tmp_path / "sparse.edges"
     target.write_text("100000 0\n")
 
-    def refuse(n, edges):
-        raise AssertionError(f"from_edges called with n={n}")
-
-    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(refuse))
+    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(_refuse_from_edges))
     code, out, err = run(capsys, "count", "--method", method, "--in", str(target), "--json")
     assert code == 0 and err == ""
     assert json.loads(out)["outputs"] == {"count": "0", "method": method, "n": 100000}
@@ -424,8 +457,8 @@ def test_improve_min_cli(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["t_g"] == "21" and payload["winner_count"] == "20"
-    winner = parse_edge_list(target.read_text())
-    assert winner.n == 5
+    n, _ = parse_edge_list(target.read_text())
+    assert n == 5
 
 
 def test_improve_max_cli(capsys, tmp_path):
@@ -435,6 +468,34 @@ def test_improve_max_cli(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["t_g"] == "20" and payload["t_gprime"] == "21"
+
+
+def test_edge_list_and_construction_inputs_give_identical_results(capsys, tmp_path):
+    # one relabelled random 2-tree, its build order kept, so the edge-list run
+    # recognizes a construction of its own while the other run reads this one
+    n, rng = 30, random.Random(5)
+    label = list(range(n))
+    rng.shuffle(label)
+    c = random_two_tree(n, 5)
+    relabelled = TwoTreeConstruction(
+        n,
+        (label[c.base[0]], label[c.base[1]]),
+        tuple((label[v], (label[x], label[y])) for v, (x, y) in c.attachments),
+    )
+    edges, construction = tmp_path / "g.edges", tmp_path / "g.txt"
+    edges.write_text(serialize_edge_list(relabelled.realize()))
+    construction.write_text(serialize_construction(relabelled))
+    commands = [["improve", "min"], ["improve", "max"]]
+    commands += [["count", "--method", m] for m in ("auto", "recurrence", "kirchhoff")]
+    for argv in commands:
+        results = []
+        for source in (edges, construction):
+            out_file = tmp_path / f"{source.name}.out"
+            extra = ["--out", str(out_file)] if argv[0] == "improve" else []
+            code, out, err = run(capsys, *argv, "--in", str(source), *extra)
+            assert (code, err) == (0, "")
+            results.append((out, out_file.read_text() if extra else None))
+        assert results[0] == results[1], argv
 
 
 def test_verify_oracle_small(capsys):

@@ -307,10 +307,9 @@ def test_kirchhoff_skips_the_matrix_without_enough_edges(monkeypatch):
 
 
 def test_verify_bounds_examples():
-    assert verify_bounds(book(5).realize()) == (True, True)  # 8 <= 20 <= 27
-    assert verify_bounds(path_square(5).realize()) == (True, True)  # 8 <= 21 <= 27
-    k3 = SimpleGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    assert verify_bounds(k3) == (True, True)  # 2 <= 3 <= 3
+    assert verify_bounds(book(5)) == (True, True)  # 8 <= 20 <= 27
+    assert verify_bounds(path_square(5)) == (True, True)  # 8 <= 21 <= 27
+    assert verify_bounds(book(3)) == (True, True)  # 2 <= 3 <= 3
 
 
 def test_golden_ratio_square_limit():

@@ -46,12 +46,8 @@ from oracle import peel_to_core_by_rescan
 seeds = st.integers(0, 2**32 - 1)
 
 
-def k3():
-    return book(3).realize()
-
-
 def test_improve_min_worked_example():
-    rep = improve_min(path_square(5).realize())
+    rep = improve_min(path_square(5))
     assert rep.graph_h.edge_set() == {(0, 1), (0, 2), (1, 2)}  # K3
     assert (rep.beta1, rep.beta2, rep.gamma) == (2, 2, 1)
     assert (rep.t_g, rep.t_g1, rep.t_g2) == (21, 20, 20)
@@ -60,7 +56,7 @@ def test_improve_min_worked_example():
 
 
 def test_improve_min_fan():
-    rep = improve_min(fan(6).realize())
+    rep = improve_min(fan(6))
     assert rep.t_g == 55
     assert rep.winner_count < 55
     assert recognize(rep.winner_graph)
@@ -68,11 +64,11 @@ def test_improve_min_fan():
 
 def test_improve_min_rejects_books():
     with pytest.raises(IsBookError):
-        improve_min(book(6).realize())
+        improve_min(book(6))
     with pytest.raises(IsBookError):
-        improve_min(k3())
+        improve_min(book(3))
     with pytest.raises(IsBookError):
-        improve_min(book(4).realize())
+        improve_min(book(4))
 
 
 def test_improve_min_split_identity():
@@ -80,7 +76,7 @@ def test_improve_min_split_identity():
         g = random_two_tree(8, seed).realize()
         if is_book(g):
             continue
-        rep = improve_min(g)
+        rep = improve_min(recognize(g))
         assert 2 * rep.t_g == rep.t_g1 + rep.t_g2 + 2 * rep.gamma
         assert rep.gamma >= 1
         assert min(rep.t_g1, rep.t_g2) < rep.t_g
@@ -90,7 +86,7 @@ def test_improve_min_iterates_to_book():
     g = path_square(7).realize()
     counts = [kirchhoff_count(g)]
     while not is_book(g):
-        g = improve_min(g).winner_graph
+        g = improve_min(recognize(g)).winner_graph
         counts.append(kirchhoff_count(g))
     assert counts[-1] == count_book(7) == 112
     assert all(a > b for a, b in zip(counts, counts[1:]))
@@ -101,12 +97,12 @@ def test_improve_min_iterates_to_book():
 def test_surgery_counts_match_the_determinant(n, seed):
     g = random_two_tree(n, seed).realize()
     if not is_book(g):
-        rep = improve_min(g)
+        rep = improve_min(recognize(g))
         assert rep.t_g == kirchhoff_count(g)
         assert rep.t_g1 == kirchhoff_count(rep.graph_g1)
         assert rep.t_g2 == kirchhoff_count(rep.graph_g2)
     if sum(1 for v in range(g.n) if g.degree(v) == 2) > 2:
-        rep = improve_max(g)
+        rep = improve_max(recognize(g))
         assert (rep.t_g, rep.t_gprime) == (kirchhoff_count(g), kirchhoff_count(rep.g_prime))
 
 
@@ -116,10 +112,10 @@ def test_wrong_counts_raise_invariant_error(monkeypatch):
         extremal, "count_via_construction", lambda c, required=(): real(c, required) + 1
     )
     with pytest.raises(InvariantError):
-        improve_min(path_square(6).realize())
+        improve_min(path_square(6))
     monkeypatch.setattr(extremal, "count_via_construction", lambda c, required=(): 7)
     with pytest.raises(InvariantError):
-        improve_max(book(6).realize())
+        improve_max(book(6))
 
 
 def test_invariant_error_survives_python_O():
@@ -133,7 +129,7 @@ def test_invariant_error_survives_python_O():
         real = extremal.count_via_construction
         extremal.count_via_construction = lambda c, required=(): real(c, required) + 1
         try:
-            extremal.improve_min(path_square(6).realize())
+            extremal.improve_min(path_square(6))
         except InvariantError:
             sys.exit(0)
         sys.exit("improve_min accepted a wrong count")
@@ -152,7 +148,7 @@ def test_invariant_error_survives_python_O():
 
 
 def test_improve_max_book5():
-    rep = improve_max(book(5).realize())
+    rep = improve_max(book(5))
     assert rep.t_g == 20
     assert rep.t_gprime == 21  # the only larger count at n=5 is F(8)
     assert recognize(rep.g_prime)
@@ -179,7 +175,7 @@ def _surgery_digest(graphs) -> str:
     for g in graphs:
         for surgery in (improve_min, improve_max):
             try:
-                rep = surgery(g)
+                rep = surgery(recognize(g))
             except TwoTreeError as exc:
                 line = f"{type(exc).__name__}: {exc}"
             else:
@@ -207,38 +203,31 @@ def test_surgery_reports_match_golden(corpus):
     assert _surgery_digest(graphs) == SURGERY_REPORTS_SHA256
 
 
-def test_each_surgery_recognizes_each_graph_once(monkeypatch):
-    # only G: every other graph is built from G's own peel
-    calls = []
-    real = recognition.recognize
+def test_neither_surgery_calls_recognize(monkeypatch):
+    # both take G's construction and build every other graph from its peel
+    def refuse(g):
+        pytest.fail("a surgery ran recognize")
 
-    def counting(g):
-        calls.append(g)
-        return real(g)
-
-    monkeypatch.setattr(recognition, "recognize", counting)
-    monkeypatch.setattr(extremal, "recognize", counting)
-    improve_min(path_square(7).realize())
-    assert calls == [path_square(7).realize()]
-    calls.clear()
-    improve_max(book(7).realize())
-    assert calls == [book(7).realize()]
+    monkeypatch.setattr(recognition, "recognize", refuse)
+    assert not hasattr(extremal, "recognize")
+    improve_min(path_square(7))
+    improve_max(book(7))
 
 
 def test_improve_max_rejects_two_simplicial():
     with pytest.raises(AlreadyTwoSimplicialError):
-        improve_max(path_square(7).realize())
+        improve_max(path_square(7))
     with pytest.raises(AlreadyTwoSimplicialError):
-        improve_max(book(4).realize())
+        improve_max(book(4))
     with pytest.raises(OutOfRangeError):
-        improve_max(k3())
+        improve_max(book(3))
 
 
 def test_improve_max_strict_on_corpus_subset(corpus):
     for g in corpus[6]:
         simplicial = sum(1 for v in range(g.n) if g.degree(v) == 2)
         if simplicial > 2:
-            rep = improve_max(g)
+            rep = improve_max(recognize(g))
             assert rep.t_gprime > rep.t_g
             assert rep.g_prime.n == g.n
             assert rep.subtree_j.n >= 3
@@ -251,7 +240,7 @@ def test_improve_max_iterates_to_two_simplicial():
         simplicial = sum(1 for v in range(g.n) if g.degree(v) == 2)
         if simplicial == 2:
             break
-        rep = improve_max(g)
+        rep = improve_max(recognize(g))
         assert rep.t_gprime > count
         g, count = rep.g_prime, rep.t_gprime
     assert count == count_two_simplicial(7) == 144
@@ -265,13 +254,12 @@ def test_improve_max_multiple_hanging_pieces():
         (2, 6), (3, 6),   # piece at (2, 3)
         (1, 7), (3, 7),   # piece at (1, 3)
     ]
-    g = SimpleGraph.from_edges(8, edges)
-    assert recognize(g)
-    rep = improve_max(g)
+    c = recognize(SimpleGraph.from_edges(8, edges))
+    rep = improve_max(c)
     assert rep.t_gprime > rep.t_g
     assert rep.g_prime.n == 8
     # pure function: identical reports on identical input
-    assert improve_max(g) == rep
+    assert improve_max(c) == rep
 
 
 @settings(max_examples=30, deadline=None)
@@ -280,7 +268,7 @@ def test_improve_max_strict_beyond_corpus(n, seed):
     g = random_two_tree(n, seed).realize()
     if sum(1 for v in range(g.n) if g.degree(v) == 2) <= 2:
         return
-    rep = improve_max(g)
+    rep = improve_max(recognize(g))
     assert rep.t_gprime > rep.t_g
     assert recognize(rep.g_prime)
 
@@ -290,7 +278,7 @@ def test_surgeries_climb_and_descend_to_extremes():
         g = random_two_tree(10, seed * 37 + 10).realize()
         count = kirchhoff_count(g)
         while sum(1 for v in range(g.n) if g.degree(v) == 2) > 2:
-            rep = improve_max(g)
+            rep = improve_max(recognize(g))
             assert rep.t_gprime > count
             g, count = rep.g_prime, rep.t_gprime
         assert count == count_two_simplicial(10)
@@ -298,7 +286,7 @@ def test_surgeries_climb_and_descend_to_extremes():
         g = random_two_tree(10, seed).realize()
         count = kirchhoff_count(g)
         while not is_book(g):
-            rep = improve_min(g)
+            rep = improve_min(recognize(g))
             assert rep.winner_count < count
             g, count = rep.winner_graph, rep.winner_count
         assert count == count_book(10) == 1280

@@ -25,7 +25,7 @@ seeds = st.integers(0, 2**32 - 1)
 def test_edge_list_golden():
     text = serialize_edge_list(book(4).realize())
     assert text == "4 5\n0 1\n0 2\n0 3\n1 2\n1 3\n"
-    assert parse_edge_list(text).edge_set() == book(4).realize().edge_set()
+    assert parse_edge_list(text) == (4, book(4).realize().edges())
 
 
 def test_construction_golden():
@@ -45,7 +45,7 @@ def test_construction_base_inference():
 @given(st.integers(2, 12), seeds)
 def test_edge_list_round_trip(n, seed):
     g = random_two_tree(n, seed).realize()
-    assert parse_edge_list(serialize_edge_list(g)) == g
+    assert parse_edge_list(serialize_edge_list(g)) == (g.n, g.edges())
 
 
 @settings(max_examples=30, deadline=None)
@@ -65,7 +65,7 @@ def test_recognized_construction_serializes(n, seed):
 
 
 def test_sniffing():
-    assert isinstance(sniff_and_parse("2 1\n0 1\n"), type(book(2).realize()))
+    assert sniff_and_parse("2 1\n0 1\n") == (2, [(0, 1)])
     assert isinstance(sniff_and_parse("2\n"), TwoTreeConstruction)
     with pytest.raises(FormatError):
         sniff_and_parse("1 2 3 4\n")
@@ -122,20 +122,6 @@ def test_tree_line_round_trip():
 def test_tree_line_rejects_loops(line):
     with pytest.raises(FormatError):
         parse_tree_line(line)
-
-
-def test_two_tree_edge_list_checks_the_header_before_building(monkeypatch):
-    from twotrees import NotTwoTreeError, SimpleGraph
-
-    def boom(n, edges):
-        pytest.fail("graph built before the edge-count check")
-
-    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(boom))
-    with pytest.raises(NotTwoTreeError) as info:
-        sniff_and_parse("300000 0\n", two_tree=True)
-    assert str(info.value) == "a 2-tree on 300000 vertices has 599997 edges, this graph has 0"
-    with pytest.raises(FormatError):  # malformed lines still win over the count
-        parse_edge_list("5 1\n0 x\n", two_tree=True)
 
 
 def test_tree_stream_header():
