@@ -328,7 +328,7 @@ def _cmd_improve(args) -> dict:
     if args.direction == "min":
         rep = extremal.improve_min(c)
         if args.out is not None:
-            args.out.write_text(formats.serialize_edge_list(rep.winner_graph))
+            args.out.write_text(formats.serialize_edge_list(rep.winner_graph.realize()))
         outputs = {
             "direction": "min",
             "t_g": formats.decimal(rep.t_g),
@@ -341,7 +341,7 @@ def _cmd_improve(args) -> dict:
     else:
         rep = extremal.improve_max(c)
         if args.out is not None:
-            args.out.write_text(formats.serialize_edge_list(rep.g_prime))
+            args.out.write_text(formats.serialize_edge_list(rep.g_prime.realize()))
         outputs = {
             "direction": "max",
             "crucial_edge": list(rep.crucial_edge),
@@ -447,16 +447,18 @@ def _check_glue_identities(trials: int, seed: int) -> bool:
 def _check_chain_formulas(trials: int, seed: int) -> bool:
     rng = random.Random(seed)
     for i in range(trials):
-        host = generators.random_two_tree(3 + rng.randrange(5), seed * 77 + i).realize()
+        c = generators.random_two_tree(3 + rng.randrange(5), seed * 77 + i)
+        host = c.realize()
         edges = host.edges()
         start = edges[rng.randrange(len(edges))]
         alpha = counting.kirchhoff_count(host)
         beta = counting.count_containing(host, [start])
         for p in range(1, 4):
-            grown, records = generators.extend_with_chain(host, start, p, seed + p)
+            grown_c = generators.extend_with_chain(c, start, p, seed + p)
             through_start, _, through_tip = counting.chain_edge_counts(alpha, beta, p)
-            tip_vertex, tip_attach = records[-1]
+            tip_vertex, tip_attach = grown_c.attachments[-1]
             tip_edge = edge(tip_vertex, tip_attach[0])
+            grown = grown_c.realize()
             if counting.count_containing(grown, [start]) != through_start:
                 return False
             if counting.count_containing(grown, [tip_edge]) != through_tip:

@@ -23,8 +23,8 @@ Two constructive surgeries drive the extremal picture:
   rewired graph strictly beats the original.
 
 Both surgeries, like the paper's proofs, take G's construction and edit its
-order rather than a graph: every graph a surgery reports is realized from a
-construction built out of G's own degree-2 peel.
+order rather than a graph: every 2-tree a surgery reports is a construction
+built out of G's own degree-2 peel, so the next surgery can run on it as is.
 
 ``survey_extremal`` runs both classifications over every distinct small
 labeled 2-tree and reports the attained extremes.
@@ -33,7 +33,7 @@ labeled 2-tree and reports the attained extremes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .counting import (
     count_containing_or_zero,
@@ -50,7 +50,7 @@ from .errors import (
     TooLargeError,
 )
 from .generators import all_labeled_two_trees
-from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge, spanning_forest_components
+from .graph import Edge, TwoTreeConstruction, edge, spanning_forest_components
 from .recognition import _degree_two, _is_book_shape, _path_order, _peel
 
 
@@ -58,7 +58,7 @@ from .recognition import _degree_two, _is_book_shape, _path_order, _peel
 class SplitReport:
     """Outcome of one count-decreasing split."""
 
-    graph_h: SimpleGraph  # the two degree-2 vertices removed, labels compacted
+    graph_h: TwoTreeConstruction  # the two degree-2 vertices removed, labels compacted
     beta1: int
     beta2: int
     gamma: int
@@ -66,11 +66,11 @@ class SplitReport:
     t_g1: int
     t_g2: int
     winner: int  # 1 or 2: which re-homed graph has fewer trees (ties -> 1)
-    graph_g1: SimpleGraph
-    graph_g2: SimpleGraph
+    graph_g1: TwoTreeConstruction  # the pair re-homed onto v1's edge, original labels
+    graph_g2: TwoTreeConstruction  # the pair re-homed onto v2's edge, original labels
 
     @property
-    def winner_graph(self) -> SimpleGraph:
+    def winner_graph(self) -> TwoTreeConstruction:
         return self.graph_g1 if self.winner == 1 else self.graph_g2
 
     @property
@@ -84,8 +84,8 @@ class SurgeryReport:
 
     crucial_edge: Edge  # where the moved piece was glued, original labels
     p: int  # chain length between the new glue edge and the old one
-    subtree_j: SimpleGraph  # the moved piece, labels compacted
-    g_prime: SimpleGraph  # rewired graph, original labels
+    subtree_j: TwoTreeConstruction  # the moved piece on the crucial edge, labels compacted
+    g_prime: TwoTreeConstruction  # rewired 2-tree, original labels
     t_g: int
     t_gprime: int
 
@@ -117,16 +117,12 @@ def improve_min(c: TwoTreeConstruction) -> SplitReport:
     c_g1 = TwoTreeConstruction(g.n, base, rest + ((v1, e1), (v2, e1)))
     c_g2 = TwoTreeConstruction(g.n, base, rest + ((v1, e2), (v2, e2)))
 
-    remap = {old: new for new, old in enumerate(w for w in range(g.n) if w not in pair)}
-
-    def in_h(f: Edge) -> Edge:
-        return edge(remap[f[0]], remap[f[1]])
-
-    c_h = TwoTreeConstruction(g.n - 2, in_h(base), tuple((remap[u], in_h(f)) for u, f in rest))
+    c_h, remap = _compact(base, rest)
+    h1, h2 = (remap[e1[0]], remap[e1[1]]), (remap[e2[0]], remap[e2[1]])
     t_h = count_via_construction(c_h)
-    beta1 = count_via_construction(c_h, [in_h(e1)])
-    beta2 = count_via_construction(c_h, [in_h(e2)])
-    gamma = count_via_construction(c_h, [in_h(e1), in_h(e2)])
+    beta1 = count_via_construction(c_h, [h1])
+    beta2 = count_via_construction(c_h, [h2])
+    gamma = count_via_construction(c_h, [h1, h2])
 
     t_g = count_via_construction(c)
     t_g1 = count_via_construction(c_g1)
@@ -139,9 +135,7 @@ def improve_min(c: TwoTreeConstruction) -> SplitReport:
     _check(gamma >= 1 and t_g1 + t_g2 < 2 * t_g, "T(G1) + T(G2) < 2T(G)")
 
     winner = 1 if t_g1 <= t_g2 else 2
-    return SplitReport(
-        c_h.realize(), beta1, beta2, gamma, t_g, t_g1, t_g2, winner, c_g1.realize(), c_g2.realize()
-    )
+    return SplitReport(c_h, beta1, beta2, gamma, t_g, t_g1, t_g2, winner, c_g1, c_g2)
 
 
 def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
@@ -205,8 +199,9 @@ def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
     t_gprime = count_via_construction(c_prime)
     _check(t_gprime > t_g, "T(G') > T(G) after the reattachment")
 
-    piece, _ = g.induced_compact(moved | set(crucial))
-    return SurgeryReport(crucial, p, piece, c_prime.realize(), t_g, t_gprime)
+    # J is the moved piece rebuilt on the crucial edge, in G's rebuild order.
+    piece, _ = _compact(crucial, [(u, f) for u, f in reversed(deletions) if u in moved])
+    return SurgeryReport(crucial, p, piece, c_prime, t_g, t_gprime)
 
 
 def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> bool:
@@ -225,7 +220,7 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
         raise OutOfRangeError(f"glue_identity_check needs n >= 3, got {c.n}")
     full = c.realize()
     v, (w, z) = c.attachments[-1]
-    req = [edge(*f) for f in required]
+    req = list(dict.fromkeys(edge(*f) for f in required))  # a repeat is no cycle
     for a, b in req:
         if not (0 <= a < c.n and full.has_edge(a, b)):
             raise ForeignEdgeError(f"required edge ({a}, {b}) not in the graph")
@@ -234,13 +229,14 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
     if spanning_forest_components(c.n, req) is None:
         raise CyclicRequirementError("required edge set contains a cycle")
 
-    prime, remap = full.induced_compact(u for u in range(c.n) if u != v)
-    s_prime = [edge(remap[a], remap[b]) for a, b in req]
+    minus_v, remap = _compact(c.base, c.attachments[:-1])
+    prime = minus_v.realize()
+    s_prime = [(remap[a], remap[b]) for a, b in req]
     t = count_containing_or_zero(prime, s_prime)
     if (w, z) in req:
         expected = (2 * t, t, t, 0)
     else:
-        s_val = count_containing_or_zero(prime, s_prime + [edge(remap[w], remap[z])])
+        s_val = count_containing_or_zero(prime, s_prime + [(remap[w], remap[z])])
         expected = (2 * t + s_val, t + s_val, t + s_val, s_val)
 
     vw, vz = edge(v, w), edge(v, z)
@@ -297,6 +293,19 @@ def _check(ok: bool, identity: str) -> None:
     """Raise InvariantError when a proven identity fails (survives python -O)."""
     if not ok:
         raise InvariantError(identity)
+
+
+def _compact(
+    base: Edge, attachments: Sequence[tuple[int, Edge]]
+) -> tuple[TwoTreeConstruction, dict[int, int]]:
+    """The 2-tree built by ``attachments`` on ``base``, its vertices relabelled
+    densely in sorted order, and the old-to-new map.
+
+    The map is increasing, so it keeps every canonical edge canonical.
+    """
+    remap = {old: new for new, old in enumerate(sorted([*base, *(u for u, _ in attachments)]))}
+    relabelled = tuple((remap[u], (remap[a], remap[b])) for u, (a, b) in attachments)
+    return TwoTreeConstruction(len(remap), (remap[base[0]], remap[base[1]]), relabelled), remap
 
 
 def _hanging_pieces(

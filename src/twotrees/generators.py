@@ -105,30 +105,27 @@ def all_labeled_two_trees(n: int) -> list[SimpleGraph]:
 
 
 def extend_with_chain(
-    g: SimpleGraph, start_edge: Edge, steps: int, seed: Seed
-) -> tuple[SimpleGraph, list[tuple[int, Edge]]]:
+    c: TwoTreeConstruction, start_edge: Edge, steps: int, seed: Seed
+) -> TwoTreeConstruction:
     """Grow a random chain of ``steps`` vertices out of ``start_edge``.
 
-    New vertices take labels ``g.n``, ``g.n + 1``, ...; each one after the
-    first glues onto an edge incident to its predecessor.  Returns the grown
-    graph and the (vertex, attach-edge) records in order.
+    New vertices take labels ``c.n``, ``c.n + 1``, ...; each one after the
+    first glues onto an edge incident to its predecessor.  Returns ``c`` with
+    the chain's (vertex, attach-edge) records appended to its attachments.
     """
     if steps < 1:
         raise OutOfRangeError(f"need at least one chain step, got {steps}")
     x, y = edge(*start_edge)
-    if not g.has_edge(x, y):
+    if (x, y) not in {c.base}.union(edge(v, w) for v, f in c.attachments for w in f):
         raise OutOfRangeError(f"start edge ({x}, {y}) not in graph")
     rng = random.Random(seed)
-    edges = list(g.edges())
     records: list[tuple[int, Edge]] = []
     attach: Edge = (x, y)
     for i in range(steps):
-        w = g.n + i
+        w = c.n + i
         records.append((w, attach))
-        edges.append(edge(w, attach[0]))
-        edges.append(edge(w, attach[1]))
         attach = edge(w, attach[rng.randrange(2)])
-    return SimpleGraph.from_edges(g.n + steps, edges), records
+    return TwoTreeConstruction(c.n + steps, c.base, c.attachments + tuple(records))
 
 
 def _require_n(n: int, minimum: int) -> None:

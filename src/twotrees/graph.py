@@ -89,21 +89,6 @@ class SimpleGraph:
                     stack.append(w)
         return len(seen) == self.n
 
-    def induced_compact(self, keep: Iterable[int]) -> tuple[SimpleGraph, dict[int, int]]:
-        """Induced subgraph on ``keep``, relabelled densely in sorted order.
-
-        Returns the subgraph and the old-to-new vertex map.
-        """
-        kept = sorted(set(keep))
-        remap = {old: new for new, old in enumerate(kept)}
-        sub = [
-            edge(remap[u], remap[v])
-            for u in kept
-            for v in self.adj[u]
-            if u < v and v in remap
-        ]
-        return SimpleGraph.from_edges(len(kept), sub), remap
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimpleGraph(n={self.n}, m={self.m})"
 

@@ -6,7 +6,8 @@ reversed, is the construction order returned by :func:`recognize`.  Cheap
 necessary conditions (edge count 2n-3, connectivity) are checked before the
 elimination.  Ties always go to the smallest-index eligible vertex so
 results are reproducible; :func:`_peel` keeps the candidates in a heap, so
-the whole elimination is O(n log n).
+the whole elimination is O(n log n).  The structural queries take a
+construction, so :func:`recognize` is the one place a graph becomes a 2-tree.
 """
 
 from __future__ import annotations
@@ -54,38 +55,36 @@ def recognize(g: SimpleGraph) -> TwoTreeConstruction:
     return TwoTreeConstruction(n, (base[0], base[1]), tuple(removed))
 
 
-def simplicial_vertices(g: SimpleGraph) -> list[int]:
+def simplicial_vertices(c: TwoTreeConstruction) -> list[int]:
     """Sorted degree-2 vertices of a 2-tree with n >= 3 (all are simplicial)."""
-    if g.n < 3:
-        raise OutOfRangeError(f"simplicial_vertices needs n >= 3, got {g.n}")
-    recognize(g)
-    return _degree_two(g)
+    if c.n < 3:
+        raise OutOfRangeError(f"simplicial_vertices needs n >= 3, got {c.n}")
+    return _degree_two(c.realize())
 
 
-def is_book(g: SimpleGraph) -> bool:
+def is_book(c: TwoTreeConstruction) -> bool:
     """True iff every vertex outside one shared edge is simplicial.
 
     For 2-trees this is a pure degree condition: the degree sum forces the
     two non-simplicial vertices to be adjacent to everything, so a 2-tree is
     a book iff it has n - 2 vertices of degree 2 (any 3-vertex 2-tree is one).
     """
-    if g.n < 3:
-        raise OutOfRangeError(f"is_book needs n >= 3, got {g.n}")
-    recognize(g)
-    return _is_book_shape(g.n, _degree_two(g))
+    if c.n < 3:
+        raise OutOfRangeError(f"is_book needs n >= 3, got {c.n}")
+    return _is_book_shape(c.n, _degree_two(c.realize()))
 
 
-def path_ordering_if_two_simplicial(g: SimpleGraph) -> tuple[int, ...] | None:
+def path_ordering_if_two_simplicial(c: TwoTreeConstruction) -> tuple[int, ...] | None:
     """An elimination ordering forming a Hamiltonian path, when one exists.
 
-    Present exactly when ``g`` has two simplicial vertices.  Each entry but
+    Present exactly when the 2-tree has two simplicial vertices.  Each entry but
     the last two is deleted at degree 2 with adjacent neighbours, consecutive
-    entries are adjacent in ``g``, and of the two valid orientations the one
-    starting at the smaller-index simplicial vertex is returned.
+    entries are adjacent in the 2-tree, and of the two valid orientations the
+    one starting at the smaller-index simplicial vertex is returned.
     """
-    recognize(g)
-    if g.n == 2:
+    if c.n == 2:
         return (0, 1)
+    g = c.realize()
     simp = _degree_two(g)
     if len(simp) != 2:
         return None

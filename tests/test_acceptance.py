@@ -149,13 +149,15 @@ def test_criterion_6_chain_formulas():
     for seed in range(50):
         rng = random.Random(seed)
         host_n = 3 + seed % 5
-        host = random_two_tree(host_n, seed).realize()
+        host_c = random_two_tree(host_n, seed)
+        host = host_c.realize()
         start = host.edges()[rng.randrange(host.m)]
         alpha = kirchhoff_count(host)
         beta = count_containing(host, [start])
         ok = ok and beta < alpha  # any host with >= 3 vertices
         for p in range(1, 6):
-            grown, records = extend_with_chain(host, start, p, seed=seed * 100 + p)
+            grown_c = extend_with_chain(host_c, start, p, seed=seed * 100 + p)
+            grown, records = grown_c.realize(), grown_c.attachments[host_n - 2 :]
             through_start, through_side, through_tip = chain_edge_counts(alpha, beta, p)
             total = fibonacci(2 * p + 1) * alpha + fibonacci(2 * p) * beta
             ok = ok and kirchhoff_count(grown) == total
@@ -197,7 +199,7 @@ def test_criterion_7_surgery_directions(corpus):
     for n in range(5, 9):
         for g in corpus[n]:
             c = recognize(g)
-            if not is_book(g):
+            if not is_book(c):
                 rep = improve_min(c)
                 ok = ok and rep.winner_count < rep.t_g
                 ok = ok and 2 * rep.t_g == rep.t_g1 + rep.t_g2 + 2 * rep.gamma

@@ -42,6 +42,7 @@ def test_public_surface_is_pinned():
 def test_removed_names_stay_removed():
     assert not hasattr(twotrees.TwoTreeConstruction, "prefix_graph")
     assert not hasattr(twotrees.TwoTreeConstruction, "vertices_in_build_order")
+    assert not hasattr(twotrees.SimpleGraph, "induced_compact")
     for module, names in REMOVED.items():
         mod = importlib.import_module(f"twotrees.{module}")
         for name in names:

@@ -100,13 +100,17 @@ def test_all_labeled_guards():
 
 
 def test_extend_with_chain_records():
-    host = book(4).realize()
-    grown, records = extend_with_chain(host, (0, 1), 3, seed=5)
-    assert grown.n == 7 and grown.m == 2 * 7 - 3
+    host = book(4)
+    grown = extend_with_chain(host, (0, 1), 3, seed=5)
+    assert grown.n == 7 and grown.base == host.base
+    assert grown.attachments[:2] == host.attachments  # the chain is appended
+    records = grown.attachments[2:]
     assert records[0] == (4, (0, 1))
     for (w, attach), (w_next, attach_next) in zip(records, records[1:]):
         assert w_next == w + 1
         assert w in attach_next  # each attach edge touches the previous vertex
-    assert recognize(grown).realize().edge_set() == grown.edge_set()
-    with pytest.raises(OutOfRangeError):
-        extend_with_chain(host, (2, 3), 1, seed=0)  # not an edge
+    assert recognize(grown.realize()).realize().edge_set() == grown.realize().edge_set()
+    assert extend_with_chain(path_square(5), (2, 4), 2, seed=1).attachments[-2] == (5, (2, 4))
+    for absent in [(2, 3), (2, 9), (7, 9)]:  # not an edge, or not even vertices
+        with pytest.raises(OutOfRangeError, match="not in graph"):
+            extend_with_chain(host, absent, 1, seed=0)

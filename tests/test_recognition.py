@@ -134,56 +134,57 @@ def test_perturbed_graphs_fail_or_are_two_trees(n, seed):
 
 
 def test_simplicial_vertices_families():
-    assert simplicial_vertices(book(5).realize()) == [2, 3, 4]
-    assert simplicial_vertices(path_square(6).realize()) == [0, 5]
-    assert simplicial_vertices(k3()) == [0, 1, 2]
-    assert simplicial_vertices(fan(6).realize()) == [1, 5]
+    assert simplicial_vertices(book(5)) == [2, 3, 4]
+    assert simplicial_vertices(path_square(6)) == [0, 5]
+    assert simplicial_vertices(recognize(k3())) == [0, 1, 2]
+    assert simplicial_vertices(fan(6)) == [1, 5]
     with pytest.raises(OutOfRangeError):
-        simplicial_vertices(SimpleGraph.from_edges(2, [(0, 1)]))
+        simplicial_vertices(book(2))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(5, 12), seeds)
 def test_family_simplicial_counts(n, seed):
-    assert len(simplicial_vertices(book(n).realize())) == n - 2
-    assert len(simplicial_vertices(path_square(n).realize())) == 2
-    assert len(simplicial_vertices(fan(n).realize())) == 2
-    assert len(simplicial_vertices(random_chain(n, seed).realize())) == 2
+    assert len(simplicial_vertices(book(n))) == n - 2
+    assert len(simplicial_vertices(path_square(n))) == 2
+    assert len(simplicial_vertices(fan(n))) == 2
+    assert len(simplicial_vertices(random_chain(n, seed))) == 2
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(3, 10), seeds)
 def test_at_least_two_simplicial(n, seed):
-    g = random_two_tree(n, seed).realize()
-    assert len(simplicial_vertices(g)) >= 2
+    assert len(simplicial_vertices(random_two_tree(n, seed))) >= 2
 
 
 def test_is_book():
-    assert is_book(book(7).realize())
-    assert is_book(k3())
-    assert is_book(book(4).realize())  # the unique 4-vertex 2-tree
-    assert not is_book(path_square(5).realize())
-    assert not is_book(fan(6).realize())
+    assert is_book(book(7))
+    assert is_book(recognize(k3()))
+    assert is_book(book(4))  # the unique 4-vertex 2-tree
+    assert not is_book(path_square(5))
+    assert not is_book(fan(6))
+    with pytest.raises(OutOfRangeError):
+        is_book(book(2))
 
 
 def test_path_ordering_families():
-    assert path_ordering_if_two_simplicial(path_square(6).realize()) == (0, 1, 2, 3, 4, 5)
+    assert path_ordering_if_two_simplicial(path_square(6)) == (0, 1, 2, 3, 4, 5)
 
-    assert path_ordering_if_two_simplicial(book(5).realize()) is None
-    assert path_ordering_if_two_simplicial(k3()) is None
+    assert path_ordering_if_two_simplicial(book(5)) is None
+    assert path_ordering_if_two_simplicial(recognize(k3())) is None
 
-    four = path_ordering_if_two_simplicial(book(4).realize())
+    four = path_ordering_if_two_simplicial(book(4))
     assert four is not None
 
-    k2 = SimpleGraph.from_edges(2, [(0, 1)])
-    assert path_ordering_if_two_simplicial(k2) == (0, 1)
+    assert path_ordering_if_two_simplicial(book(2)) == (0, 1)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(4, 12), seeds)
 def test_path_ordering_is_hamiltonian_elimination(n, seed):
-    g = random_chain(n, seed).realize()
-    order = path_ordering_if_two_simplicial(g)
+    c = random_chain(n, seed)
+    g = c.realize()
+    order = path_ordering_if_two_simplicial(c)
     assert order is not None
     assert sorted(order) == list(range(n))
     # consecutive vertices adjacent: a Hamiltonian path
@@ -251,7 +252,7 @@ def test_recognize_matches_rescan_on_each_failure_reason():
 def test_path_ordering_matches_walk_on_corpus(corpus):
     for n in range(3, 8):
         for g in corpus[n]:
-            assert path_ordering_if_two_simplicial(g) == path_ordering_by_walk(n, g.edges())
+            assert path_ordering_if_two_simplicial(recognize(g)) == path_ordering_by_walk(n, g.edges())
 
 
 def test_recognize_at_scale():
