@@ -16,12 +16,14 @@ Subcommands::
 Exit codes: 0 success, 2 usage or out-of-range input, 3 not a 2-tree,
 4 cross-check mismatch, 5 invariant failure.  ``--json`` emits a RunReport
 (validated by ``run_report.schema.json``); counts are always decimal strings.
+
+Handlers import ``counting``, ``enumeration``, ``extremal``, ``recognition``
+and ``json`` where they use them, so a run loads only what its subcommand runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -29,7 +31,7 @@ import time
 from itertools import islice
 from pathlib import Path
 
-from . import counting, enumeration, extremal, formats, generators, recognition
+from . import formats, generators
 from .errors import (
     CrossCheckError,
     FormatError,
@@ -64,11 +66,11 @@ FAMILIES = {
     "chain": generators.random_chain,
     "random": generators.random_two_tree,
 }
-CLOSED_FORM_FAMILIES = {
-    "book": counting.count_book,
-    "path-square": counting.count_two_simplicial,
-    "fan": counting.count_two_simplicial,
-    "chain": counting.count_two_simplicial,
+CLOSED_FORM_FAMILIES = {  # family -> its closed form in ``counting``
+    "book": "count_book",
+    "path-square": "count_two_simplicial",
+    "fan": "count_two_simplicial",
+    "chain": "count_two_simplicial",
 }
 
 
@@ -81,6 +83,7 @@ def main(argv: list[str] | None = None) -> int:
         outputs = args.handler(args)
         failed = bool(outputs.pop("_failed", False))
         if getattr(args, "json", False):
+            import json
             report = {
                 "command": " ".join(argv),
                 "inputs": _echo_inputs(args),
@@ -198,6 +201,7 @@ def _load_construction(args) -> TwoTreeConstruction:
     loaded = _load(args)
     if isinstance(loaded, TwoTreeConstruction):
         return loaded
+    from . import recognition
     n, edges = loaded
     if n >= 2 and len(edges) != 2 * n - 3:
         raise NotTwoTreeError.wrong_edge_count(n, len(edges))
@@ -237,6 +241,7 @@ def _cmd_order(args) -> dict:
 
 
 def _cmd_count(args) -> dict:
+    from . import counting
     method = args.method
     outputs: dict = {"method": method}
     if method == "closed-form":
@@ -246,7 +251,7 @@ def _cmd_count(args) -> dict:
             )
         if args.n is None:
             raise OutOfRangeError("closed-form counting needs --n")
-        value = CLOSED_FORM_FAMILIES[args.family](args.n)
+        value = getattr(counting, CLOSED_FORM_FAMILIES[args.family])(args.n)
         outputs.update({"n": args.n, "family": args.family})
     elif method in ("kirchhoff", "brute"):
         loaded = _load(args)
@@ -292,6 +297,7 @@ def _cmd_count(args) -> dict:
 def _cmd_enumerate(args) -> dict:
     if args.limit is not None and args.limit < 0:
         raise OutOfRangeError(f"--limit must be nonnegative, got {args.limit}")
+    from . import enumeration
     c = _load_construction(args)
     expected = enumeration.expected_tree_count(c)
     limit = args.limit
@@ -317,6 +323,8 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _cmd_survey(args) -> dict:
+    import json
+    from . import extremal
     summary = extremal.survey_extremal(args.n).to_json()
     if not args.json:
         print(json.dumps(summary, sort_keys=True))
@@ -324,6 +332,8 @@ def _cmd_survey(args) -> dict:
 
 
 def _cmd_improve(args) -> dict:
+    import json
+    from . import extremal
     c = _load_construction(args)
     if args.direction == "min":
         rep = extremal.improve_min(c)
@@ -355,6 +365,7 @@ def _cmd_improve(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    from . import counting
     suite = args.suite
     flags = _verify_flags(args)
     if args.seed is None:
@@ -377,6 +388,7 @@ def _cmd_verify(args) -> dict:
             ok = ok and lo and hi
         checks.append((f"2^(n-2) <= T <= 3^(n-2) over {trials} random 2-trees", ok))
     elif suite == "extremal":
+        from . import extremal
         for n in range(4, flags["n_max"] + 1):
             summary = extremal.survey_extremal(n)
             lo, hi = counting.count_book(n), counting.count_two_simplicial(n)
@@ -428,6 +440,7 @@ def _verify_flags(args) -> dict[str, int]:
 
 
 def _check_glue_identities(trials: int, seed: int) -> bool:
+    from . import extremal
     rng = random.Random(seed)
     for i in range(trials):
         n = 4 + rng.randrange(5) + rng.randrange(5)
@@ -445,6 +458,7 @@ def _check_glue_identities(trials: int, seed: int) -> bool:
 
 
 def _check_chain_formulas(trials: int, seed: int) -> bool:
+    from . import counting
     rng = random.Random(seed)
     for i in range(trials):
         c = generators.random_two_tree(3 + rng.randrange(5), seed * 77 + i)
@@ -467,6 +481,7 @@ def _check_chain_formulas(trials: int, seed: int) -> bool:
 
 
 def _check_deletion_contraction(trials: int, seed: int) -> bool:
+    from . import counting
     rng = random.Random(seed)
     for i in range(trials):
         g = generators.random_two_tree(4 + rng.randrange(7), seed * 31 + i).realize()

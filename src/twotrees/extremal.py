@@ -32,8 +32,7 @@ labeled 2-tree and reports the attained extremes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .counting import (
     count_containing_or_zero,
@@ -54,8 +53,7 @@ from .graph import Edge, TwoTreeConstruction, edge, spanning_forest_components
 from .recognition import _degree_two, _is_book_shape, _path_order, _peel
 
 
-@dataclass(frozen=True)
-class SplitReport:
+class SplitReport(NamedTuple):
     """Outcome of one count-decreasing split."""
 
     graph_h: TwoTreeConstruction  # the two degree-2 vertices removed, labels compacted
@@ -78,8 +76,7 @@ class SplitReport:
         return self.t_g1 if self.winner == 1 else self.t_g2
 
 
-@dataclass(frozen=True)
-class SurgeryReport:
+class SurgeryReport(NamedTuple):
     """Outcome of one count-increasing reattachment."""
 
     crucial_edge: Edge  # where the moved piece was glued, original labels
@@ -249,8 +246,7 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
     return got == expected
 
 
-@dataclass(frozen=True)
-class ExtremalSurvey:
+class ExtremalSurvey(NamedTuple):
     """Minimum/maximum tree counts over all distinct small labeled 2-trees."""
 
     n: int

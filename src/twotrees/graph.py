@@ -9,13 +9,14 @@ canonical labelling (base ``{0, 1}``, vertex ``k`` added at step ``k - 2``),
 but the type accepts any introduction order so that recognised graphs round
 trip with their original labels.  The constructor checks the whole build rule
 (each attach edge present when its vertex arrives), so every construction
-realizes and counts without further checks.  All types are immutable after
-construction.
+realizes and counts without further checks.  Both types are immutable
+``__slots__`` classes that compare and hash by field, as frozen dataclasses
+would; the package does not import ``dataclasses``, which would add its
+``inspect`` and ``ast`` imports to every CLI start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import (
@@ -35,12 +36,45 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class _Frozen:
+    """Base of the value types: the fields are the ``__slots__``, set once in
+    ``__init__``; equality, hash and repr go by field, as for a frozen dataclass."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+
+class SimpleGraph(_Frozen):
     """Undirected simple graph on vertices ``0 .. n-1`` with frozen adjacency."""
 
-    n: int
-    adj: tuple[frozenset[int], ...]
+    __slots__ = __match_args__ = ("n", "adj")
+
+    def __init__(self, n: int, adj: tuple[frozenset[int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Edge]) -> SimpleGraph:
@@ -93,8 +127,7 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class TwoTreeConstruction:
+class TwoTreeConstruction(_Frozen):
     """A 2-tree given as a base edge plus an ordered attachment sequence.
 
     ``attachments[i]`` is ``(new_vertex, attach_edge)``: the vertex added at
@@ -104,36 +137,39 @@ class TwoTreeConstruction:
     InvalidConstructionError when either rule fails.
     """
 
-    n: int
-    base: Edge
-    attachments: tuple[tuple[int, Edge], ...]
+    __slots__ = __match_args__ = ("n", "base", "attachments")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise OutOfRangeError(f"a construction needs n >= 2, got {self.n}")
-        object.__setattr__(self, "base", edge(*self.base))
-        atts = tuple((v, edge(*attach)) for v, attach in self.attachments)
-        object.__setattr__(self, "attachments", atts)
-        if len(atts) != self.n - 2:
+    def __init__(self, n: int, base: Edge, attachments: Iterable[tuple[int, Edge]]):
+        if n < 2:
+            raise OutOfRangeError(f"a construction needs n >= 2, got {n}")
+        base = edge(*base)
+        # Pairs already in canonical (v, (x, y)) form, as every generator and
+        # peel passes them, are kept as given rather than rebuilt.
+        atts = tuple(
+            a if type(a) is tuple and type(a[1]) is tuple and a[1][0] < a[1][1]
+            else (a[0], edge(*a[1]))
+            for a in attachments
+        )
+        if len(atts) != n - 2:
             raise InvalidConstructionError(
-                f"expected {self.n - 2} attachments for n={self.n}, got {len(atts)}"
+                f"expected {n - 2} attachments for n={n}, got {len(atts)}"
             )
-        introduced = [self.base[0], self.base[1]]
+        introduced = [base[0], base[1]]
         introduced.extend(v for v, _ in atts)
-        if sorted(introduced) != list(range(self.n)):
+        if sorted(introduced) != list(range(n)):
             raise InvalidConstructionError(
                 "base endpoints plus attached vertices must cover each of "
-                f"0..{self.n - 1} exactly once"
+                f"0..{n - 1} exactly once"
             )
         # Edge {x, y} appears when the later of x and y arrives.  Checked in
         # build order, it exists at step i iff both are vertices, that one
         # arrived before i and is a base vertex or holds the other in its own
         # attach edge.
-        step = [-1] * self.n
+        step = [-1] * n
         for i, (v, _) in enumerate(atts):
             step[v] = i
         for i, (v, (x, y)) in enumerate(atts):
-            if 0 <= x and y < self.n:
+            if 0 <= x and y < n:
                 later, other = (y, x) if step[y] > step[x] else (x, y)
                 k = step[later]
                 if k < i and (k < 0 or other in atts[k][1]):
@@ -141,6 +177,9 @@ class TwoTreeConstruction:
             raise InvalidConstructionError(
                 f"attach edge {(x, y)} absent when vertex {v} is added"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "attachments", atts)
 
     def realize(self) -> SimpleGraph:
         """Build the 2-tree this recipe describes; it has 2n - 3 edges."""

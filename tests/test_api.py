@@ -1,6 +1,12 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import twotrees
 
@@ -48,3 +54,64 @@ def test_removed_names_stay_removed():
         for name in names:
             assert not hasattr(mod, name), f"twotrees.{module}.{name}"
             assert not hasattr(twotrees, name), name
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from twotrees import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC
+    assert set(PUBLIC) <= set(dir(twotrees))
+    assert namespace["kirchhoff_count"] is twotrees.counting.kirchhoff_count
+    assert namespace["graph"] is importlib.import_module("twotrees.graph")
+
+
+# Modules a cold `gen` start has no use for.  pytest itself imports inspect
+# and json, so the module set is read in a child process.
+NOT_AT_COLD_START = {
+    "dataclasses", "inspect", "json",
+    "twotrees.counting", "twotrees.enumeration", "twotrees.extremal", "twotrees.recognition",
+}
+# `python -m twotrees ARGV` that prints sys.modules to stderr at exit.
+PROBE = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+    "runpy.run_module('twotrees', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def _child_modules(*argv: str) -> set[str]:
+    src = str(Path(twotrees.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.split())
+
+
+def test_import_twotrees_loads_no_submodule():
+    loaded = _child_modules("import sys, twotrees; print(*sys.modules, file=sys.stderr)")
+    assert sorted(m for m in loaded if m.startswith("twotrees.")) == []
+    assert not NOT_AT_COLD_START & loaded
+
+
+@pytest.mark.parametrize(
+    "argv, loads, skips",
+    [
+        (["gen", "book", "3", "--out", os.devnull], {"twotrees.generators"}, NOT_AT_COLD_START),
+        (
+            ["improve", "min", "--family", "path-square", "--n", "6"],
+            {"twotrees.extremal", "json"},
+            {"dataclasses", "inspect", "twotrees.enumeration"},
+        ),
+    ],
+)
+def test_a_cli_run_loads_only_what_its_subcommand_runs(argv, loads, skips):
+    loaded = _child_modules(PROBE, *argv)
+    assert loads <= loaded
+    assert not skips & loaded

@@ -21,7 +21,10 @@ from twotrees import (
     cli,
     count_two_simplicial,
     count_via_construction,
+    counting,
     enumerate_spanning_trees,
+    enumeration,
+    extremal,
     random_two_tree,
 )
 from twotrees.formats import (
@@ -108,7 +111,7 @@ def test_gen_json_report(capsys):
 
 
 def test_enumerate_internal_mismatch_exit_5(capsys, monkeypatch):
-    monkeypatch.setattr(cli.enumeration, "expected_tree_count", lambda c: 999)
+    monkeypatch.setattr(enumeration, "expected_tree_count", lambda c: 999)
     code, _, err = run(capsys, "enumerate", "--family", "book", "--n", "4")
     assert code == 5
     assert "invariant failed" in err
@@ -255,9 +258,9 @@ def test_brute_force_edge_cap_still_applies_to_sparse_graphs(capsys, tmp_path):
 
 
 def test_improve_invariant_failure_exit_5(capsys, monkeypatch):
-    real = cli.extremal.count_via_construction
+    real = extremal.count_via_construction
     monkeypatch.setattr(
-        cli.extremal, "count_via_construction", lambda c, required=(): real(c, required) + 1
+        extremal, "count_via_construction", lambda c, required=(): real(c, required) + 1
     )
     code, out, err = run(capsys, "improve", "min", "--family", "path-square", "--n", "6")
     assert code == 5 and out == ""
@@ -267,7 +270,7 @@ def test_improve_invariant_failure_exit_5(capsys, monkeypatch):
 def test_count_mismatch_exit_4(capsys, tmp_path, monkeypatch):
     target = tmp_path / "g.edges"
     run(capsys, "gen", "book", "6", "--out", str(target))
-    monkeypatch.setattr(cli.counting, "count_via_construction", lambda c: 1)
+    monkeypatch.setattr(counting, "count_via_construction", lambda c: 1)
     code, _, err = run(capsys, "count", "--in", str(target), "--method", "auto")
     assert code == 4
     assert "mismatch" in err
@@ -293,7 +296,7 @@ def test_count_at_n_10_000_prints_the_engine_count(capsys, tmp_path, monkeypatch
     def refuse(g):
         raise AssertionError(f"kirchhoff_count called at n={g.n}")
 
-    monkeypatch.setattr(cli.counting, "kirchhoff_count", refuse)
+    monkeypatch.setattr(counting, "kirchhoff_count", refuse)
     code, out, _ = run(capsys, "count", "--in", str(target))
     assert code == 0 and out == want + "\n"
     code, out, _ = run(capsys, "count", "--in", str(target), "--json")
@@ -529,11 +532,34 @@ def test_verify_extremal_guard(capsys):
 
 
 def test_verify_failure_exit_5(capsys, monkeypatch):
-    monkeypatch.setattr(cli.extremal, "glue_identity_check", lambda *a, **k: False)
+    monkeypatch.setattr(extremal, "glue_identity_check", lambda *a, **k: False)
     code, out, err = run(capsys, "verify", "identities", "--trials", "3", "--seed", "0")
     assert code == 5
     assert "[FAIL]" in out
     assert "invariant failed" in err
+
+
+# sha256 of `twotrees [SUBCOMMAND] --help` at 80 columns: the CLI's usage
+# text, byte for byte.
+HELP_SHA256 = {
+    "": "df2730da09715a2f5ecfbaaa1b1598a14bb5d95e40e961298edfb652b638eb1e",
+    "gen": "631906904107446eb869bb73bb1c42c064ad2fde6cef18133c0c47a15a8bbdde",
+    "order": "cbb62edc8a8e72f7fcf517272ce46af83c8b2c0c77ba0145fc52aa7c9d921f73",
+    "count": "a6ebc661b3d6a9137227b3f30f526f89e6cba0621e9c9ebbe73739f7851d06a5",
+    "enumerate": "bd2486b631b2bc00d8340e77deeafa3d3ef55a3c7dfab7c36e0ceb6e6b189839",
+    "verify": "2e6f38726d6ce817ff75cba400dfe6d3286efcf3b6b39b12c3f0ebd9a2ce548f",
+    "survey": "34a1850956ec450ad5649bbe6e1396d6bf67b266bc20064c30c5be7fef439f66",
+    "improve": "238242580afb30d2b429e2eacae2318234115f24c4c627b95f2d31f3aba1eeef",
+}
+
+
+@pytest.mark.parametrize("subcommand", HELP_SHA256, ids=[s or "twotrees" for s in HELP_SHA256])
+def test_help_text_is_pinned(capsys, monkeypatch, subcommand):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([subcommand, "--help"] if subcommand else ["--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_SHA256[subcommand]
 
 
 def test_usage_error_exit_2():

@@ -185,7 +185,7 @@ def _surgery_digest(graphs) -> str:
             else:
                 line = repr([
                     (name, (val.n, val.realize().edges()) if isinstance(val, TwoTreeConstruction) else val)
-                    for name, val in vars(rep).items()
+                    for name, val in rep._asdict().items()
                 ])
             digest.update(line.encode() + b"\n")
     return digest.hexdigest()

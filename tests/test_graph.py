@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +118,38 @@ def test_construction_canonicalizes_its_edges():
         c = TwoTreeConstruction(4, (1, 0), given)
         assert (c.base, c.attachments) == ((0, 1), attachments)
         assert hash(c) == hash(TwoTreeConstruction(4, (0, 1), attachments))
+
+
+def test_construction_keeps_canonical_pairs_and_normalizes_the_rest():
+    canonical = TwoTreeConstruction(5, (0, 1), ((2, (0, 1)), (3, (1, 2)), (4, (2, 3))))
+    mixed = TwoTreeConstruction(5, [1, 0], [canonical.attachments[0], (3, [1, 2]), [4, (3, 2)]])
+    assert mixed == canonical and hash(mixed) == hash(canonical)
+    assert repr(mixed) == repr(canonical)
+    assert mixed.attachments[0] is canonical.attachments[0]
+    assert all(type(a) is tuple and type(a[1]) is tuple for a in mixed.attachments)
+    with pytest.raises(LoopEdgeError):
+        TwoTreeConstruction(4, (0, 1), ((2, (0, 1)), [3, [2, 2]]))
+
+
+def test_value_types_are_frozen_and_compare_by_field():
+    c = TwoTreeConstruction(3, (0, 1), ((2, (0, 1)),))
+    g = c.realize()
+    assert repr(c) == "TwoTreeConstruction(n=3, base=(0, 1), attachments=((2, (0, 1)),))"
+    assert repr(g) == "SimpleGraph(n=3, m=3)"
+    for value, field in ((c, "base"), (g, "adj")):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert g == SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]) != c
+    match c:
+        case TwoTreeConstruction(n, base, _):
+            assert (n, base) == (3, (0, 1))
+    assert len({c, TwoTreeConstruction(3, (1, 0), [(2, (1, 0))]), g}) == 2
 
 
 def _attach_edges_present(n, base, attachments):
