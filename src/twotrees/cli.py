@@ -28,8 +28,7 @@ import os
 import random
 import sys
 import time
-from itertools import islice
-from pathlib import Path
+from contextlib import nullcontext
 
 from . import formats, generators
 from .errors import (
@@ -124,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["edges", "construction"], default="edges")
-    p.add_argument("--out", type=Path, default=None)
+    p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_gen)
 
@@ -143,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream all spanning trees")
     _input_flags(p)
-    p.add_argument("--out", type=Path, default=None)
+    p.add_argument("--out", default=None)
     p.add_argument("--limit", type=int, default=None)
     p.set_defaults(handler=_cmd_enumerate)
 
@@ -163,24 +162,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("improve", help="run one extremal surgery")
     p.add_argument("direction", choices=["min", "max"])
     _input_flags(p)
-    p.add_argument("--out", type=Path, default=None)
+    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_improve)
 
     return parser
 
 
 def _input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--in", dest="infile", type=Path, default=None)
+    p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--family", choices=sorted(FAMILIES), default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
 
-def _read_input(path: Path) -> str:
+def _read_input(path: str) -> str:
     """The text of an ``--in`` file; bytes that are not UTF-8 are a FormatError."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
@@ -217,11 +217,9 @@ def _generate(family: str, n: int, seed: int) -> TwoTreeConstruction:
     return maker(n)
 
 
-def _write(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text)
+def _write(text: str, out: str | None) -> None:
+    with nullcontext(sys.stdout) if out is None else open(out, "w") as sink:
+        sink.write(text)
 
 
 def _cmd_gen(args) -> dict:
@@ -301,16 +299,16 @@ def _cmd_enumerate(args) -> dict:
     c = _load_construction(args)
     expected = enumeration.expected_tree_count(c)
     limit = args.limit
-    lines = islice(enumeration.spanning_tree_lines(c), limit)
-    sink = sys.stdout if args.out is None else open(args.out, "w")
-    emitted = 0
-    try:
+    emitted = 0  # counted from the walk's blocks, never from ``expected``
+    with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as sink:
         sink.write(formats.tree_stream_header(c.n, expected) + "\n")
-        for emitted, line in enumerate(lines, 1):
-            sink.write(line + "\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+        for text, lines in enumeration.tree_stream_blocks(c) if limit != 0 else ():
+            if limit is not None and emitted + lines >= limit:
+                sink.write("".join(text.splitlines(True)[: limit - emitted]))
+                emitted = limit
+                break
+            sink.write(text)
+            emitted += lines
     truncated = limit is not None and emitted == limit and expected > limit
     outputs = {"emitted": emitted, "expected": formats.decimal(expected), "truncated": truncated}
     if not truncated and emitted != expected:
@@ -338,7 +336,7 @@ def _cmd_improve(args) -> dict:
     if args.direction == "min":
         rep = extremal.improve_min(c)
         if args.out is not None:
-            args.out.write_text(formats.serialize_edge_list(rep.winner_graph.realize()))
+            _write(formats.serialize_edge_list(rep.winner_graph.realize()), args.out)
         outputs = {
             "direction": "min",
             "t_g": formats.decimal(rep.t_g),
@@ -351,7 +349,7 @@ def _cmd_improve(args) -> dict:
     else:
         rep = extremal.improve_max(c)
         if args.out is not None:
-            args.out.write_text(formats.serialize_edge_list(rep.g_prime.realize()))
+            _write(formats.serialize_edge_list(rep.g_prime.realize()), args.out)
         outputs = {
             "direction": "max",
             "crucial_edge": list(rep.crucial_edge),

@@ -59,7 +59,12 @@ def simplicial_vertices(c: TwoTreeConstruction) -> list[int]:
     """Sorted degree-2 vertices of a 2-tree with n >= 3 (all are simplicial)."""
     if c.n < 3:
         raise OutOfRangeError(f"simplicial_vertices needs n >= 3, got {c.n}")
-    return _degree_two(c.realize())
+    degree = [2] * c.n  # counted off the build order, with no graph realized
+    degree[c.base[0]] = degree[c.base[1]] = 1
+    for _, (x, y) in c.attachments:
+        degree[x] += 1
+        degree[y] += 1
+    return [v for v, d in enumerate(degree) if d == 2]
 
 
 def is_book(c: TwoTreeConstruction) -> bool:
@@ -71,7 +76,7 @@ def is_book(c: TwoTreeConstruction) -> bool:
     """
     if c.n < 3:
         raise OutOfRangeError(f"is_book needs n >= 3, got {c.n}")
-    return _is_book_shape(c.n, _degree_two(c.realize()))
+    return _is_book_shape(c.n, simplicial_vertices(c))
 
 
 def path_ordering_if_two_simplicial(c: TwoTreeConstruction) -> tuple[int, ...] | None:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from twotrees import (
     SimpleGraph,
     TwoTreeConstruction,
+    book,
     cli,
     count_two_simplicial,
     count_via_construction,
@@ -25,7 +26,9 @@ from twotrees import (
     enumerate_spanning_trees,
     enumeration,
     extremal,
+    path_square,
     random_two_tree,
+    recognize,
 )
 from twotrees.formats import (
     parse_edge_list,
@@ -435,6 +438,56 @@ def test_enumerate_lines_are_the_serialized_library_trees(n, seed, k):
     code, limited = _enumerate_stdout(*family, "--limit", str(k))
     assert code == 0
     assert limited[1:] == expected[:k]
+
+
+def _library_stream(c: TwoTreeConstruction) -> list[str]:
+    return [f"# n={c.n} expected={count_via_construction(c)}"] + [
+        serialize_tree(t) for t in enumerate_spanning_trees(c)
+    ]
+
+
+def test_enumerate_stream_is_the_library_view_on_the_corpus(corpus, tmp_path):
+    # every labelled 2-tree with n <= 7 through --in, then books and path
+    # squares through --family: a block of up to 3^K lines per head tree
+    target = tmp_path / "g.edges"
+    for g in [SimpleGraph.from_edges(2, [(0, 1)])] + [g for n in range(3, 8) for g in corpus[n]]:
+        target.write_text(serialize_edge_list(g))
+        code, lines = _enumerate_stdout("--in", str(target))
+        assert (code, lines) == (0, _library_stream(recognize(g)))
+    for family, maker in (("book", book), ("path-square", path_square)):
+        for n in range(2, 13):
+            code, lines = _enumerate_stdout("--family", family, "--n", str(n))
+            assert (code, lines) == (0, _library_stream(maker(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+@pytest.mark.parametrize("family", ["book", "path-square"])
+def test_enumerate_every_limit_is_a_prefix(n, family):
+    # n <= 6 has no more levels than a block expands; n = 8 has several blocks
+    full = _library_stream(book(n) if family == "book" else path_square(n))
+    total = len(full) - 1
+    for k in range(total + 2):
+        code, lines = _enumerate_stdout("--family", family, "--n", str(n), "--limit", str(k), "--json")
+        report = json.loads(lines.pop())["outputs"]
+        assert (code, lines) == (0, full[: k + 1])
+        assert (report["emitted"], report["truncated"]) == (min(k, total), k < total)
+
+
+def test_enumerate_limit_1_at_n_20000_pulls_one_block(monkeypatch, tmp_path):
+    pulled = []
+
+    def counted(c):
+        for block in blocks(c):
+            pulled.append(block[1])
+            yield block
+
+    blocks = enumeration.tree_stream_blocks
+    monkeypatch.setattr(enumeration, "tree_stream_blocks", counted)
+    target = tmp_path / "trees.txt"
+    code = cli.main(["enumerate", "--family", "book", "--n", "20000", "--limit", "1", "--out", str(target)])
+    first = serialize_tree(next(enumerate_spanning_trees(book(20000))))
+    assert (code, pulled) == (0, [3])  # one block of 3^K = 3 lines at this n
+    assert target.read_text().splitlines()[1:] == [first]
 
 
 def test_enumerate_rejects_non_two_tree(capsys, tmp_path):

@@ -13,8 +13,10 @@ from twotrees import (
     enumerate_spanning_trees,
     is_spanning_tree,
     kirchhoff_count,
+    path_square,
     random_two_tree,
 )
+from twotrees.enumeration import tree_stream_blocks
 
 from oracle import spanning_trees_by_enumeration, spanning_trees_levelwise
 
@@ -121,3 +123,17 @@ def test_streaming_memory_stays_flat():
     tracemalloc.stop()
     assert total == 28672
     assert peak < 200_000  # bytes beyond the consumer: O(n) state only
+
+
+def test_a_stream_block_holds_a_few_lines_at_n_20000():
+    # 3^K (n - 1) <= 2^16 tokens gives K = 1 here: blocks of at most 3 lines
+    blocks = tree_stream_blocks(path_square(20000))
+    text, lines = next(blocks)  # the first block also pays for the set-up
+    line = len(text) / lines
+    del text
+    tracemalloc.start()
+    text, lines = next(blocks)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert lines <= 3
+    assert peak < 6 * line  # the block, plus one line's worth of runs
