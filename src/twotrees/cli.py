@@ -373,7 +373,7 @@ def _cmd_verify(args) -> dict:
         for n in range(3, flags["n_max"] + 1):
             ok = all(
                 counting.kirchhoff_count(g) == counting.brute_force_count(g)
-                for g in generators.all_labeled_two_trees(n)
+                for g in map(TwoTreeConstruction.realize, generators.all_labeled_two_trees(n))
             )
             checks.append((f"determinant equals subset brute force, n={n}", ok))
     elif suite == "bounds":

@@ -23,7 +23,7 @@ with the convention F(-1) = 1.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     CyclicRequirementError,
@@ -101,8 +101,7 @@ def kirchhoff_count(g: SimpleGraph) -> int:
         return 1
     if g.m < g.n - 1:  # too few edges to connect; skip the (n-1)^2 matrix
         return 0
-    weights = {e: 1 for e in g.edges()}
-    return _multigraph_tree_count(g.n, weights)
+    return _laplacian_cofactor(g, range(g.n), g.n)
 
 
 def count_containing(g: SimpleGraph, required: Iterable[Edge]) -> int:
@@ -118,16 +117,9 @@ def count_containing(g: SimpleGraph, required: Iterable[Edge]) -> int:
     find = _union_find(g.n, set(req))
     if find is None:
         raise CyclicRequirementError("required edges contain a cycle")
-    roots = sorted({find(v) for v in range(g.n)})
-    index = {r: i for i, r in enumerate(roots)}
-    weights: dict[Edge, int] = {}
-    for u, v in g.edges():
-        ru, rv = index[find(u)], index[find(v)]
-        if ru == rv:
-            continue
-        e = edge(ru, rv)
-        weights[e] = weights.get(e, 0) + 1
-    return _multigraph_tree_count(len(roots), weights)
+    index: dict[int, int] = {}  # union-find root -> class, numbered as first seen
+    cls = [index.setdefault(find(v), len(index)) for v in range(g.n)]
+    return _laplacian_cofactor(g, cls, len(index))
 
 
 def brute_force_count(g: SimpleGraph) -> int:
@@ -204,20 +196,23 @@ def count_containing_or_zero(g: SimpleGraph, required: Iterable[Edge]) -> int:
         return 0
 
 
-def _multigraph_tree_count(k: int, weights: dict[Edge, int]) -> int:
-    """Cofactor of the integer-weighted Laplacian on k vertices."""
+def _laplacian_cofactor(g: SimpleGraph, cls: Sequence[int], k: int) -> int:
+    """Cofactor of the Laplacian of ``g`` with vertex v merged into class
+    ``cls[v]`` of ``k``: edges inside a class drop, parallel ones add up."""
     if k <= 1:
         return 1
-    size = k - 1
-    lap = [[0] * size for _ in range(size)]
-    for (u, v), w in weights.items():
-        if u > 0:
-            lap[u - 1][u - 1] += w
-        if v > 0:
-            lap[v - 1][v - 1] += w
-        if u > 0 and v > 0:
-            lap[u - 1][v - 1] -= w
-            lap[v - 1][u - 1] -= w
+    lap = [[0] * (k - 1) for _ in range(k - 1)]
+    for u, nbrs in enumerate(g.adj):  # each edge counts once from either end
+        cu = cls[u] - 1
+        if cu < 0:
+            continue  # class 0's row and column are the ones struck out
+        row = lap[cu]
+        for w in nbrs:
+            cw = cls[w] - 1
+            if cw != cu:
+                row[cu] += 1
+                if cw >= 0:
+                    row[cw] -= 1
     return _det_bareiss(lap)
 
 

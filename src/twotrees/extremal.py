@@ -27,7 +27,8 @@ order rather than a graph: every 2-tree a surgery reports is a construction
 built out of G's own degree-2 peel, so the next surgery can run on it as is.
 
 ``survey_extremal`` runs both classifications over every distinct small
-labeled 2-tree and reports the attained extremes.
+labeled 2-tree in one pass over the corpus stream and reports the attained
+extremes.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .generators import all_labeled_two_trees
 from .graph import Edge, TwoTreeConstruction, edge, spanning_forest_components
-from .recognition import _degree_two, _is_book_shape, _path_order, _peel
+from .recognition import _is_book_shape, _path_order, _peel, simplicial_vertices
 
 
 class SplitReport(NamedTuple):
@@ -90,7 +91,7 @@ class SurgeryReport(NamedTuple):
 def improve_min(c: TwoTreeConstruction) -> SplitReport:
     """Strictly decrease the spanning-tree count of a non-book 2-tree."""
     g = c.realize()
-    simp = _degree_two(g)
+    simp = simplicial_vertices(c) if g.n >= 3 else []
     if g.n >= 3 and _is_book_shape(g.n, simp):
         raise IsBookError("every pair of degree-2 vertices shares a neighbourhood")
     if g.n < 5:
@@ -138,8 +139,8 @@ def improve_min(c: TwoTreeConstruction) -> SplitReport:
 def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
     """Strictly increase the spanning-tree count when >2 degree-2 vertices exist."""
     g = c.realize()
-    simp = _degree_two(g)
-    if g.n >= 3 and len(simp) == 2:
+    simp = simplicial_vertices(c) if g.n >= 3 else []
+    if len(simp) == 2:
         raise AlreadyTwoSimplicialError("graph already has exactly two degree-2 vertices")
     if g.n < 5:
         raise OutOfRangeError(f"improve_max needs n >= 5, got {g.n}")
@@ -268,21 +269,24 @@ class ExtremalSurvey(NamedTuple):
 
 
 def survey_extremal(n: int) -> ExtremalSurvey:
-    """Sweep the exhaustive corpus and classify the extreme attainers."""
+    """Sweep the exhaustive corpus in one pass and classify the extreme attainers."""
     if n < 4:
         raise OutOfRangeError(f"survey_extremal needs n >= 4, got {n}")
     if n > 8:
         raise TooLargeError(f"survey_extremal capped at n = 8, got {n}")
-    corpus = all_labeled_two_trees(n)
-    counts = [kirchhoff_count(g) for g in corpus]
-    lo, hi = min(counts), max(counts)
-    min_ok = all(
-        _is_book_shape(g.n, _degree_two(g)) for g, c in zip(corpus, counts) if c == lo
-    )
-    max_ok = all(
-        len(_degree_two(g)) == 2 for g, c in zip(corpus, counts) if c == hi
-    )
-    return ExtremalSurvey(n, len(corpus), lo, hi, min_ok, max_ok)
+    for size, c in enumerate(all_labeled_two_trees(n), 1):  # n >= 4: never empty
+        t = kirchhoff_count(c.realize())
+        simp = simplicial_vertices(c)
+        book, two = _is_book_shape(n, simp), len(simp) == 2
+        if size == 1 or t < lo:
+            lo, min_ok = t, book
+        elif t == lo:
+            min_ok = min_ok and book
+        if size == 1 or t > hi:
+            hi, max_ok = t, two
+        elif t == hi:
+            max_ok = max_ok and two
+    return ExtremalSurvey(n, size, lo, hi, min_ok, max_ok)
 
 
 def _check(ok: bool, identity: str) -> None:

@@ -1,4 +1,5 @@
-"""Named 2-tree families, seeded random 2-trees, and the small exhaustive corpus.
+"""Named 2-tree families, seeded random 2-trees, and the small exhaustive corpus:
+a lazy stream of constructions in choice order, with no deduplication.
 
 Randomness comes from the standard library's Mersenne Twister
 (``random.Random(seed)``) drawing via ``randrange``; identical seeds produce
@@ -10,9 +11,10 @@ classes; consumers here only need coverage and determinism.
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from .errors import OutOfRangeError, TooLargeError
-from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge
+from .graph import Edge, TwoTreeConstruction, edge
 
 Seed = int
 
@@ -69,39 +71,35 @@ def random_two_tree(n: int, seed: Seed) -> TwoTreeConstruction:
     return TwoTreeConstruction(n, (0, 1), tuple(attachments))
 
 
-def all_labeled_two_trees(n: int) -> list[SimpleGraph]:
-    """All distinct edge sets reachable from base {0, 1} by adding 2 .. n-1.
+def all_labeled_two_trees(n: int) -> Iterator[TwoTreeConstruction]:
+    """Every construction on base {0, 1} adding vertex k at step k - 2, lazily.
 
-    Vertex k always arrives at step k - 2, so this enumerates constructions
-    with a distinguished base, deduplicated by edge set.  Every 2-tree on n
-    vertices is isomorphic to at least one output, which is what the
-    extremal sweeps need.
+    Vertex k goes on an edge present before it, in arrival order, so this is
+    the depth-first walk of the choice product: (2n - 5)!! constructions.
+    Vertex k's attach edge is its two neighbours below k, so no two realize
+    the same graph.  Every 2-tree on n vertices is isomorphic to one of them.
+    The range guards raise at the call, not at the first ``next``.
     """
     if n < 3:
         raise OutOfRangeError(f"all_labeled_two_trees needs n >= 3, got {n}")
     if n > ALL_LABELED_MAX_N:
-        raise TooLargeError(
-            f"all_labeled_two_trees capped at n = {ALL_LABELED_MAX_N}, got {n}"
-        )
-    seen: set[frozenset[Edge]] = set()
+        raise TooLargeError(f"all_labeled_two_trees capped at n = {ALL_LABELED_MAX_N}, got {n}")
     edges: list[Edge] = [(0, 1)]
+    attachments: list[tuple[int, Edge]] = []
 
-    def grow(k: int) -> None:
+    def grow(k: int) -> Iterator[TwoTreeConstruction]:
         if k == n:
-            seen.add(frozenset(edges))
+            yield TwoTreeConstruction(n, (0, 1), tuple(attachments))
             return
         for i in range(len(edges)):
             x, y = edges[i]
-            edges.append(edge(k, x))
-            edges.append(edge(k, y))
-            grow(k + 1)
-            edges.pop()
-            edges.pop()
+            attachments.append((k, (x, y)))
+            edges.extend((edge(k, x), edge(k, y)))
+            yield from grow(k + 1)
+            del edges[-2:]
+            attachments.pop()
 
-    grow(2)
-    graphs = [SimpleGraph.from_edges(n, es) for es in seen]
-    graphs.sort(key=lambda g: tuple(g.edges()))
-    return graphs
+    return grow(2)
 
 
 def extend_with_chain(

@@ -89,16 +89,12 @@ def path_ordering_if_two_simplicial(c: TwoTreeConstruction) -> tuple[int, ...] |
     """
     if c.n == 2:
         return (0, 1)
-    g = c.realize()
-    simp = _degree_two(g)
+    simp = simplicial_vertices(c)
     if len(simp) != 2:
         return None
+    g = c.realize()  # only for the path peel
     order, _ = _path_order(g, [set(s) for s in g.adj], simp[1])
     return tuple(order)
-
-
-def _degree_two(g: SimpleGraph) -> list[int]:
-    return [v for v in range(g.n) if g.degree(v) == 2]
 
 
 def _is_book_shape(n: int, degree_two: list[int]) -> bool:

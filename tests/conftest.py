@@ -12,5 +12,5 @@ from twotrees import all_labeled_two_trees
 
 @pytest.fixture(scope="session")
 def corpus():
-    """All distinct labeled 2-trees with a fixed base, keyed by n."""
-    return {n: all_labeled_two_trees(n) for n in range(3, 9)}
+    """Every labelled 2-tree on base (0, 1) as a construction, in choice order, keyed by n."""
+    return {n: list(all_labeled_two_trees(n)) for n in range(3, 9)}

@@ -39,6 +39,7 @@ from twotrees import (
     random_chain,
     random_two_tree,
     recognize,
+    simplicial_vertices,
     survey_extremal,
     verify_bounds,
 )
@@ -57,8 +58,8 @@ def test_criterion_1_enumeration_completeness(corpus):
     checked = 0
     ok = True
     for n in range(3, 9):
-        for g in corpus[n]:
-            c = recognize(g)
+        for c in corpus[n]:
+            g = c.realize()
             emitted = list(enumerate_spanning_trees(c))
             distinct = len(set(emitted)) == len(emitted)
             valid = all(is_spanning_tree(g, t) for t in emitted)
@@ -197,15 +198,14 @@ def test_criterion_7_surgery_directions(corpus):
     ok = True
     splits = surgeries = 0
     for n in range(5, 9):
-        for g in corpus[n]:
-            c = recognize(g)
+        for c in corpus[n]:
             if not is_book(c):
                 rep = improve_min(c)
                 ok = ok and rep.winner_count < rep.t_g
                 ok = ok and 2 * rep.t_g == rep.t_g1 + rep.t_g2 + 2 * rep.gamma
                 ok = ok and rep.gamma >= 1
                 splits += 1
-            if sum(1 for v in range(g.n) if g.degree(v) == 2) > 2:
+            if len(simplicial_vertices(c)) > 2:
                 rep = improve_max(c)
                 ok = ok and rep.t_gprime > rep.t_g
                 surgeries += 1

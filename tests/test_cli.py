@@ -450,7 +450,7 @@ def test_enumerate_stream_is_the_library_view_on_the_corpus(corpus, tmp_path):
     # every labelled 2-tree with n <= 7 through --in, then books and path
     # squares through --family: a block of up to 3^K lines per head tree
     target = tmp_path / "g.edges"
-    for g in [SimpleGraph.from_edges(2, [(0, 1)])] + [g for n in range(3, 8) for g in corpus[n]]:
+    for g in [SimpleGraph.from_edges(2, [(0, 1)])] + [c.realize() for n in range(3, 8) for c in corpus[n]]:
         target.write_text(serialize_edge_list(g))
         code, lines = _enumerate_stdout("--in", str(target))
         assert (code, lines) == (0, _library_stream(recognize(g)))

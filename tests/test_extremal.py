@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from twotrees import (
     TooLargeError,
     TwoTreeConstruction,
     TwoTreeError,
+    all_labeled_two_trees,
     book,
     count_book,
     count_two_simplicial,
@@ -161,7 +163,7 @@ def test_improve_max_book5():
 
 def test_core_peel_matches_rescan_on_corpus(corpus):
     for n in range(3, 8):
-        for g in corpus[n]:
+        for g in map(TwoTreeConstruction.realize, corpus[n]):
             edges = g.edges()
             for v in range(n):
                 for w in range(v + 1, n):
@@ -202,7 +204,9 @@ def _relabelled_random(count: int, n_max: int):
 
 
 def test_surgery_reports_match_golden(corpus):
-    graphs = [g for n in (5, 6, 7) for g in corpus[n]]
+    graphs = []
+    for n in (5, 6, 7):  # pinned on each n's graphs in edge-tuple order, through recognize
+        graphs.extend(sorted(map(TwoTreeConstruction.realize, corpus[n]), key=SimpleGraph.edges))
     graphs.extend(_relabelled_random(200, 200))
     assert _surgery_digest(graphs) == SURGERY_REPORTS_SHA256
 
@@ -228,12 +232,11 @@ def test_improve_max_rejects_two_simplicial():
 
 
 def test_improve_max_strict_on_corpus_subset(corpus):
-    for g in corpus[6]:
-        simplicial = sum(1 for v in range(g.n) if g.degree(v) == 2)
-        if simplicial > 2:
-            rep = improve_max(recognize(g))
+    for c in corpus[6]:
+        if len(simplicial_vertices(c)) > 2:
+            rep = improve_max(c)
             assert rep.t_gprime > rep.t_g
-            assert rep.g_prime.n == g.n
+            assert rep.g_prime.n == c.n
             assert rep.subtree_j.n >= 3
 
 
@@ -399,6 +402,43 @@ def test_survey_small_values():
     assert (s7.min_count, s7.max_count) == (112, 144)
 
 
+# at n = 6 these give the attainer flags (False, True), (False, False),
+# (True, False) and (True, True)
+@pytest.mark.parametrize(
+    "scramble",
+    [lambda t: t % 2, lambda t: t % 3, lambda t: min(t, 54), lambda t: t],
+    ids=["mod-2", "mod-3", "cap-54", "exact"],
+)
+def test_survey_tracks_the_attainers_of_any_count(monkeypatch, scramble):
+    # a scrambled count puts the extremes on other graphs; the one pass must
+    # give what the definition gives over the whole list
+    def scrambled(g):
+        return scramble(kirchhoff_count(g))
+
+    corpus = list(all_labeled_two_trees(6))
+    counts = [scrambled(c.realize()) for c in corpus]
+    lo, hi = min(counts), max(counts)
+    expected = (
+        6, len(corpus), lo, hi,
+        all(is_book(c) for c, t in zip(corpus, counts) if t == lo),
+        all(len(simplicial_vertices(c)) == 2 for c, t in zip(corpus, counts) if t == hi),
+    )
+    monkeypatch.setattr(extremal, "kirchhoff_count", scrambled)
+    assert tuple(survey_extremal(6)) == expected
+
+
+def test_survey_holds_one_graph_at_a_time():
+    survey_extremal(4)  # imports outside the trace
+    tracemalloc.start()
+    try:
+        summary = survey_extremal(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.corpus_size == 10395
+    assert peak < 2 * 2**20
+
+
 def test_survey_guards():
     with pytest.raises(OutOfRangeError):
         survey_extremal(3)
@@ -421,6 +461,6 @@ def test_survey_json_shape():
 def test_monotone_bound_over_corpus(corpus):
     for n in (5, 6, 7):
         lo, hi = count_book(n), count_two_simplicial(n)
-        for g in corpus[n]:
-            t = kirchhoff_count(g)
+        for c in corpus[n]:
+            t = kirchhoff_count(c.realize())
             assert lo <= t <= hi

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +10,12 @@ from hypothesis import strategies as st
 from twotrees import (
     OutOfRangeError,
     TooLargeError,
+    TwoTreeConstruction,
     all_labeled_two_trees,
     book,
     extend_with_chain,
     fan,
+    generators,
     kirchhoff_count,
     path_square,
     random_chain,
@@ -84,19 +89,59 @@ def test_all_labeled_counts(corpus):
 
 
 def test_all_labeled_distinct_and_valid(corpus):
-    for n in (4, 5, 6):
-        graphs = corpus[n]
-        assert len({g.edge_set() for g in graphs}) == len(graphs)
-        for g in graphs:
-            assert g.has_edge(0, 1)
-            assert recognize(g).realize().edge_set() == g.edge_set()
+    for n in range(3, 9):
+        assert all(c.base == (0, 1) for c in corpus[n])
+        assert len({c.realize().edge_set() for c in corpus[n]}) == len(corpus[n])
 
 
-def test_all_labeled_guards():
+def test_all_labeled_is_the_choice_product_in_order():
+    # vertex k on edge i of those present before it, in arrival order; the
+    # choice vectors run lexicographically
+    for n in range(3, 8):
+        expected = []
+        for choice in itertools.product(*(range(2 * k - 3) for k in range(2, n))):
+            edges, attachments = [(0, 1)], []
+            for k, i in enumerate(choice, 2):
+                x, y = edges[i]
+                attachments.append((k, (x, y)))
+                edges += [(x, k), (y, k)]
+            expected.append(tuple(attachments))
+        assert [c.attachments for c in all_labeled_two_trees(n)] == expected
+
+
+def test_all_labeled_guards():  # raised at the call, with no next()
     with pytest.raises(OutOfRangeError):
         all_labeled_two_trees(2)
     with pytest.raises(TooLargeError):
         all_labeled_two_trees(10)
+
+
+def test_all_labeled_builds_one_construction_per_next(monkeypatch):
+    first = book(9)  # built before the patch counts constructions
+    built = []
+
+    def counted(*args):
+        built.append(TwoTreeConstruction(*args))
+        return built[-1]
+
+    monkeypatch.setattr(generators, "TwoTreeConstruction", counted)
+    stream = all_labeled_two_trees(9)  # 135,135 constructions in all
+    assert built == []
+    assert next(stream) == first and len(built) == 1
+    next(stream)
+    assert len(built) == 2
+
+
+def test_draining_the_corpus_holds_one_construction_at_a_time():
+    stream = all_labeled_two_trees(8)  # 10,395 constructions
+    tracemalloc.start()
+    try:
+        for _ in stream:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_extend_with_chain_records():

@@ -251,8 +251,8 @@ def test_recognize_matches_rescan_on_each_failure_reason():
 
 def test_path_ordering_matches_walk_on_corpus(corpus):
     for n in range(3, 8):
-        for g in corpus[n]:
-            assert path_ordering_if_two_simplicial(recognize(g)) == path_ordering_by_walk(n, g.edges())
+        for c in corpus[n]:
+            assert path_ordering_if_two_simplicial(c) == path_ordering_by_walk(n, c.realize().edges())
 
 
 def test_recognize_at_scale():
