@@ -225,7 +225,7 @@ def _write(text: str, out: str | None) -> None:
 def _cmd_gen(args) -> dict:
     c = _generate(args.family, args.n, args.seed)
     if args.format == "edges":
-        _write(formats.serialize_edge_list(c.realize()), args.out)
+        _write(formats.serialize_edge_list(c), args.out)
     else:
         _write(formats.serialize_construction(c), args.out)
     return {"n": args.n, "family": args.family, "format": args.format}
@@ -254,7 +254,7 @@ def _cmd_count(args) -> dict:
     elif method in ("kirchhoff", "brute"):
         loaded = _load(args)
         if isinstance(loaded, TwoTreeConstruction):
-            loaded = loaded.n, loaded.realize().edges()
+            loaded = loaded.n, loaded.edges()
         n, edges = loaded
         # Check the header's n against the edges before building anything
         # sized by it: brute force has an edge cap, and fewer than n - 1
@@ -269,20 +269,16 @@ def _cmd_count(args) -> dict:
             oracle = counting.kirchhoff_count if method == "kirchhoff" else counting.brute_force_count
             value = oracle(g)
         outputs["n"] = n
-    elif method == "recurrence":
+    else:  # recurrence, or auto: the linear engine checked by the determinant up to a cap
         c = _load_construction(args)
         value = counting.count_via_construction(c)
-        outputs["n"] = c.n
-    else:  # auto: the linear engine, cross-checked by the O(n^3) determinant up to a cap
-        c = _load_construction(args)
-        value = counting.count_via_construction(c)
-        if c.n <= AUTO_CROSS_CHECK_MAX_N:
+        if method == "auto" and c.n > AUTO_CROSS_CHECK_MAX_N:
+            outputs["cross_check"] = "skipped"
+        elif method == "auto":
             by_det = counting.kirchhoff_count(c.realize())
             if by_det != value:
                 raise CrossCheckError(f"kirchhoff={by_det} vs recurrence={value}")
             outputs["cross_check"] = "kirchhoff"
-        else:
-            outputs["cross_check"] = "skipped"
         outputs["n"] = c.n
     if args.family is not None:
         outputs["family"] = args.family
@@ -336,7 +332,7 @@ def _cmd_improve(args) -> dict:
     if args.direction == "min":
         rep = extremal.improve_min(c)
         if args.out is not None:
-            _write(formats.serialize_edge_list(rep.winner_graph.realize()), args.out)
+            _write(formats.serialize_edge_list(rep.winner_graph), args.out)
         outputs = {
             "direction": "min",
             "t_g": formats.decimal(rep.t_g),
@@ -349,7 +345,7 @@ def _cmd_improve(args) -> dict:
     else:
         rep = extremal.improve_max(c)
         if args.out is not None:
-            _write(formats.serialize_edge_list(rep.g_prime.realize()), args.out)
+            _write(formats.serialize_edge_list(rep.g_prime), args.out)
         outputs = {
             "direction": "max",
             "crucial_edge": list(rep.crucial_edge),
@@ -444,7 +440,7 @@ def _check_glue_identities(trials: int, seed: int) -> bool:
         n = 4 + rng.randrange(5) + rng.randrange(5)
         c = generators.random_two_tree(n, seed * 1000 + i)
         v = c.attachments[-1][0]
-        pool = [e for e in c.realize().edges() if v not in e]
+        pool = [e for e in c.edges() if v not in e]
         rng.shuffle(pool)
         req: list[Edge] = []
         for e in pool:

@@ -165,7 +165,7 @@ def brute_force_count(g: SimpleGraph) -> int:
 
 
 def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()) -> int:
-    """Trees of ``c.realize()`` through every ``required`` edge, in O(n) steps."""
+    """Trees of the 2-tree ``c`` through every ``required`` edge, in O(n) steps."""
     pair = {c.base: (1, 1)}
     for v, (x, y) in c.attachments:
         pair[edge(v, x)] = pair[edge(v, y)] = (1, 1)

@@ -8,7 +8,7 @@ larger graph arises from exactly one parent this way, so walking the choices
 yields each tree once.
 
 One walk, :func:`_walk`, applies and undoes one choice at a time on a flag
-per edge of ``c.realize()``, in sorted order.  Each added vertex is a level
+per edge of ``c.edges()``, in sorted order.  Each added vertex is a level
 (vx, vy, xy) of edge indices; ``tests/oracle.py`` is the reference order.
 
 ``enumerate_spanning_trees`` walks every level and reads each tree as a
@@ -33,15 +33,15 @@ from .graph import Edge, SpanningTree, TwoTreeConstruction, edge
 
 
 def enumerate_spanning_trees(c: TwoTreeConstruction) -> Iterator[SpanningTree]:
-    """Yield every spanning tree of ``c.realize()`` exactly once, as edge sets."""
-    edges = c.realize().edges()
+    """Yield every spanning tree of the 2-tree ``c`` exactly once, as edge sets."""
+    edges = c.edges()
     return map(frozenset, map(compress, repeat(edges), _walk(*_levels(c, edges))))
 
 
 def tree_stream_blocks(c: TwoTreeConstruction) -> Iterator[tuple[str, int]]:
     """Yield the trees of :func:`enumerate_spanning_trees`, in order, as blocks
     ``(text, lines)`` of ``lines`` lines of ``formats.serialize_tree`` plus newline."""
-    edges = c.realize().edges()
+    edges = c.edges()
     steps, flags = _levels(c, edges)
     k = min(len(steps), max((k for k in range(6) if 3**k * (c.n - 1) <= 1 << 16), default=0))
     head, tail = steps[: len(steps) - k], steps[len(steps) - k :]

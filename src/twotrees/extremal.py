@@ -90,30 +90,27 @@ class SurgeryReport(NamedTuple):
 
 def improve_min(c: TwoTreeConstruction) -> SplitReport:
     """Strictly decrease the spanning-tree count of a non-book 2-tree."""
-    g = c.realize()
-    simp = simplicial_vertices(c) if g.n >= 3 else []
-    if g.n >= 3 and _is_book_shape(g.n, simp):
+    simp = simplicial_vertices(c) if c.n >= 3 else []
+    if c.n >= 3 and _is_book_shape(c.n, simp):
         raise IsBookError("every pair of degree-2 vertices shares a neighbourhood")
-    if g.n < 5:
-        raise OutOfRangeError(f"improve_min needs n >= 5, got {g.n}")
+    if c.n < 5:
+        raise OutOfRangeError(f"improve_min needs n >= 5, got {c.n}")
 
-    pair = next(
-        (v1, v2)
-        for i, v1 in enumerate(simp)
-        for v2 in simp[i + 1 :]
-        if g.neighbors(v1) != g.neighbors(v2)
+    adj = c.adjacency()
+    v1, v2 = pair = next(
+        (v1, v2) for i, v1 in enumerate(simp) for v2 in simp[i + 1 :] if adj[v1] != adj[v2]
     )
-    v1, v2 = pair
-    e1 = edge(*g.neighbors(v1))
-    e2 = edge(*g.neighbors(v2))
+    e1, e2 = edge(*adj[v1]), edge(*adj[v2])
 
     # Nothing hangs on the edges of a degree-2 vertex, so peeling G minus the
     # pair builds H in G's labels, and re-appending the pair gives G1 and G2.
-    adj = [set() if v in pair else set(s).difference(pair) for v, s in enumerate(g.adj)]
+    for w in adj[v1] | adj[v2]:
+        adj[w].difference_update(pair)
+    adj[v1], adj[v2] = set(), set()
     rest = tuple(reversed(_peel(adj)))
-    base = edge(*(w for w in range(g.n) if adj[w]))
-    c_g1 = TwoTreeConstruction(g.n, base, rest + ((v1, e1), (v2, e1)))
-    c_g2 = TwoTreeConstruction(g.n, base, rest + ((v1, e2), (v2, e2)))
+    base = edge(*(w for w in range(c.n) if adj[w]))
+    c_g1 = TwoTreeConstruction(c.n, base, rest + ((v1, e1), (v2, e1)))
+    c_g2 = TwoTreeConstruction(c.n, base, rest + ((v1, e2), (v2, e2)))
 
     c_h, remap = _compact(base, rest)
     h1, h2 = (remap[e1[0]], remap[e1[1]]), (remap[e2[0]], remap[e2[1]])
@@ -138,24 +135,24 @@ def improve_min(c: TwoTreeConstruction) -> SplitReport:
 
 def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
     """Strictly increase the spanning-tree count when >2 degree-2 vertices exist."""
-    g = c.realize()
-    simp = simplicial_vertices(c) if g.n >= 3 else []
+    simp = simplicial_vertices(c) if c.n >= 3 else []
     if len(simp) == 2:
         raise AlreadyTwoSimplicialError("graph already has exactly two degree-2 vertices")
-    if g.n < 5:
-        raise OutOfRangeError(f"improve_max needs n >= 5, got {g.n}")
+    if c.n < 5:
+        raise OutOfRangeError(f"improve_max needs n >= 5, got {c.n}")
 
     # Delete the surplus degree-2 vertices (smallest first) until only v and
     # v' remain; the core left behind has exactly those two.
     v, v_prime = simp[0], simp[1]
-    adj = [set(s) for s in g.adj]
+    adj = c.adjacency()
     deletions = _peel(adj, keep={v, v_prime})
-    core = set(range(g.n)).difference(u for u, _ in deletions)
-    ends = [w for w in range(g.n) if len(adj[w]) == 2]
+    core = set(range(c.n)).difference(u for u, _ in deletions)
+    ends = [w for w in range(c.n) if len(adj[w]) == 2]
     _check(ends == [v, v_prime], "peeled core must have exactly two degree-2 vertices")
 
+    tip = edge(v, min(adj[v]))  # read before the path peel deletes v
     # Peeling on with only v' kept walks the core's Hamiltonian path from v.
-    order, path_deletions = _path_order(g, adj, v_prime)
+    order, path_deletions = _path_order(adj, v_prime)
     _check(order[0] == v and order[-1] == v_prime, "core path must run from v to v'")
     q = len(order)
     pos = {vertex: q - i for i, vertex in enumerate(order)}  # order[0]=v has pos q
@@ -183,14 +180,13 @@ def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
     # G' rebuilds the core in path order, then re-adds every peeled vertex,
     # with the moved piece's glue vertices renamed canonical endpoint to
     # canonical endpoint onto the tip edge, which the core already holds.
-    tip = edge(v, min(g.neighbors(v)))
     rename = {crucial[0]: tip[0], crucial[1]: tip[1]}
     rebuilt = tuple(
         (u, edge(rename.get(f[0], f[0]), rename.get(f[1], f[1])) if u in moved else f)
         for u, f in reversed(deletions)
     )
     c_prime = TwoTreeConstruction(
-        g.n, edge(order[-2], v_prime), tuple(reversed(path_deletions)) + rebuilt
+        c.n, edge(order[-2], v_prime), tuple(reversed(path_deletions)) + rebuilt
     )
 
     t_g = count_via_construction(c)
@@ -220,7 +216,7 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
     v, (w, z) = c.attachments[-1]
     req = list(dict.fromkeys(edge(*f) for f in required))  # a repeat is no cycle
     for a, b in req:
-        if not (0 <= a < c.n and full.has_edge(a, b)):
+        if not (0 <= a < c.n and b in full.adj[a]):
             raise ForeignEdgeError(f"required edge ({a}, {b}) not in the graph")
         if v in (a, b):
             raise ForeignEdgeError(f"required edge ({a}, {b}) touches the split vertex")

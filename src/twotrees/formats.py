@@ -25,9 +25,10 @@ from .errors import FormatError
 from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge
 
 
-def serialize_edge_list(g: SimpleGraph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+def serialize_edge_list(g: SimpleGraph | TwoTreeConstruction) -> str:
+    edges = g.edges()
+    lines = [f"{g.n} {len(edges)}"]
+    lines.extend(f"{u} {v}" for u, v in edges)
     return "\n".join(lines) + "\n"
 
 

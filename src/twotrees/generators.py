@@ -114,7 +114,7 @@ def extend_with_chain(
     if steps < 1:
         raise OutOfRangeError(f"need at least one chain step, got {steps}")
     x, y = edge(*start_edge)
-    if (x, y) not in {c.base}.union(edge(v, w) for v, f in c.attachments for w in f):
+    if (x, y) not in c.edges():
         raise OutOfRangeError(f"start edge ({x}, {y}) not in graph")
     rng = random.Random(seed)
     records: list[tuple[int, Edge]] = []

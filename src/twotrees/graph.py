@@ -94,21 +94,9 @@ class SimpleGraph(_Frozen):
     def m(self) -> int:
         return sum(len(s) for s in self.adj) // 2
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def edges(self) -> list[Edge]:
         """All edges as sorted canonical tuples."""
         return sorted((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
-
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -181,13 +169,29 @@ class TwoTreeConstruction(_Frozen):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "attachments", atts)
 
-    def realize(self) -> SimpleGraph:
-        """Build the 2-tree this recipe describes; it has 2n - 3 edges."""
+    def edges(self) -> list[Edge]:
+        """The 2n - 3 edges of the 2-tree, as sorted canonical tuples."""
         out = [self.base]
         for v, (x, y) in self.attachments:
-            out.append(edge(v, x))
-            out.append(edge(v, y))
-        return SimpleGraph.from_edges(self.n, out)
+            out.append((v, x) if v < x else (x, v))
+            out.append((v, y) if v < y else (y, v))
+        out.sort()
+        return out
+
+    def adjacency(self) -> list[set[int]]:
+        """A fresh neighbour set per vertex, which the caller may edit."""
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        x, y = self.base
+        adj[x], adj[y] = {y}, {x}
+        for v, (x, y) in self.attachments:
+            adj[v] = {x, y}  # v has no neighbour before it arrives
+            adj[x].add(v)
+            adj[y].add(v)
+        return adj
+
+    def realize(self) -> SimpleGraph:
+        """The 2-tree as a graph, for the counting oracles."""
+        return SimpleGraph(self.n, tuple(map(frozenset, self.adjacency())))
 
 
 SpanningTree = frozenset  # frozenset[Edge]; edge set of a spanning tree

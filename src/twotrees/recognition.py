@@ -23,7 +23,7 @@ def recognize(g: SimpleGraph) -> TwoTreeConstruction:
     """Return a construction realizing ``g`` exactly, or raise NotTwoTreeError.
 
     The attachment sequence is the reverse of the deletion order, so
-    ``recognize(g).realize()`` has the same edge set as ``g``.
+    ``recognize(g).edges() == g.edges()``.
     """
     n = g.n
     if n < 2:
@@ -92,8 +92,7 @@ def path_ordering_if_two_simplicial(c: TwoTreeConstruction) -> tuple[int, ...] |
     simp = simplicial_vertices(c)
     if len(simp) != 2:
         return None
-    g = c.realize()  # only for the path peel
-    order, _ = _path_order(g, [set(s) for s in g.adj], simp[1])
+    order, _ = _path_order(c.adjacency(), simp[1])
     return tuple(order)
 
 
@@ -102,23 +101,26 @@ def _is_book_shape(n: int, degree_two: list[int]) -> bool:
     return n == 3 or len(degree_two) == n - 2
 
 
-def _path_order(
-    g: SimpleGraph, adj: list[set[int]], goal: int
-) -> tuple[list[int], list[tuple[int, Edge]]]:
+def _path_order(adj: list[set[int]], goal: int) -> tuple[list[int], list[tuple[int, Edge]]]:
     """The Hamiltonian path of the 2-tree left in ``adj``, which is peeled in
     place, from its degree-2 vertex other than ``goal`` to ``goal``, and the
     peel's deletions.
 
     Only one vertex besides goal is ever eligible until the closing triangle,
     so the smallest-first peel walks the path; the one vertex it leaves
-    beside goal comes second to last.  ``g`` holds every edge of ``adj``.
+    beside goal comes second to last.  Each step must be an edge.  A step
+    from a peeled vertex is checked against its attach edge, which holds
+    exactly its neighbours when it is deleted: the next vertex is still
+    there, and an edge leaves ``adj`` only with an endpoint.  The steps from
+    the vertices the peel leaves are checked against the live ``adj``.
     """
     deletions = _peel(adj, keep={goal})
     order = [v for v, _ in deletions]
     order.extend(v for v in range(len(adj)) if adj[v] and v != goal)
     order.append(goal)
-    for earlier, later in zip(order, order[1:]):
-        if not g.has_edge(earlier, later):
+    around = [f for _, f in deletions] + [adj[v] for v in order[len(deletions) : -1]]
+    for earlier, later, neighbours in zip(order, order[1:], around):
+        if later not in neighbours:
             raise InvariantError(f"path ordering steps across non-edge ({earlier}, {later})")
     return order, deletions
 

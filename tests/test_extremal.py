@@ -27,7 +27,9 @@ from twotrees import (
     all_labeled_two_trees,
     book,
     count_book,
+    count_stream,
     count_two_simplicial,
+    enumerate_spanning_trees,
     extremal,
     fan,
     glue_identity_check,
@@ -35,13 +37,16 @@ from twotrees import (
     improve_min,
     is_book,
     kirchhoff_count,
+    path_ordering_if_two_simplicial,
     path_square,
     random_two_tree,
     recognize,
     simplicial_vertices,
     survey_extremal,
 )
-from twotrees import recognition
+from twotrees import cli, recognition
+from twotrees.enumeration import tree_stream_blocks
+from twotrees.formats import serialize_edge_list
 from twotrees.graph import spanning_forest_components
 from twotrees.recognition import _peel
 
@@ -52,7 +57,7 @@ seeds = st.integers(0, 2**32 - 1)
 
 def test_improve_min_worked_example():
     rep = improve_min(path_square(5))
-    assert rep.graph_h.realize().edge_set() == {(0, 1), (0, 2), (1, 2)}  # K3
+    assert set(rep.graph_h.realize().edges()) == {(0, 1), (0, 2), (1, 2)}  # K3
     assert (rep.beta1, rep.beta2, rep.gamma) == (2, 2, 1)
     assert (rep.t_g, rep.t_g1, rep.t_g2) == (21, 20, 20)
     assert rep.winner == 1  # tie goes to the first re-homing
@@ -211,15 +216,34 @@ def test_surgery_reports_match_golden(corpus):
     assert _surgery_digest(graphs) == SURGERY_REPORTS_SHA256
 
 
-def test_neither_surgery_calls_recognize(monkeypatch):
-    # both take G's construction and build every other graph from its peel
+def test_neither_surgery_calls_recognize(monkeypatch, tmp_path):
+    # both take G's construction and build every other graph from its peel;
+    # they, the path ordering, both enumeration views, the edge-list writer
+    # and the CLI commands built on them read the construction, not a graph
     def refuse(g):
         pytest.fail("a surgery ran recognize")
 
+    def refuse_realize(c):
+        pytest.fail("a 2-tree path ran TwoTreeConstruction.realize")
+
     monkeypatch.setattr(recognition, "recognize", refuse)
+    monkeypatch.setattr(TwoTreeConstruction, "realize", refuse_realize)
     assert not hasattr(extremal, "recognize")
     improve_min(path_square(7))
     improve_max(book(7))
+    assert path_ordering_if_two_simplicial(path_square(7)) == tuple(range(7))
+    c = random_two_tree(7, 3)
+    assert count_stream(enumerate_spanning_trees(c)) == sum(
+        lines for _, lines in tree_stream_blocks(c)
+    )
+    assert serialize_edge_list(c).startswith("7 11\n")
+    for argv in (
+        ["gen", "random", "9", "--format", "edges"],
+        ["improve", "min", "--family", "path-square", "--n", "7", "--out", str(tmp_path / "min")],
+        ["improve", "max", "--family", "book", "--n", "7", "--out", str(tmp_path / "max")],
+        ["enumerate", "--family", "random", "--n", "9", "--limit", "50"],
+    ):
+        assert cli.main(argv) == 0, argv
 
 
 def test_improve_max_rejects_two_simplicial():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from twotrees import (
     edge,
     is_spanning_tree,
     random_two_tree,
+    recognize,
 )
+from twotrees.formats import serialize_edge_list
 from twotrees.graph import spanning_forest_components
 
 from oracle import component_count, is_tree_edge_set
@@ -44,9 +47,9 @@ def test_edge_orientation_free(u, v):
 def test_simple_graph_basics():
     g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert g.m == 3
-    assert g.degree(1) == 2
-    assert g.has_edge(2, 1)
-    assert not g.has_edge(0, 3)
+    assert len(g.adj[1]) == 2
+    assert 1 in g.adj[2]
+    assert 3 not in g.adj[0]
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
     assert g.is_connected()
     assert not SimpleGraph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
@@ -73,7 +76,7 @@ def test_realize_base_cases():
     assert k2.n == 2 and k2.m == 1
 
     k3 = TwoTreeConstruction(3, (0, 1), ((2, (0, 1)),)).realize()
-    assert k3.edge_set() == {(0, 1), (0, 2), (1, 2)}
+    assert set(k3.edges()) == {(0, 1), (0, 2), (1, 2)}
 
     b4 = book(4).realize()
     assert b4.n == 4 and b4.m == 5  # 2*4 - 3
@@ -189,9 +192,21 @@ def test_constructor_accepts_exactly_the_buildable_orders(n, data):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 12), seeds)
 def test_realize_edge_count_invariant(n, seed):
-    g = random_two_tree(n, seed).realize()
+    c = random_two_tree(n, seed)
+    g = c.realize()
     assert g.m == 2 * n - 3
     assert g.is_connected()
+    # recognize keeps a shuffled graph's labels, so vertices arrive out of order
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    shuffled = SimpleGraph.from_edges(n, [(label[u], label[v]) for u, v in g.edges()])
+    relabelled = recognize(shuffled)
+    assert relabelled.realize() == shuffled
+    for built in (c, relabelled):
+        assert built.realize() == SimpleGraph.from_edges(n, built.edges())
+        assert built.edges() == built.realize().edges()
+        assert built.adjacency() == [set(s) for s in built.realize().adj]
+        assert serialize_edge_list(built) == serialize_edge_list(built.realize())
 
 
 def test_is_spanning_tree_examples():

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twotrees import (
+    InvariantError,
     NotTwoTreeError,
     NotTwoTreeReason,
     OutOfRangeError,
@@ -22,6 +24,7 @@ from twotrees import (
     recognize,
     simplicial_vertices,
 )
+from twotrees.recognition import _path_order
 
 from oracle import NotTwoTree, path_ordering_by_walk, recognize_by_rescan
 
@@ -37,7 +40,7 @@ def test_recognize_k3_exact():
     # and the base is the remaining edge (1, 2)
     c = recognize(k3())
     assert c == TwoTreeConstruction(3, (1, 2), ((0, (1, 2)),))
-    assert c.realize().edge_set() == k3().edge_set()
+    assert set(c.realize().edges()) == set(k3().edges())
 
 
 def test_recognize_k2():
@@ -93,7 +96,7 @@ def test_recognize_rejects_no_degree_two():
 @given(st.integers(2, 14), seeds)
 def test_round_trip(n, seed):
     g = random_two_tree(n, seed).realize()
-    assert recognize(g).realize().edge_set() == g.edge_set()
+    assert set(recognize(g).realize().edges()) == set(g.edges())
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,7 +109,7 @@ def test_perturbed_graphs_fail_or_are_two_trees(n, seed):
         (a, b)
         for a in range(n)
         for b in range(a + 1, n)
-        if not g.has_edge(a, b)
+        if b not in g.adj[a]
     ]
 
     dropped = SimpleGraph.from_edges(n, edges[: len(edges) - 1])
@@ -130,7 +133,7 @@ def test_perturbed_graphs_fail_or_are_two_trees(n, seed):
         except NotTwoTreeError as err:
             assert isinstance(err.reason, NotTwoTreeReason)
         else:
-            assert c.realize().edge_set() == swapped.edge_set()
+            assert set(c.realize().edges()) == set(swapped.edges())
 
 
 def test_simplicial_vertices_families():
@@ -179,6 +182,21 @@ def test_path_ordering_families():
     assert path_ordering_if_two_simplicial(book(2)) == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "adj, goal, step",
+    [
+        # the peel deletes 0 on {1, 2}, then 3 on {4, 5}: 0 -> 3 is off 0's attach edge
+        ([{1, 2}, {0, 2}, {0, 1}, {4, 5}, {3, 5}, {3, 4}, set()], 6, (0, 3)),
+        # the peel leaves 1-2 beside a goal nothing touches: the closing step is
+        # checked against 2's live neighbours, not an edge made from the pair
+        ([{1, 2}, {0, 2}, {0, 1}, set()], 3, (2, 3)),
+    ],
+)
+def test_path_order_rejects_a_step_off_the_graph(adj, goal, step):
+    with pytest.raises(InvariantError, match=re.escape(f"non-edge {step}")):
+        _path_order(adj, goal)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(4, 12), seeds)
 def test_path_ordering_is_hamiltonian_elimination(n, seed):
@@ -189,7 +207,7 @@ def test_path_ordering_is_hamiltonian_elimination(n, seed):
     assert sorted(order) == list(range(n))
     # consecutive vertices adjacent: a Hamiltonian path
     for a, b in zip(order, order[1:]):
-        assert g.has_edge(a, b)
+        assert b in g.adj[a]
     # valid elimination: every prefix deletion has degree 2 with adjacent ends
     adj = [set(s) for s in g.adj]
     for v in order[:-2]:
@@ -257,7 +275,7 @@ def test_path_ordering_matches_walk_on_corpus(corpus):
 
 def test_recognize_at_scale():
     g = path_square(10**5).realize()
-    assert recognize(g).realize().edge_set() == g.edge_set()
+    assert set(recognize(g).realize().edges()) == set(g.edges())
     n = 5 * 10**4
     g = SimpleGraph.from_edges(n, _relabelled(n, 1))
-    assert recognize(g).realize().edge_set() == g.edge_set()
+    assert set(recognize(g).realize().edges()) == set(g.edges())
