@@ -196,18 +196,12 @@ def _load(args) -> TwoTreeConstruction | tuple[int, list[Edge]]:
 
 
 def _load_construction(args) -> TwoTreeConstruction:
-    """The input as a construction.  An edge list is recognized here, once;
-    its header must promise 2n - 3 edges before a graph sized by n is built."""
+    """The input as a construction; an edge list is recognized here, once."""
     loaded = _load(args)
     if isinstance(loaded, TwoTreeConstruction):
         return loaded
     from . import recognition
-    n, edges = loaded
-    if n >= 2 and len(edges) != 2 * n - 3:
-        raise NotTwoTreeError.wrong_edge_count(n, len(edges))
-    g = SimpleGraph.from_edges(n, edges)
-    del loaded, edges  # the edge list is as large as g: free it before recognize peaks
-    return recognition.recognize(g)
+    return recognition.recognize(*loaded)
 
 
 def _generate(family: str, n: int, seed: int) -> TwoTreeConstruction:
@@ -257,13 +251,16 @@ def _cmd_count(args) -> dict:
             loaded = loaded.n, loaded.edges()
         n, edges = loaded
         # Check the header's n against the edges before building anything
-        # sized by it: brute force has an edge cap, and fewer than n - 1
-        # edges connect nothing.
+        # sized by it: brute force has an edge cap, fewer than n - 1 edges
+        # connect nothing, and Kirchhoff has a vertex cap.
         cap = counting.BRUTE_FORCE_EDGE_LIMIT
         if method == "brute" and len(edges) > cap:
             raise TooLargeError(f"brute force capped at {cap} edges, graph has {len(edges)}")
         if len(edges) < n - 1:
             value = 0
+        elif method == "kirchhoff" and n > counting.KIRCHHOFF_MAX_N:
+            cap = counting.KIRCHHOFF_MAX_N
+            raise TooLargeError(f"kirchhoff capped at {cap} vertices, graph has {n}")
         else:
             g = SimpleGraph.from_edges(n, edges)
             oracle = counting.kirchhoff_count if method == "kirchhoff" else counting.brute_force_count

@@ -41,6 +41,7 @@ from .graph import (
 )
 
 BRUTE_FORCE_EDGE_LIMIT = 25
+KIRCHHOFF_MAX_N = 400  # the cofactor matrix holds (n - 1)^2 ints; n = 300 takes seconds
 
 
 def fibonacci(k: int) -> int:
@@ -94,13 +95,16 @@ def chain_edge_counts(alpha: int, beta: int, p: int) -> tuple[int, int, int]:
 
 
 def kirchhoff_count(g: SimpleGraph) -> int:
-    """Spanning-tree count as a Laplacian cofactor, exactly; 0 if disconnected."""
+    """Spanning-tree count as a Laplacian cofactor, exactly; 0 if disconnected.
+    TooLargeError past ``KIRCHHOFF_MAX_N`` vertices, unless too few edges make it 0."""
     if g.n < 1:
         raise OutOfRangeError("kirchhoff_count needs at least one vertex")
     if g.n == 1:
         return 1
     if g.m < g.n - 1:  # too few edges to connect; skip the (n-1)^2 matrix
         return 0
+    if g.n > KIRCHHOFF_MAX_N:
+        raise TooLargeError(f"kirchhoff capped at {KIRCHHOFF_MAX_N} vertices, graph has {g.n}")
     return _laplacian_cofactor(g, range(g.n), g.n)
 
 

@@ -68,7 +68,7 @@ class _Frozen:
 
 
 class SimpleGraph(_Frozen):
-    """Undirected simple graph on vertices ``0 .. n-1`` with frozen adjacency."""
+    """Undirected simple graph on vertices ``0 .. n-1``: the oracles' frozen adjacency."""
 
     __slots__ = __match_args__ = ("n", "adj")
 
@@ -78,17 +78,7 @@ class SimpleGraph(_Frozen):
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Edge]) -> SimpleGraph:
-        if n < 0:
-            raise OutOfRangeError(f"vertex count must be nonnegative, got {n}")
-        neighbors: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise LoopEdgeError(f"loop edge at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise OutOfRangeError(f"edge ({u}, {v}) outside vertex range [0, {n})")
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        return SimpleGraph(n, tuple(frozenset(s) for s in neighbors))
+        return SimpleGraph(n, tuple(map(frozenset, _neighbour_sets(n, edges))))
 
     @property
     def m(self) -> int:
@@ -97,19 +87,6 @@ class SimpleGraph(_Frozen):
     def edges(self) -> list[Edge]:
         """All edges as sorted canonical tuples."""
         return sorted((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
-
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimpleGraph(n={self.n}, m={self.m})"
@@ -192,6 +169,21 @@ class TwoTreeConstruction(_Frozen):
     def realize(self) -> SimpleGraph:
         """The 2-tree as a graph, for the counting oracles."""
         return SimpleGraph(self.n, tuple(map(frozenset, self.adjacency())))
+
+
+def _neighbour_sets(n: int, edges: Iterable[Edge]) -> list[set[int]]:
+    """A neighbour set per vertex; loops and ends outside 0..n-1 raise, repeats count once."""
+    if n < 0:
+        raise OutOfRangeError(f"vertex count must be nonnegative, got {n}")
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            raise LoopEdgeError(f"loop edge at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise OutOfRangeError(f"edge ({u}, {v}) outside vertex range [0, {n})")
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 SpanningTree = frozenset  # frozenset[Edge]; edge set of a spanning tree

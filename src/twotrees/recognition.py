@@ -1,13 +1,13 @@
 """Decide 2-tree-ness and read off structural classifications.
 
 A graph is a 2-tree iff repeatedly deleting a degree-2 vertex whose two
-neighbours are adjacent reduces it to a single edge.  The deletion order,
-reversed, is the construction order returned by :func:`recognize`.  Cheap
-necessary conditions (edge count 2n-3, connectivity) are checked before the
-elimination.  Ties always go to the smallest-index eligible vertex so
-results are reproducible; :func:`_peel` keeps the candidates in a heap, so
-the whole elimination is O(n log n).  The structural queries take a
-construction, so :func:`recognize` is the one place a graph becomes a 2-tree.
+neighbours are adjacent reduces it to a single edge.  :func:`recognize` reads
+an edge list as parsed, ``(n, edges)``, and returns the deletion order,
+reversed, as a construction; a list too short for 2n-3 edges is rejected
+before anything sized by n is built.  Ties go to the smallest-index eligible
+vertex; :func:`_peel` keeps the candidates in a heap, so the elimination is
+O(n log n).  The structural queries take a construction, so :func:`recognize`
+is the one place a graph becomes a 2-tree.
 """
 
 from __future__ import annotations
@@ -16,24 +16,32 @@ from heapq import heappop, heappush
 from typing import Collection
 
 from .errors import InvariantError, NotTwoTreeError, NotTwoTreeReason, OutOfRangeError
-from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge
+from .graph import Edge, TwoTreeConstruction, _neighbour_sets, edge
 
 
-def recognize(g: SimpleGraph) -> TwoTreeConstruction:
-    """Return a construction realizing ``g`` exactly, or raise NotTwoTreeError.
+def recognize(n: int, edges: Collection[Edge]) -> TwoTreeConstruction:
+    """A construction of the graph on n vertices with these edges, or NotTwoTreeError.
 
-    The attachment sequence is the reverse of the deletion order, so
-    ``recognize(g).edges() == g.edges()``.
+    Edges are checked, and a repeated one counts once, as in ``SimpleGraph.from_edges``.
+    The attachments are the deletion order reversed, and ``.edges()`` is the graph's.
     """
-    n = g.n
     if n < 2:
         raise OutOfRangeError(f"recognition needs n >= 2, got {n}")
-    if g.m != 2 * n - 3:
-        raise NotTwoTreeError.wrong_edge_count(n, g.m)
-    if not g.is_connected():
+    if len(edges) < 2 * n - 3:  # before a header's n sizes anything
+        raise NotTwoTreeError.wrong_edge_count(n, len(edges))
+    adj = _neighbour_sets(n, edges)
+    m = sum(map(len, adj)) // 2
+    if m != 2 * n - 3:
+        raise NotTwoTreeError.wrong_edge_count(n, m)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) < n:
         raise NotTwoTreeError(NotTwoTreeReason.DISCONNECTED, "graph is disconnected")
 
-    adj = [set(s) for s in g.adj]
     removed = _peel(adj)
     if len(removed) < n - 2:
         if any(len(s) == 2 for s in adj):

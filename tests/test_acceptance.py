@@ -121,7 +121,7 @@ def test_criterion_4_bounds():
         g = c.realize()
         lower_ok, upper_ok = verify_bounds(c)
         ok = ok and lower_ok and upper_ok
-        ok = ok and count_via_construction(recognize(g)) == kirchhoff_count(g)
+        ok = ok and count_via_construction(recognize(n, c.edges())) == kirchhoff_count(g)
     assert report(
         "criterion 4: 2^(n-2) <= T <= 3^(n-2) over 1000 seeded random "
         "2-trees with n <= 16, the engine's count equal to the determinant",

@@ -49,7 +49,8 @@ def test_removed_names_stay_removed():
     assert not hasattr(twotrees.TwoTreeConstruction, "prefix_graph")
     assert not hasattr(twotrees.TwoTreeConstruction, "vertices_in_build_order")
     assert not hasattr(twotrees.SimpleGraph, "induced_compact")
-    for name in ("neighbors", "degree", "has_edge", "edge_set"):  # read g.adj and g.edges()
+    # read g.adj and g.edges(); recognize checks connectivity on its own sets
+    for name in ("neighbors", "degree", "has_edge", "edge_set", "is_connected"):
         assert not hasattr(twotrees.SimpleGraph, name), f"SimpleGraph.{name}"
     for module, names in REMOVED.items():
         mod = importlib.import_module(f"twotrees.{module}")

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -205,7 +206,15 @@ def test_two_tree_edge_list_checks_the_header_before_building(capsys, tmp_path, 
     target = tmp_path / "g.edges"
     monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(_refuse_from_edges))
     target.write_text("300000 0\n")
-    code, out, err = run(capsys, *argv, "--in", str(target))
+    run(capsys, *argv, "--in", str(target))  # warm: the handler's lazy imports
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "--in", str(target))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one list of 300,000 slots is 2.4 MB, and a neighbour set per vertex 65 MB
+    assert peak < 1_000_000, f"peak {peak} bytes"
     assert (code, out) == (3, "")
     assert err == (
         "error: not a 2-tree (WrongEdgeCount): "
@@ -248,6 +257,43 @@ def test_oracle_count_on_empty_and_single_vertex_graphs(capsys, tmp_path, method
     target.write_text("1 0\n")
     code, out, _ = run(capsys, "count", "--method", method, "--in", str(target))
     assert code == 0 and out == "1\n"
+
+
+def test_edge_list_commands_build_no_simple_graph(capsys, tmp_path, monkeypatch):
+    # n > 100, so count auto skips its Kirchhoff cross-check, the one oracle
+    # a 2-tree command feeds a graph
+    target = tmp_path / "g.edges"
+    target.write_text(serialize_edge_list(random_two_tree(120, 5)))
+
+    def refuse(*args):
+        raise AssertionError("a SimpleGraph was built")
+
+    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(refuse))
+    monkeypatch.setattr(SimpleGraph, "__init__", refuse)
+    for argv in (
+        ["order"],
+        ["count"],
+        ["count", "--method", "recurrence"],
+        ["enumerate", "--limit", "20"],
+        ["improve", "min", "--out", str(tmp_path / "min.edges")],
+        ["improve", "max", "--out", str(tmp_path / "max.edges")],
+    ):
+        code, out, err = run(capsys, *argv, "--in", str(target))
+        assert (code, err) == (0, "") and out, argv
+
+
+def test_kirchhoff_cap_is_checked_before_building_a_graph(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(counting, "KIRCHHOFF_MAX_N", 6)
+    target = tmp_path / "g.edges"
+    target.write_text(serialize_edge_list(path_square(6)))
+    assert run(capsys, "count", "--method", "kirchhoff", "--in", str(target)) == (0, "55\n", "")
+    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(_refuse_from_edges))
+    want = (2, "", "error: kirchhoff capped at 6 vertices, graph has 7\n")
+    target.write_text(serialize_edge_list(path_square(7)))
+    assert run(capsys, "count", "--method", "kirchhoff", "--in", str(target)) == want
+    assert run(capsys, "count", "--method", "kirchhoff", "--family", "book", "--n", "7") == want
+    target.write_text("7 0\n")  # fewer than n - 1 edges still count 0 past the cap
+    assert run(capsys, "count", "--method", "kirchhoff", "--in", str(target)) == (0, "0\n", "")
 
 
 def test_brute_force_edge_cap_still_applies_to_sparse_graphs(capsys, tmp_path):
@@ -453,7 +499,7 @@ def test_enumerate_stream_is_the_library_view_on_the_corpus(corpus, tmp_path):
     for g in [SimpleGraph.from_edges(2, [(0, 1)])] + [c.realize() for n in range(3, 8) for c in corpus[n]]:
         target.write_text(serialize_edge_list(g))
         code, lines = _enumerate_stdout("--in", str(target))
-        assert (code, lines) == (0, _library_stream(recognize(g)))
+        assert (code, lines) == (0, _library_stream(recognize(g.n, g.edges())))
     for family, maker in (("book", book), ("path-square", path_square)):
         for n in range(2, 13):
             code, lines = _enumerate_stdout("--family", family, "--n", str(n))

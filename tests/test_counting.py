@@ -252,7 +252,7 @@ def test_count_via_construction_on_recognized_labels(n, seed):
     relabeled = SimpleGraph.from_edges(
         g.n, [edge(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()]
     )
-    c = recognize(relabeled)
+    c = recognize(relabeled.n, relabeled.edges())
     assert count_via_construction(c) == kirchhoff_count(relabeled)
 
 
@@ -304,6 +304,19 @@ def test_kirchhoff_skips_the_matrix_without_enough_edges(monkeypatch):
     monkeypatch.setattr(counting, "_laplacian_cofactor", boom)
     assert kirchhoff_count(SimpleGraph.from_edges(10_000, [])) == 0
     assert kirchhoff_count(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3)])) == 0
+
+
+def test_kirchhoff_caps_n_after_its_early_returns(monkeypatch):
+    def boom(g, cls, k):
+        pytest.fail(f"Laplacian built at n={g.n}, over the cap")
+
+    monkeypatch.setattr(counting, "KIRCHHOFF_MAX_N", 6)
+    assert kirchhoff_count(path_square(6).realize()) == fibonacci(10)  # at the cap
+    monkeypatch.setattr(counting, "_laplacian_cofactor", boom)
+    with pytest.raises(TooLargeError, match="kirchhoff capped at 6 vertices, graph has 7"):
+        kirchhoff_count(path_square(7).realize())
+    assert kirchhoff_count(SimpleGraph.from_edges(10_000, [])) == 0
+    assert kirchhoff_count(SimpleGraph.from_edges(1, [])) == 1
 
 
 def test_verify_bounds_examples():

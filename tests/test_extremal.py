@@ -186,7 +186,7 @@ def _surgery_digest(graphs) -> str:
     for g in graphs:
         for surgery in (improve_min, improve_max):
             try:
-                rep = surgery(recognize(g))
+                rep = surgery(recognize(g.n, g.edges()))
             except TwoTreeError as exc:
                 line = f"{type(exc).__name__}: {exc}"
             else:
@@ -282,7 +282,7 @@ def test_improve_max_multiple_hanging_pieces():
         (2, 6), (3, 6),   # piece at (2, 3)
         (1, 7), (3, 7),   # piece at (1, 3)
     ]
-    c = recognize(SimpleGraph.from_edges(8, edges))
+    c = recognize(8, edges)
     rep = improve_max(c)
     assert rep.t_gprime > rep.t_g
     assert rep.g_prime.n == 8
@@ -351,7 +351,7 @@ def test_glue_identity_check_mixed():
     assert glue_identity_check(path_square(4), [(0, 1), (0, 2)])
     assert glue_identity_check(path_square(5), [(2, 3)])
     # recognition labels the split vertex 0, so G - v is relabelled
-    c = recognize(path_square(5).realize())
+    c = recognize(5, path_square(5).edges())
     assert c.attachments[-1][0] == 0
     assert glue_identity_check(c, [(3, 4), (2, 4)])
     assert glue_identity_check(fan(6), [(0, 1), (1, 2), (3, 4)])
@@ -396,7 +396,7 @@ def test_glue_identity_check_randomized(n, seed):
     g = random_two_tree(n, rng.randrange(2**30)).realize()
     perm = list(range(n))
     rng.shuffle(perm)
-    c = recognize(SimpleGraph.from_edges(n, [(perm[a], perm[b]) for a, b in g.edges()]))
+    c = recognize(n, [(perm[a], perm[b]) for a, b in g.edges()])
     assert glue_identity_check(c, _random_acyclic_subset(c, rng, 0.5))
 
 

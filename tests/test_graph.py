@@ -51,8 +51,6 @@ def test_simple_graph_basics():
     assert 1 in g.adj[2]
     assert 3 not in g.adj[0]
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
-    assert g.is_connected()
-    assert not SimpleGraph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
 
 
 def test_simple_graph_rejects_bad_edges():
@@ -183,7 +181,7 @@ def test_constructor_accepts_exactly_the_buildable_orders(n, data):
     base = (order[0], order[1])
     if _attach_edges_present(n, base, attachments):
         c = TwoTreeConstruction(n, base, tuple(attachments))
-        assert c.realize().m == 2 * n - 3 and c.realize().is_connected()
+        assert c.realize().m == 2 * n - 3 and component_count(n, c.realize().edges()) == 1
     else:
         with pytest.raises(InvalidConstructionError, match="absent when vertex"):
             TwoTreeConstruction(n, base, tuple(attachments))
@@ -195,13 +193,13 @@ def test_realize_edge_count_invariant(n, seed):
     c = random_two_tree(n, seed)
     g = c.realize()
     assert g.m == 2 * n - 3
-    assert g.is_connected()
+    assert component_count(n, g.edges()) == 1
     # recognize keeps a shuffled graph's labels, so vertices arrive out of order
     label = list(range(n))
     random.Random(seed).shuffle(label)
-    shuffled = SimpleGraph.from_edges(n, [(label[u], label[v]) for u, v in g.edges()])
-    relabelled = recognize(shuffled)
-    assert relabelled.realize() == shuffled
+    shuffled = [(label[u], label[v]) for u, v in g.edges()]
+    relabelled = recognize(n, shuffled)
+    assert relabelled.realize() == SimpleGraph.from_edges(n, shuffled)
     for built in (c, relabelled):
         assert built.realize() == SimpleGraph.from_edges(n, built.edges())
         assert built.edges() == built.realize().edges()
