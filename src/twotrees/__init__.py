@@ -31,7 +31,7 @@ _EXPORTS = {
         "random_chain", "random_two_tree",
     ),
     "graph": (
-        "Edge", "SimpleGraph", "SpanningTree", "TwoTreeConstruction", "edge", "is_spanning_tree",
+        "Edge", "SimpleGraph", "SpanningTree", "TwoTreeConstruction", "edge",
     ),
     "recognition": (
         "is_book", "path_ordering_if_two_simplicial", "recognize", "simplicial_vertices",

@@ -245,34 +245,20 @@ def _cmd_count(args) -> dict:
             raise OutOfRangeError("closed-form counting needs --n")
         value = getattr(counting, CLOSED_FORM_FAMILIES[args.family])(args.n)
         outputs.update({"n": args.n, "family": args.family})
-    elif method in ("kirchhoff", "brute"):
-        loaded = _load(args)
-        if isinstance(loaded, TwoTreeConstruction):
-            loaded = loaded.n, loaded.edges()
-        n, edges = loaded
-        # Check the header's n against the edges before building anything
-        # sized by it: brute force has an edge cap, fewer than n - 1 edges
-        # connect nothing, and Kirchhoff has a vertex cap.
-        cap = counting.BRUTE_FORCE_EDGE_LIMIT
-        if method == "brute" and len(edges) > cap:
-            raise TooLargeError(f"brute force capped at {cap} edges, graph has {len(edges)}")
-        if len(edges) < n - 1:
-            value = 0
-        elif method == "kirchhoff" and n > counting.KIRCHHOFF_MAX_N:
-            cap = counting.KIRCHHOFF_MAX_N
-            raise TooLargeError(f"kirchhoff capped at {cap} vertices, graph has {n}")
-        else:
-            g = SimpleGraph.from_edges(n, edges)
-            oracle = counting.kirchhoff_count if method == "kirchhoff" else counting.brute_force_count
-            value = oracle(g)
-        outputs["n"] = n
+    elif method in ("kirchhoff", "brute"):  # each oracle checks its own caps
+        g = _load(args)
+        if not isinstance(g, TwoTreeConstruction):
+            g = SimpleGraph.from_edges(*g)
+        oracle = counting.kirchhoff_count if method == "kirchhoff" else counting.brute_force_count
+        value = oracle(g)
+        outputs["n"] = g.n
     else:  # recurrence, or auto: the linear engine checked by the determinant up to a cap
         c = _load_construction(args)
         value = counting.count_via_construction(c)
         if method == "auto" and c.n > AUTO_CROSS_CHECK_MAX_N:
             outputs["cross_check"] = "skipped"
         elif method == "auto":
-            by_det = counting.kirchhoff_count(c.realize())
+            by_det = counting.kirchhoff_count(c)
             if by_det != value:
                 raise CrossCheckError(f"kirchhoff={by_det} vs recurrence={value}")
             outputs["cross_check"] = "kirchhoff"
@@ -365,8 +351,8 @@ def _cmd_verify(args) -> dict:
     if suite == "oracle":
         for n in range(3, flags["n_max"] + 1):
             ok = all(
-                counting.kirchhoff_count(g) == counting.brute_force_count(g)
-                for g in map(TwoTreeConstruction.realize, generators.all_labeled_two_trees(n))
+                counting.kirchhoff_count(c) == counting.brute_force_count(c)
+                for c in generators.all_labeled_two_trees(n)
             )
             checks.append((f"determinant equals subset brute force, n={n}", ok))
     elif suite == "bounds":
@@ -453,20 +439,18 @@ def _check_chain_formulas(trials: int, seed: int) -> bool:
     rng = random.Random(seed)
     for i in range(trials):
         c = generators.random_two_tree(3 + rng.randrange(5), seed * 77 + i)
-        host = c.realize()
-        edges = host.edges()
+        edges = c.edges()
         start = edges[rng.randrange(len(edges))]
-        alpha = counting.kirchhoff_count(host)
-        beta = counting.count_containing(host, [start])
+        alpha = counting.kirchhoff_count(c)
+        beta = counting.count_containing(c, [start])
         for p in range(1, 4):
             grown_c = generators.extend_with_chain(c, start, p, seed + p)
             through_start, _, through_tip = counting.chain_edge_counts(alpha, beta, p)
             tip_vertex, tip_attach = grown_c.attachments[-1]
             tip_edge = edge(tip_vertex, tip_attach[0])
-            grown = grown_c.realize()
-            if counting.count_containing(grown, [start]) != through_start:
+            if counting.count_containing(grown_c, [start]) != through_start:
                 return False
-            if counting.count_containing(grown, [tip_edge]) != through_tip:
+            if counting.count_containing(grown_c, [tip_edge]) != through_tip:
                 return False
     return True
 
@@ -475,12 +459,12 @@ def _check_deletion_contraction(trials: int, seed: int) -> bool:
     from . import counting
     rng = random.Random(seed)
     for i in range(trials):
-        g = generators.random_two_tree(4 + rng.randrange(7), seed * 31 + i).realize()
-        edges = g.edges()
+        c = generators.random_two_tree(4 + rng.randrange(7), seed * 31 + i)
+        edges = c.edges()
         e = edges[rng.randrange(len(edges))]
-        total = counting.kirchhoff_count(g)
-        with_e = counting.count_containing(g, [e])
-        without = SimpleGraph.from_edges(g.n, [f for f in edges if f != e])
+        total = counting.kirchhoff_count(c)
+        with_e = counting.count_containing(c, [e])
+        without = SimpleGraph.from_edges(c.n, [f for f in edges if f != e])
         if total != with_e + counting.kirchhoff_count(without):
             return False
     return True

@@ -9,6 +9,8 @@ required one at (1, 0).  Peeling in reverse build order, vertex v on {x, y}
 joins its two edges in series, (a1 a2, a1 b2 + b1 a2), then that pair in
 parallel into {x, y}, (a b3 + b a3, b b3); the base edge's ``a`` is the count.
 Kirchhoff (Bareiss) and the subset brute force stay as independent oracles.
+They read only a graph's ``n``, ``m`` and ``edges()``, so they take a
+construction or a ``SimpleGraph`` as is, and each checks its caps first.
 
 Chain growth (each new vertex glued onto an edge incident to the previous
 one) satisfies ``t_p = 2 t_{p-1} + s_{p-1}`` and ``s_p = t_{p-1} + s_{p-1}``
@@ -42,6 +44,8 @@ from .graph import (
 
 BRUTE_FORCE_EDGE_LIMIT = 25
 KIRCHHOFF_MAX_N = 400  # the cofactor matrix holds (n - 1)^2 ints; n = 300 takes seconds
+
+Graph = SimpleGraph | TwoTreeConstruction  # the oracles read its n, m and edges()
 
 
 def fibonacci(k: int) -> int:
@@ -94,7 +98,7 @@ def chain_edge_counts(alpha: int, beta: int, p: int) -> tuple[int, int, int]:
     return through_start, through_side, through_tip
 
 
-def kirchhoff_count(g: SimpleGraph) -> int:
+def kirchhoff_count(g: Graph) -> int:
     """Spanning-tree count as a Laplacian cofactor, exactly; 0 if disconnected.
     TooLargeError past ``KIRCHHOFF_MAX_N`` vertices, unless too few edges make it 0."""
     if g.n < 1:
@@ -105,39 +109,44 @@ def kirchhoff_count(g: SimpleGraph) -> int:
         return 0
     if g.n > KIRCHHOFF_MAX_N:
         raise TooLargeError(f"kirchhoff capped at {KIRCHHOFF_MAX_N} vertices, graph has {g.n}")
-    return _laplacian_cofactor(g, range(g.n), g.n)
+    return _laplacian_cofactor(g.edges(), range(g.n), g.n)
 
 
-def count_containing(g: SimpleGraph, required: Iterable[Edge]) -> int:
+def count_containing(g: Graph, required: Iterable[Edge]) -> int:
     """Number of spanning trees of ``g`` containing every edge of ``required``.
 
     Contracts the required edges (keeping parallel-edge multiplicities,
     dropping loops) and applies the cofactor count to the quotient.
+    TooLargeError past ``KIRCHHOFF_MAX_N`` vertices, before anything is built.
     """
+    if g.n > KIRCHHOFF_MAX_N:
+        raise TooLargeError(
+            f"count_containing capped at {KIRCHHOFF_MAX_N} vertices, graph has {g.n}"
+        )
     req = [edge(*e) for e in required]
-    for u, v in req:
-        if not (0 <= u < g.n and v in g.adj[u]):
-            raise ForeignEdgeError(f"required edge ({u}, {v}) not in graph")
+    edges = g.edges()
+    present = set(edges)
+    for e in req:
+        if e not in present:
+            raise ForeignEdgeError(f"required edge {e} not in graph")
     find = _union_find(g.n, set(req))
     if find is None:
         raise CyclicRequirementError("required edges contain a cycle")
     index: dict[int, int] = {}  # union-find root -> class, numbered as first seen
     cls = [index.setdefault(find(v), len(index)) for v in range(g.n)]
-    return _laplacian_cofactor(g, cls, len(index))
+    return _laplacian_cofactor(edges, cls, len(index))
 
 
-def brute_force_count(g: SimpleGraph) -> int:
+def brute_force_count(g: Graph) -> int:
     """Independent oracle: count acyclic (n-1)-edge subsets one by one.
 
     Backtracks over the sorted edges, skipping each one and then taking it if
     it joins two components, so no cyclic prefix is extended; without path
     compression a join undoes with one assignment.
     """
-    n = g.n
+    n, m = g.n, g.m
     if n < 1:
         raise OutOfRangeError("brute_force_count needs at least one vertex")
-    edges = g.edges()
-    m = len(edges)
     if m > BRUTE_FORCE_EDGE_LIMIT:
         raise TooLargeError(
             f"brute force capped at {BRUTE_FORCE_EDGE_LIMIT} edges, graph has {m}"
@@ -146,6 +155,7 @@ def brute_force_count(g: SimpleGraph) -> int:
         return 1
     if m < n - 1:
         return 0
+    edges = g.edges()
     parent = list(range(n))
 
     def walk(i: int, need: int) -> int:
@@ -192,7 +202,7 @@ def verify_bounds(c: TwoTreeConstruction) -> tuple[bool, bool]:
     return (2 ** (c.n - 2) <= t, t <= 3 ** (c.n - 2))
 
 
-def count_containing_or_zero(g: SimpleGraph, required: Iterable[Edge]) -> int:
+def count_containing_or_zero(g: Graph, required: Iterable[Edge]) -> int:
     """Like :func:`count_containing` but 0 when the requirement is cyclic."""
     try:
         return count_containing(g, required)
@@ -200,23 +210,23 @@ def count_containing_or_zero(g: SimpleGraph, required: Iterable[Edge]) -> int:
         return 0
 
 
-def _laplacian_cofactor(g: SimpleGraph, cls: Sequence[int], k: int) -> int:
-    """Cofactor of the Laplacian of ``g`` with vertex v merged into class
-    ``cls[v]`` of ``k``: edges inside a class drop, parallel ones add up."""
+def _laplacian_cofactor(edges: Iterable[Edge], cls: Sequence[int], k: int) -> int:
+    """Cofactor of the Laplacian of the graph on ``edges`` with vertex v merged
+    into class ``cls[v]`` of ``k``: edges inside a class drop, parallel ones add up."""
     if k <= 1:
         return 1
     lap = [[0] * (k - 1) for _ in range(k - 1)]
-    for u, nbrs in enumerate(g.adj):  # each edge counts once from either end
-        cu = cls[u] - 1
-        if cu < 0:
-            continue  # class 0's row and column are the ones struck out
-        row = lap[cu]
-        for w in nbrs:
-            cw = cls[w] - 1
-            if cw != cu:
-                row[cu] += 1
-                if cw >= 0:
-                    row[cw] -= 1
+    for u, w in edges:
+        cu, cw = cls[u] - 1, cls[w] - 1  # class 0's row and column are struck out
+        if cu == cw:
+            continue
+        if cu >= 0:
+            lap[cu][cu] += 1
+        if cw >= 0:
+            lap[cw][cw] += 1
+            if cu >= 0:
+                lap[cu][cw] -= 1
+                lap[cw][cu] -= 1
     return _det_bareiss(lap)
 
 

@@ -201,9 +201,9 @@ def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
 def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> bool:
     """Verify the leaf-splitting count identities at the last vertex of ``c``.
 
-    The last vertex v arrives on its attach edge e = wz, so G = ``c.realize()``
-    is G - v glued to the triangle vwz along e.  For an acyclic edge set S of
-    G - v, with t and s the constrained counts of G - v (through S, and
+    The last vertex v arrives on its attach edge e = wz, so the 2-tree G of
+    ``c`` is G - v glued to the triangle vwz along e.  For an acyclic edge set
+    S of G - v, with t and s the constrained counts of G - v (through S, and
     through S plus e), G must satisfy, for S not containing e:
 
         T(S) = 2t + s    T(S+vw) = t + s    T(S+vz) = t + s    T(S+vw+vz) = s
@@ -212,19 +212,18 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
     """
     if c.n < 3:
         raise OutOfRangeError(f"glue_identity_check needs n >= 3, got {c.n}")
-    full = c.realize()
     v, (w, z) = c.attachments[-1]
     req = list(dict.fromkeys(edge(*f) for f in required))  # a repeat is no cycle
+    present = set(c.edges())
     for a, b in req:
-        if not (0 <= a < c.n and b in full.adj[a]):
+        if (a, b) not in present:
             raise ForeignEdgeError(f"required edge ({a}, {b}) not in the graph")
         if v in (a, b):
             raise ForeignEdgeError(f"required edge ({a}, {b}) touches the split vertex")
     if spanning_forest_components(c.n, req) is None:
         raise CyclicRequirementError("required edge set contains a cycle")
 
-    minus_v, remap = _compact(c.base, c.attachments[:-1])
-    prime = minus_v.realize()
+    prime, remap = _compact(c.base, c.attachments[:-1])
     s_prime = [(remap[a], remap[b]) for a, b in req]
     t = count_containing_or_zero(prime, s_prime)
     if (w, z) in req:
@@ -235,10 +234,10 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
 
     vw, vz = edge(v, w), edge(v, z)
     got = (
-        count_containing_or_zero(full, req),
-        count_containing_or_zero(full, req + [vw]),
-        count_containing_or_zero(full, req + [vz]),
-        count_containing_or_zero(full, req + [vw, vz]),
+        count_containing_or_zero(c, req),
+        count_containing_or_zero(c, req + [vw]),
+        count_containing_or_zero(c, req + [vz]),
+        count_containing_or_zero(c, req + [vw, vz]),
     )
     return got == expected
 
@@ -271,7 +270,7 @@ def survey_extremal(n: int) -> ExtremalSurvey:
     if n > 8:
         raise TooLargeError(f"survey_extremal capped at n = 8, got {n}")
     for size, c in enumerate(all_labeled_two_trees(n), 1):  # n >= 4: never empty
-        t = kirchhoff_count(c.realize())
+        t = kirchhoff_count(c)
         simp = simplicial_vertices(c)
         book, two = _is_book_shape(n, simp), len(simp) == 2
         if size == 1 or t < lo:

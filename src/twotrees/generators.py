@@ -40,21 +40,15 @@ def fan(n: int) -> TwoTreeConstruction:
 
 
 def random_chain(n: int, seed: Seed) -> TwoTreeConstruction:
-    """Random 2-tree with exactly two degree-2 vertices (n >= 4).
+    """Random chain on n >= 3 vertices: two degree-2 vertices for n >= 4, and
+    the triangle, all three of degree 2, at n = 3.
 
-    Each vertex after the first glues onto an edge incident to its
-    predecessor, chosen by a fair coin between the predecessor's two
-    attach endpoints.
+    The chain of :func:`extend_with_chain` grown n - 2 steps out of one edge:
+    each vertex after the first glues onto an edge incident to its
+    predecessor, by a fair coin between the predecessor's two attach endpoints.
     """
     _require_n(n, 3)
-    rng = random.Random(seed)
-    attachments: list[tuple[int, Edge]] = [(2, (0, 1))]
-    prev_attach: Edge = (0, 1)
-    for k in range(3, n):
-        other = prev_attach[rng.randrange(2)]
-        prev_attach = edge(k - 1, other)
-        attachments.append((k, prev_attach))
-    return TwoTreeConstruction(n, (0, 1), tuple(attachments))
+    return extend_with_chain(TwoTreeConstruction(2, (0, 1), ()), (0, 1), n - 2, seed)
 
 
 def random_two_tree(n: int, seed: Seed) -> TwoTreeConstruction:

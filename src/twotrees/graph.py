@@ -1,4 +1,4 @@
-"""Core value types: simple graphs, 2-tree build recipes, spanning-tree checks.
+"""Core value types: checked edge lists and 2-tree build recipes.
 
 Vertices are dense 0-based indices.  An edge is a canonical ``(u, v)`` tuple
 with ``u < v``, so edge sets hash and compare independent of orientation.
@@ -9,7 +9,7 @@ canonical labelling (base ``{0, 1}``, vertex ``k`` added at step ``k - 2``),
 but the type accepts any introduction order so that recognised graphs round
 trip with their original labels.  The constructor checks the whole build rule
 (each attach edge present when its vertex arrives), so every construction
-realizes and counts without further checks.  Both types are immutable
+counts without further checks.  Both types are immutable
 ``__slots__`` classes that compare and hash by field, as frozen dataclasses
 would; the package does not import ``dataclasses``, which would add its
 ``inspect`` and ``ast`` imports to every CLI start.
@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .errors import (
-    ForeignEdgeError,
     InvalidConstructionError,
     LoopEdgeError,
     OutOfRangeError,
@@ -68,25 +67,37 @@ class _Frozen:
 
 
 class SimpleGraph(_Frozen):
-    """Undirected simple graph on vertices ``0 .. n-1``: the oracles' frozen adjacency."""
+    """Undirected simple graph on ``0 .. n-1`` as its sorted distinct edges, with
+    nothing per vertex: the oracles read ``n``, ``m`` and ``edges()``, as of a
+    :class:`TwoTreeConstruction`."""
 
-    __slots__ = __match_args__ = ("n", "adj")
+    __slots__ = __match_args__ = ("n", "sorted_edges")
 
-    def __init__(self, n: int, adj: tuple[frozenset[int], ...]):
+    def __init__(self, n: int, sorted_edges: tuple[Edge, ...]):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "sorted_edges", sorted_edges)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Edge]) -> SimpleGraph:
-        return SimpleGraph(n, tuple(map(frozenset, _neighbour_sets(n, edges))))
+        """Loops and ends outside 0..n-1 raise, repeats count once; O(m) in n."""
+        if n < 0:
+            raise OutOfRangeError(f"vertex count must be nonnegative, got {n}")
+        distinct: set[Edge] = set()
+        for u, v in edges:
+            if u == v:
+                raise LoopEdgeError(f"loop edge at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise OutOfRangeError(f"edge ({u}, {v}) outside vertex range [0, {n})")
+            distinct.add((u, v) if u < v else (v, u))
+        return SimpleGraph(n, tuple(sorted(distinct)))
 
     @property
     def m(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return len(self.sorted_edges)
 
     def edges(self) -> list[Edge]:
         """All edges as sorted canonical tuples."""
-        return sorted((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
+        return list(self.sorted_edges)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimpleGraph(n={self.n}, m={self.m})"
@@ -146,6 +157,10 @@ class TwoTreeConstruction(_Frozen):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "attachments", atts)
 
+    @property
+    def m(self) -> int:
+        return 2 * self.n - 3
+
     def edges(self) -> list[Edge]:
         """The 2n - 3 edges of the 2-tree, as sorted canonical tuples."""
         out = [self.base]
@@ -167,12 +182,13 @@ class TwoTreeConstruction(_Frozen):
         return adj
 
     def realize(self) -> SimpleGraph:
-        """The 2-tree as a graph, for the counting oracles."""
-        return SimpleGraph(self.n, tuple(map(frozenset, self.adjacency())))
+        """The 2-tree as a :class:`SimpleGraph`; the oracles take ``self`` as is."""
+        return SimpleGraph(self.n, tuple(self.edges()))
 
 
 def _neighbour_sets(n: int, edges: Iterable[Edge]) -> list[set[int]]:
-    """A neighbour set per vertex; loops and ends outside 0..n-1 raise, repeats count once."""
+    """A neighbour set per vertex, for recognition; edges are checked as by
+    :meth:`SimpleGraph.from_edges`."""
     if n < 0:
         raise OutOfRangeError(f"vertex count must be nonnegative, got {n}")
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -187,18 +203,6 @@ def _neighbour_sets(n: int, edges: Iterable[Edge]) -> list[set[int]]:
 
 
 SpanningTree = frozenset  # frozenset[Edge]; edge set of a spanning tree
-
-
-def is_spanning_tree(g: SimpleGraph, tree: Iterable[Edge]) -> bool:
-    """True iff ``tree`` has n-1 edges of ``g`` and is connected and acyclic.
-
-    Raises ForeignEdgeError when the set uses an edge not present in ``g``.
-    """
-    edges = list(tree)
-    for u, v in edges:
-        if not (0 <= u < g.n and v in g.adj[u]):
-            raise ForeignEdgeError(f"edge ({u}, {v}) is not an edge of the host graph")
-    return spanning_forest_components(g.n, edges) == 1
 
 
 def spanning_forest_components(n: int, edges: Iterable[Edge]) -> int | None:

@@ -3,11 +3,13 @@
 Spanning trees are counted here by filtering edge subsets with a BFS
 connectivity check (the package's own brute force backtracks with a
 union-find, and the production path is the series-parallel engine);
-the same BFS tree test and a BFS component count are the references for the
-package's union-find (``is_spanning_tree``, ``spanning_forest_components``);
-determinants come from cofactor expansion; Fibonacci numbers from the plain
-recurrence.  The package's former brute force, a fresh union-find per
-(n-1)-subset, is kept as the reference for its backtracking walk.  The
+a BFS component count is the reference for the package's union-find
+(``spanning_forest_components``); determinants come from cofactor
+expansion; Fibonacci numbers from the plain recurrence.  The package's
+former brute force, a fresh union-find per (n-1)-subset, is kept as the
+reference for its backtracking walk, and its former per-vertex
+``random_chain`` loop as the reference for the chain that function now
+grows with ``extend_with_chain``.  The
 list-growing enumeration materialises every level of the build order, as a
 reference for the package's depth-first walk and its choice order.  The
 rescanning degree-2 eliminations are the package's former quadratic loops
@@ -18,11 +20,12 @@ from the package is moved in to keep it alive.
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import deque
 from itertools import combinations
 
-from twotrees.graph import edge
+from twotrees.graph import TwoTreeConstruction, edge
 
 
 def is_tree_edge_set(n: int, edges) -> bool:
@@ -221,6 +224,19 @@ def recognize_by_rescan(n: int, edges):
         raise AssertionError(f"elimination left {base}, not a single edge")
     removed.reverse()
     return (base[0], base[1]), tuple(removed)
+
+
+def random_chain_by_steps(n: int, seed: int):
+    """The package's former ``random_chain`` loop: vertex k >= 3 glues onto
+    k - 1 and a coin's pick of k - 1's attach endpoints."""
+    rng = random.Random(seed)
+    attachments = [(2, (0, 1))]
+    prev_attach = (0, 1)
+    for k in range(3, n):
+        other = prev_attach[rng.randrange(2)]
+        prev_attach = edge(k - 1, other)
+        attachments.append((k, prev_attach))
+    return TwoTreeConstruction(n, (0, 1), tuple(attachments))
 
 
 def path_ordering_by_walk(n: int, edges):

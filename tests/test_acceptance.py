@@ -33,7 +33,6 @@ from twotrees import (
     improve_max,
     improve_min,
     is_book,
-    is_spanning_tree,
     kirchhoff_count,
     path_square,
     random_chain,
@@ -59,12 +58,12 @@ def test_criterion_1_enumeration_completeness(corpus):
     ok = True
     for n in range(3, 9):
         for c in corpus[n]:
-            g = c.realize()
+            edges = set(c.edges())
             emitted = list(enumerate_spanning_trees(c))
             distinct = len(set(emitted)) == len(emitted)
-            valid = all(is_spanning_tree(g, t) for t in emitted)
-            k = kirchhoff_count(g)
-            b = brute_force_count(g)
+            valid = all(t <= edges and spanning_forest_components(n, t) == 1 for t in emitted)
+            k = kirchhoff_count(c)
+            b = brute_force_count(c)
             e = count_via_construction(c)
             ok = ok and distinct and valid and len(emitted) == k == b == e
             checked += 1
@@ -86,7 +85,7 @@ def test_criterion_2_book_counts():
     for n in range(3, 21):
         closed = count_book(n)
         c = book(n)
-        ok = ok and closed == kirchhoff_count(c.realize()) == count_via_construction(c)
+        ok = ok and closed == kirchhoff_count(c) == count_via_construction(c)
     ok = ok and count_book(20) == 2_621_440
     assert report(
         "criterion 2: book closed form n*2^(n-3) matches determinant and "
@@ -99,11 +98,11 @@ def test_criterion_3_two_simplicial_counts():
     ok = True
     for n in range(4, 17):
         want = count_two_simplicial(n)
-        ok = ok and kirchhoff_count(path_square(n).realize()) == want
-        ok = ok and kirchhoff_count(fan(n).realize()) == want
+        ok = ok and kirchhoff_count(path_square(n)) == want
+        ok = ok and kirchhoff_count(fan(n)) == want
     for seed in range(100):
         n = 4 + seed % 13
-        got = kirchhoff_count(random_chain(n, seed).realize())
+        got = kirchhoff_count(random_chain(n, seed))
         ok = ok and got == count_two_simplicial(n)
     ok = ok and count_two_simplicial(16) == 832_040 == fibonacci(30)
     assert report(
@@ -118,10 +117,9 @@ def test_criterion_4_bounds():
     for seed in range(1000):
         n = 3 + seed % 14  # n = 3..16
         c = random_two_tree(n, seed)
-        g = c.realize()
         lower_ok, upper_ok = verify_bounds(c)
         ok = ok and lower_ok and upper_ok
-        ok = ok and count_via_construction(recognize(n, c.edges())) == kirchhoff_count(g)
+        ok = ok and count_via_construction(recognize(n, c.edges())) == kirchhoff_count(c)
     assert report(
         "criterion 4: 2^(n-2) <= T <= 3^(n-2) over 1000 seeded random "
         "2-trees with n <= 16, the engine's count equal to the determinant",
@@ -150,15 +148,14 @@ def test_criterion_6_chain_formulas():
     for seed in range(50):
         rng = random.Random(seed)
         host_n = 3 + seed % 5
-        host_c = random_two_tree(host_n, seed)
-        host = host_c.realize()
+        host = random_two_tree(host_n, seed)
         start = host.edges()[rng.randrange(host.m)]
         alpha = kirchhoff_count(host)
         beta = count_containing(host, [start])
         ok = ok and beta < alpha  # any host with >= 3 vertices
         for p in range(1, 6):
-            grown_c = extend_with_chain(host_c, start, p, seed=seed * 100 + p)
-            grown, records = grown_c.realize(), grown_c.attachments[host_n - 2 :]
+            grown = extend_with_chain(host, start, p, seed=seed * 100 + p)
+            records = grown.attachments[host_n - 2 :]
             through_start, through_side, through_tip = chain_edge_counts(alpha, beta, p)
             total = fibonacci(2 * p + 1) * alpha + fibonacci(2 * p) * beta
             ok = ok and kirchhoff_count(grown) == total
@@ -230,7 +227,7 @@ def test_criterion_8_glue_identities():
         rng = random.Random(10_000 + seed)
         c = random_two_tree(4 + rng.randrange(5) + rng.randrange(5), rng.randrange(2**30))
         v = c.attachments[-1][0]
-        pool = [e for e in c.realize().edges() if v not in e]
+        pool = [e for e in c.edges() if v not in e]
         rng.shuffle(pool)
         required: list = []
         for e in pool:

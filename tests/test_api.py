@@ -21,7 +21,7 @@ PUBLIC = [
     "counting", "edge", "enumerate_spanning_trees", "enumeration", "errors",
     "extend_with_chain", "extremal", "fan", "fibonacci", "formats", "generators",
     "glue_identity_check", "graph", "improve_max", "improve_min", "is_book",
-    "is_spanning_tree", "kirchhoff_count", "path_ordering_if_two_simplicial", "path_square",
+    "kirchhoff_count", "path_ordering_if_two_simplicial", "path_square",
     "random_chain", "random_two_tree", "recognition", "recognize",
     "simplicial_vertices", "survey_extremal", "verify_bounds",
 ]
@@ -29,7 +29,7 @@ PUBLIC = [
 REMOVED = {
     "counting": ["ChainState", "chain_step", "EdgeCountQuery"],
     "enumeration": ["extend_tree", "choice_vector_decode", "ExtensionChoice"],
-    "graph": ["tree_vertex_span"],
+    "graph": ["tree_vertex_span", "is_spanning_tree"],
     "extremal": [
         "align_for_glue", "_peel_to_core", "_core_path_order", "_rehome_pair", "_reattach",
         "_attach_edge_positions", "_degree_two_count", "glue", "relabel_edge_to_base",
@@ -49,8 +49,9 @@ def test_removed_names_stay_removed():
     assert not hasattr(twotrees.TwoTreeConstruction, "prefix_graph")
     assert not hasattr(twotrees.TwoTreeConstruction, "vertices_in_build_order")
     assert not hasattr(twotrees.SimpleGraph, "induced_compact")
-    # read g.adj and g.edges(); recognize checks connectivity on its own sets
-    for name in ("neighbors", "degree", "has_edge", "edge_set", "is_connected"):
+    # a checked edge list: the oracles read n, m and edges(), and recognize
+    # checks connectivity on its own sets
+    for name in ("adj", "neighbors", "degree", "has_edge", "edge_set", "is_connected"):
         assert not hasattr(twotrees.SimpleGraph, name), f"SimpleGraph.{name}"
     for module, names in REMOVED.items():
         mod = importlib.import_module(f"twotrees.{module}")

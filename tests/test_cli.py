@@ -29,6 +29,7 @@ from twotrees import (
     extremal,
     path_square,
     random_two_tree,
+    recognition,
     recognize,
 )
 from twotrees.formats import (
@@ -195,8 +196,14 @@ def test_huge_header_without_edges_exits_3_quickly(capsys, tmp_path, argv):
     assert elapsed < 0.5
 
 
-def _refuse_from_edges(n, edges):
-    raise AssertionError(f"from_edges called with n={n}")
+def _tripwire(monkeypatch, owner, name):
+    """Make ``owner.name`` fail the test if called: a step that sizes work by n,
+    or reads every edge, which the check under test must come before."""
+
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+
+    monkeypatch.setattr(owner, name, refuse)
 
 
 @pytest.mark.parametrize(
@@ -204,7 +211,7 @@ def _refuse_from_edges(n, edges):
 )
 def test_two_tree_edge_list_checks_the_header_before_building(capsys, tmp_path, monkeypatch, argv):
     target = tmp_path / "g.edges"
-    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(_refuse_from_edges))
+    _tripwire(monkeypatch, recognition, "_neighbour_sets")  # a set per vertex
     target.write_text("300000 0\n")
     run(capsys, *argv, "--in", str(target))  # warm: the handler's lazy imports
     tracemalloc.start()
@@ -226,10 +233,22 @@ def test_two_tree_edge_list_checks_the_header_before_building(capsys, tmp_path, 
 
 def test_brute_force_cap_is_checked_before_building_a_graph(capsys, tmp_path, monkeypatch):
     target = tmp_path / "huge.edges"
-    target.write_text("1000000000 26\n" + "".join(f"0 {v}\n" for v in range(1, 27)))
-    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(_refuse_from_edges))
-    code, out, err = run(capsys, "count", "--method", "brute", "--in", str(target))
-    assert (code, out, err) == (2, "", "error: brute force capped at 25 edges, graph has 26\n")
+    body = "".join(f"0 {v}\n" for v in range(1, 27))
+    # the graph is its 26 edges; the cap is read off m before they are listed
+    # for the walk, let alone before a union-find slot per vertex
+    _tripwire(monkeypatch, SimpleGraph, "edges")
+    # n = 10^5 goes first, so a build per vertex fails there at megabytes,
+    # before 10^9 could exhaust memory
+    for n in (10**5, 10**9):
+        target.write_text(f"{n} 26\n" + body)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "count", "--method", "brute", "--in", str(target))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", "error: brute force capped at 25 edges, graph has 26\n")
+        assert peak < 1_000_000, f"n={n}: peak {peak} bytes"
 
 
 @pytest.mark.parametrize("method", ["kirchhoff", "brute"])
@@ -237,7 +256,9 @@ def test_sparse_header_counts_zero_without_building_a_graph(capsys, tmp_path, mo
     target = tmp_path / "sparse.edges"
     target.write_text("100000 0\n")
 
-    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(_refuse_from_edges))
+    # both oracles answer 0 off n and m, before any matrix or union-find
+    _tripwire(monkeypatch, SimpleGraph, "edges")
+    _tripwire(monkeypatch, counting, "_laplacian_cofactor")
     code, out, err = run(capsys, "count", "--method", method, "--in", str(target), "--json")
     assert code == 0 and err == ""
     assert json.loads(out)["outputs"] == {"count": "0", "method": method, "n": 100000}
@@ -287,7 +308,7 @@ def test_kirchhoff_cap_is_checked_before_building_a_graph(capsys, tmp_path, monk
     target = tmp_path / "g.edges"
     target.write_text(serialize_edge_list(path_square(6)))
     assert run(capsys, "count", "--method", "kirchhoff", "--in", str(target)) == (0, "55\n", "")
-    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(_refuse_from_edges))
+    _tripwire(monkeypatch, counting, "_laplacian_cofactor")
     want = (2, "", "error: kirchhoff capped at 6 vertices, graph has 7\n")
     target.write_text(serialize_edge_list(path_square(7)))
     assert run(capsys, "count", "--method", "kirchhoff", "--in", str(target)) == want
@@ -339,7 +360,7 @@ def test_count_auto_cross_checks_up_to_n_100(capsys, tmp_path, n, cross_check):
 def test_count_at_n_10_000_prints_the_engine_count(capsys, tmp_path, monkeypatch):
     c = random_two_tree(10**4, 3)
     target = tmp_path / "big.edges"
-    target.write_text(serialize_edge_list(c.realize()))
+    target.write_text(serialize_edge_list(c))
     want = str(count_via_construction(c))
 
     def refuse(g):
@@ -496,7 +517,7 @@ def test_enumerate_stream_is_the_library_view_on_the_corpus(corpus, tmp_path):
     # every labelled 2-tree with n <= 7 through --in, then books and path
     # squares through --family: a block of up to 3^K lines per head tree
     target = tmp_path / "g.edges"
-    for g in [SimpleGraph.from_edges(2, [(0, 1)])] + [c.realize() for n in range(3, 8) for c in corpus[n]]:
+    for g in [book(2)] + [c for n in range(3, 8) for c in corpus[n]]:
         target.write_text(serialize_edge_list(g))
         code, lines = _enumerate_stdout("--in", str(target))
         assert (code, lines) == (0, _library_stream(recognize(g.n, g.edges())))
@@ -585,7 +606,7 @@ def test_edge_list_and_construction_inputs_give_identical_results(capsys, tmp_pa
         tuple((label[v], (label[x], label[y])) for v, (x, y) in c.attachments),
     )
     edges, construction = tmp_path / "g.edges", tmp_path / "g.txt"
-    edges.write_text(serialize_edge_list(relabelled.realize()))
+    edges.write_text(serialize_edge_list(relabelled))
     construction.write_text(serialize_construction(relabelled))
     commands = [["improve", "min"], ["improve", "max"]]
     commands += [["count", "--method", m] for m in ("auto", "recurrence", "kirchhoff")]

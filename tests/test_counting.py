@@ -117,8 +117,8 @@ def test_kirchhoff_small():
     assert kirchhoff_count(k3) == 3
     assert kirchhoff_count(SimpleGraph.from_edges(1, [])) == 1
     assert kirchhoff_count(SimpleGraph.from_edges(2, [(0, 1)])) == 1
-    assert kirchhoff_count(book(8).realize()) == 256
-    assert kirchhoff_count(path_square(7).realize()) == 144  # F(12)
+    assert kirchhoff_count(book(8)) == 256
+    assert kirchhoff_count(path_square(7)) == 144  # F(12)
     # disconnected input counts zero rather than erroring
     assert kirchhoff_count(SimpleGraph.from_edges(4, [(0, 1), (2, 3)])) == 0
 
@@ -126,7 +126,7 @@ def test_kirchhoff_small():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 9), seeds)
 def test_kirchhoff_matches_enumeration_oracle(n, seed):
-    g = random_two_tree(n, seed).realize()
+    g = random_two_tree(n, seed)
     assert kirchhoff_count(g) == tree_count_by_enumeration(g.n, g.edges())
 
 
@@ -149,7 +149,7 @@ def test_count_containing_examples():
     assert count_containing(k3, [(0, 1)]) == 2
     assert count_containing(k3, [(1, 0)]) == 2  # either orientation
     assert count_containing(k3, []) == kirchhoff_count(k3)
-    b4 = book(4).realize()
+    b4 = book(4)
     assert count_containing(b4, [(0, 1)]) == 4  # 2^(4-2) through the spine
     with pytest.raises(CyclicRequirementError):
         count_containing(k3, [(0, 1), (0, 2), (1, 2)])
@@ -159,7 +159,7 @@ def test_count_containing_examples():
 
 def test_brute_matches_kirchhoff_n10():
     for seed in (0, 1, 2):
-        g = random_two_tree(10, seed).realize()
+        g = random_two_tree(10, seed)
         assert brute_force_count(g) == kirchhoff_count(g)
 
 
@@ -169,7 +169,7 @@ def test_count_containing_matches_enumeration(n, seed):
     from oracle import spanning_trees_by_enumeration
 
     rng = random.Random(seed)
-    g = random_two_tree(n, seed).realize()
+    g = random_two_tree(n, seed)
     all_trees = spanning_trees_by_enumeration(g.n, g.edges())
     e = g.edges()[rng.randrange(g.m)]
     f = g.edges()[rng.randrange(g.m)]
@@ -190,7 +190,7 @@ def _is_cyclic_pair(g, required):
 @given(st.integers(3, 12), seeds)
 def test_deletion_contraction(n, seed):
     rng = random.Random(seed)
-    g = random_two_tree(n, seed).realize()
+    g = random_two_tree(n, seed)
     e = g.edges()[rng.randrange(g.m)]
     without = SimpleGraph.from_edges(g.n, [f for f in g.edges() if f != e])
     assert kirchhoff_count(g) == count_containing(g, [e]) + kirchhoff_count(without)
@@ -200,9 +200,9 @@ def test_brute_force_values_and_guard():
     assert brute_force_count(SimpleGraph.from_edges(2, [(0, 1)])) == 1
     k3 = SimpleGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     assert brute_force_count(k3) == 3
-    assert brute_force_count(book(6).realize()) == 48 == count_book(6)
+    assert brute_force_count(book(6)) == 48 == count_book(6)
     with pytest.raises(TooLargeError):
-        brute_force_count(book(15).realize())  # 27 edges
+        brute_force_count(book(15))  # 27 edges
 
 
 @st.composite
@@ -240,7 +240,7 @@ def test_count_via_construction_families():
 @given(st.integers(2, 12), seeds)
 def test_count_via_construction_matches_kirchhoff(n, seed):
     c = random_two_tree(n, seed)
-    assert count_via_construction(c) == kirchhoff_count(c.realize())
+    assert count_via_construction(c) == kirchhoff_count(c)
 
 
 @settings(max_examples=30, deadline=None)
@@ -248,7 +248,7 @@ def test_count_via_construction_matches_kirchhoff(n, seed):
 def test_count_via_construction_on_recognized_labels(n, seed):
     from twotrees import recognize
 
-    g = random_two_tree(n, seed).realize()
+    g = random_two_tree(n, seed)
     relabeled = SimpleGraph.from_edges(
         g.n, [edge(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()]
     )
@@ -261,28 +261,27 @@ def test_count_via_construction_on_recognized_labels(n, seed):
 def test_engine_matches_count_containing_with_requirements(n, seed, k):
     rng = random.Random(seed)
     c = random_two_tree(n, seed)
-    g = c.realize()
     required: list = []
-    for e in rng.sample(g.edges(), min(k, g.m)):
-        if spanning_forest_components(g.n, required + [e]) is not None:
+    for e in rng.sample(c.edges(), min(k, c.m)):
+        if spanning_forest_components(c.n, required + [e]) is not None:
             required.append(e)
-    assert count_via_construction(c, required) == count_containing(g, required)
+    assert count_via_construction(c, required) == count_containing(c, required)
 
 
 def test_engine_rejects_requirements_like_count_containing():
     c = random_two_tree(9, 4)
-    g = c.realize()
     v, (x, y) = c.attachments[-1]
     triangle = [edge(v, x), edge(v, y), (x, y)]
-    missing = next((u, w) for u in range(g.n) for w in range(u + 1, g.n) if w not in g.adj[u])
+    adj = c.adjacency()
+    missing = next((u, w) for u in range(c.n) for w in range(u + 1, c.n) if w not in adj[u])
     for required, error in ((triangle, CyclicRequirementError), ([missing], ForeignEdgeError)):
         with pytest.raises(error):
-            count_containing(g, required)
+            count_containing(c, required)
         with pytest.raises(error):
             count_via_construction(c, required)
     # the required edges may come in either orientation and repeat
     e = (x, y)
-    assert count_via_construction(c, [e[::-1], e]) == count_containing(g, [e])
+    assert count_via_construction(c, [e[::-1], e]) == count_containing(c, [e])
 
 
 def test_engine_rejects_a_missing_attach_edge():
@@ -298,7 +297,7 @@ def test_engine_at_ten_thousand_vertices():
 
 
 def test_kirchhoff_skips_the_matrix_without_enough_edges(monkeypatch):
-    def boom(g, cls, k):
+    def boom(edges, cls, k):
         pytest.fail("Laplacian built for a graph that cannot be connected")
 
     monkeypatch.setattr(counting, "_laplacian_cofactor", boom)
@@ -307,16 +306,50 @@ def test_kirchhoff_skips_the_matrix_without_enough_edges(monkeypatch):
 
 
 def test_kirchhoff_caps_n_after_its_early_returns(monkeypatch):
-    def boom(g, cls, k):
-        pytest.fail(f"Laplacian built at n={g.n}, over the cap")
+    def boom(edges, cls, k):
+        pytest.fail(f"Laplacian built on {k} classes, over the cap")
 
     monkeypatch.setattr(counting, "KIRCHHOFF_MAX_N", 6)
-    assert kirchhoff_count(path_square(6).realize()) == fibonacci(10)  # at the cap
+    assert kirchhoff_count(path_square(6)) == fibonacci(10)  # at the cap
     monkeypatch.setattr(counting, "_laplacian_cofactor", boom)
     with pytest.raises(TooLargeError, match="kirchhoff capped at 6 vertices, graph has 7"):
-        kirchhoff_count(path_square(7).realize())
+        kirchhoff_count(path_square(7))
     assert kirchhoff_count(SimpleGraph.from_edges(10_000, [])) == 0
     assert kirchhoff_count(SimpleGraph.from_edges(1, [])) == 1
+
+
+def test_count_containing_caps_n_before_it_builds(monkeypatch):
+    def boom(*args):
+        pytest.fail("count_containing built a union-find or a matrix past the cap")
+
+    monkeypatch.setattr(counting, "_union_find", boom)
+    monkeypatch.setattr(counting, "_laplacian_cofactor", boom)
+    big = random_two_tree(3000, 1)  # an (n - 1)^2 matrix would be 9 * 10^6 entries
+    for count in (count_containing, counting.count_containing_or_zero):
+        with pytest.raises(TooLargeError, match="count_containing capped at 400 vertices, graph has 3000"):
+            count(big, [])
+    monkeypatch.undo()  # the real helpers again, under a cap of 6
+    monkeypatch.setattr(counting, "KIRCHHOFF_MAX_N", 6)
+    assert count_containing(path_square(6), [(0, 1)]) == count_via_construction(path_square(6), [(0, 1)])
+    with pytest.raises(TooLargeError, match="capped at 6 vertices, graph has 7"):
+        count_containing(path_square(7), [(0, 1)])
+
+
+def test_oracles_read_a_construction_as_its_edge_list(corpus):
+    # each oracle reads n, m and edges(), so a 2-tree and its checked edge
+    # list give the same answer
+    rng = random.Random(16)
+    for n in range(3, 8):
+        for c in corpus[n]:
+            g = SimpleGraph.from_edges(c.n, c.edges())
+            assert (g.n, g.m, g.edges()) == (c.n, c.m, c.edges())
+            assert kirchhoff_count(c) == kirchhoff_count(g)
+            assert brute_force_count(c) == brute_force_count(g)
+            required: list = []
+            for e in rng.sample(c.edges(), rng.randrange(n)):
+                if spanning_forest_components(n, required + [e]) is not None:
+                    required.append(e)
+            assert count_containing(c, required) == count_containing(g, required)
 
 
 def test_verify_bounds_examples():

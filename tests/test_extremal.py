@@ -57,7 +57,7 @@ seeds = st.integers(0, 2**32 - 1)
 
 def test_improve_min_worked_example():
     rep = improve_min(path_square(5))
-    assert set(rep.graph_h.realize().edges()) == {(0, 1), (0, 2), (1, 2)}  # K3
+    assert set(rep.graph_h.edges()) == {(0, 1), (0, 2), (1, 2)}  # K3
     assert (rep.beta1, rep.beta2, rep.gamma) == (2, 2, 1)
     assert (rep.t_g, rep.t_g1, rep.t_g2) == (21, 20, 20)
     assert rep.winner == 1  # tie goes to the first re-homing
@@ -68,7 +68,7 @@ def test_improve_min_fan():
     rep = improve_min(fan(6))
     assert rep.t_g == 55
     assert rep.winner_count < 55
-    assert kirchhoff_count(rep.winner_graph.realize()) == rep.winner_count
+    assert kirchhoff_count(rep.winner_graph) == rep.winner_count
 
 
 def test_improve_min_rejects_books():
@@ -93,10 +93,10 @@ def test_improve_min_split_identity():
 
 def test_improve_min_iterates_to_book():
     c = path_square(7)
-    counts = [kirchhoff_count(c.realize())]
+    counts = [kirchhoff_count(c)]
     while not is_book(c):
         c = improve_min(c).winner_graph
-        counts.append(kirchhoff_count(c.realize()))
+        counts.append(kirchhoff_count(c))
     assert counts[-1] == count_book(7) == 112
     assert all(a > b for a, b in zip(counts, counts[1:]))
 
@@ -105,15 +105,15 @@ def test_improve_min_iterates_to_book():
 @given(st.integers(5, 40), seeds)
 def test_surgery_counts_match_the_determinant(n, seed):
     c = random_two_tree(n, seed)
-    t_g = kirchhoff_count(c.realize())
+    t_g = kirchhoff_count(c)
     if not is_book(c):
         rep = improve_min(c)
         assert rep.t_g == t_g
-        assert rep.t_g1 == kirchhoff_count(rep.graph_g1.realize())
-        assert rep.t_g2 == kirchhoff_count(rep.graph_g2.realize())
+        assert rep.t_g1 == kirchhoff_count(rep.graph_g1)
+        assert rep.t_g2 == kirchhoff_count(rep.graph_g2)
     if len(simplicial_vertices(c)) > 2:
         rep = improve_max(c)
-        assert (rep.t_g, rep.t_gprime) == (t_g, kirchhoff_count(rep.g_prime.realize()))
+        assert (rep.t_g, rep.t_gprime) == (t_g, kirchhoff_count(rep.g_prime))
 
 
 def test_wrong_counts_raise_invariant_error(monkeypatch):
@@ -163,16 +163,16 @@ def test_improve_max_book5():
     assert rep.t_gprime == 21  # the only larger count at n=5 is F(8)
     assert isinstance(rep.g_prime, TwoTreeConstruction)
     assert rep.g_prime.n == 5
-    assert kirchhoff_count(rep.g_prime.realize()) == 21
+    assert kirchhoff_count(rep.g_prime) == 21
 
 
 def test_core_peel_matches_rescan_on_corpus(corpus):
     for n in range(3, 8):
-        for g in map(TwoTreeConstruction.realize, corpus[n]):
-            edges = g.edges()
+        for c in corpus[n]:
+            edges = c.edges()
             for v in range(n):
                 for w in range(v + 1, n):
-                    deletions = _peel([set(s) for s in g.adj], keep={v, w})
+                    deletions = _peel(c.adjacency(), keep={v, w})
                     alive = set(range(n)).difference(u for u, _ in deletions)
                     assert (alive, deletions) == peel_to_core_by_rescan(n, edges, v, w)
 
@@ -191,7 +191,7 @@ def _surgery_digest(graphs) -> str:
                 line = f"{type(exc).__name__}: {exc}"
             else:
                 line = repr([
-                    (name, (val.n, val.realize().edges()) if isinstance(val, TwoTreeConstruction) else val)
+                    (name, (val.n, val.edges()) if isinstance(val, TwoTreeConstruction) else val)
                     for name, val in rep._asdict().items()
                 ])
             digest.update(line.encode() + b"\n")
@@ -204,14 +204,14 @@ def _relabelled_random(count: int, n_max: int):
         n = rng.randrange(5, n_max + 1)
         label = list(range(n))
         rng.shuffle(label)
-        edges = random_two_tree(n, seed).realize().edges()
+        edges = random_two_tree(n, seed).edges()
         yield SimpleGraph.from_edges(n, [(label[u], label[v]) for u, v in edges])
 
 
 def test_surgery_reports_match_golden(corpus):
     graphs = []
     for n in (5, 6, 7):  # pinned on each n's graphs in edge-tuple order, through recognize
-        graphs.extend(sorted(map(TwoTreeConstruction.realize, corpus[n]), key=SimpleGraph.edges))
+        graphs.extend(sorted(corpus[n], key=TwoTreeConstruction.edges))
     graphs.extend(_relabelled_random(200, 200))
     assert _surgery_digest(graphs) == SURGERY_REPORTS_SHA256
 
@@ -246,6 +246,28 @@ def test_neither_surgery_calls_recognize(monkeypatch, tmp_path):
         assert cli.main(argv) == 0, argv
 
 
+def test_oracle_callers_pass_the_construction_as_is(monkeypatch, capsys):
+    # Kirchhoff, brute force and count_containing read n, m and edges(), so
+    # no library or CLI caller turns a 2-tree into a graph first
+    def refuse_realize(c):
+        pytest.fail("an oracle caller ran TwoTreeConstruction.realize")
+
+    monkeypatch.setattr(TwoTreeConstruction, "realize", refuse_realize)
+    c = random_two_tree(9, 4)
+    assert glue_identity_check(c, [c.base])
+    assert survey_extremal(5).max_count == 21
+    for argv in (
+        ["count", "--family", "random", "--n", "30"],
+        ["count", "--method", "kirchhoff", "--family", "book", "--n", "9"],
+        ["count", "--method", "brute", "--family", "fan", "--n", "9"],
+        ["verify", "oracle", "--n-max", "5"],
+        ["verify", "extremal", "--n-max", "5"],
+        ["verify", "identities", "--trials", "5"],
+    ):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+
+
 def test_improve_max_rejects_two_simplicial():
     with pytest.raises(AlreadyTwoSimplicialError):
         improve_max(path_square(7))
@@ -266,7 +288,7 @@ def test_improve_max_strict_on_corpus_subset(corpus):
 
 def test_improve_max_iterates_to_two_simplicial():
     c = book(7)
-    count = kirchhoff_count(c.realize())
+    count = kirchhoff_count(c)
     while len(simplicial_vertices(c)) > 2:
         rep = improve_max(c)
         assert rep.t_gprime > count
@@ -276,7 +298,7 @@ def test_improve_max_iterates_to_two_simplicial():
 
 def test_improve_max_multiple_hanging_pieces():
     # a path-square core with three extra leaves hung on interior edges
-    base = path_square(5).realize()
+    base = path_square(5)
     edges = base.edges() + [
         (1, 5), (2, 5),   # piece at (1, 2)
         (2, 6), (3, 6),   # piece at (2, 3)
@@ -298,7 +320,7 @@ def test_improve_max_strict_beyond_corpus(n, seed):
         return
     rep = improve_max(c)
     assert rep.t_gprime > rep.t_g
-    assert kirchhoff_count(rep.g_prime.realize()) == rep.t_gprime
+    assert kirchhoff_count(rep.g_prime) == rep.t_gprime
 
 
 def test_surgeries_climb_and_descend_to_extremes(monkeypatch):
@@ -309,28 +331,28 @@ def test_surgeries_climb_and_descend_to_extremes(monkeypatch):
     monkeypatch.setattr(recognition, "recognize", refuse)
     for seed in (3, 11):
         c = random_two_tree(10, seed * 37 + 10)
-        count = kirchhoff_count(c.realize())
+        count = kirchhoff_count(c)
         while len(simplicial_vertices(c)) > 2:
             rep = improve_max(c)
             assert rep.t_gprime > count
             c, count = rep.g_prime, rep.t_gprime
-            assert count == kirchhoff_count(c.realize())
+            assert count == kirchhoff_count(c)
         assert count == count_two_simplicial(10)
 
         c = random_two_tree(10, seed)
-        count = kirchhoff_count(c.realize())
+        count = kirchhoff_count(c)
         while not is_book(c):
             rep = improve_min(c)
             assert rep.winner_count < count
             c, count = rep.winner_graph, rep.winner_count
-            assert count == kirchhoff_count(c.realize())
+            assert count == kirchhoff_count(c)
         assert count == count_book(10) == 1280
 
 
 def _random_acyclic_subset(c, rng, p):
     """Each edge of G - v, in shuffled order, kept with probability p if S stays acyclic."""
     v = c.attachments[-1][0]
-    pool = [e for e in c.realize().edges() if v not in e]
+    pool = [e for e in c.edges() if v not in e]
     rng.shuffle(pool)
     required = []
     for e in pool:
@@ -393,7 +415,7 @@ def test_glue_identity_check_rejects_bad_input():
 def test_glue_identity_check_randomized(n, seed):
     # relabel a random 2-tree so that the split vertex carries any label
     rng = random.Random(seed)
-    g = random_two_tree(n, rng.randrange(2**30)).realize()
+    g = random_two_tree(n, rng.randrange(2**30))
     perm = list(range(n))
     rng.shuffle(perm)
     c = recognize(n, [(perm[a], perm[b]) for a, b in g.edges()])
@@ -440,7 +462,7 @@ def test_survey_tracks_the_attainers_of_any_count(monkeypatch, scramble):
         return scramble(kirchhoff_count(g))
 
     corpus = list(all_labeled_two_trees(6))
-    counts = [scrambled(c.realize()) for c in corpus]
+    counts = [scrambled(c) for c in corpus]
     lo, hi = min(counts), max(counts)
     expected = (
         6, len(corpus), lo, hi,
@@ -486,5 +508,5 @@ def test_monotone_bound_over_corpus(corpus):
     for n in (5, 6, 7):
         lo, hi = count_book(n), count_two_simplicial(n)
         for c in corpus[n]:
-            t = kirchhoff_count(c.realize())
+            t = kirchhoff_count(c)
             assert lo <= t <= hi

@@ -21,43 +21,55 @@ from twotrees import (
     random_chain,
     random_two_tree,
     recognize,
+    simplicial_vertices,
 )
+
+from oracle import adjacency, random_chain_by_steps
 
 seeds = st.integers(0, 2**32 - 1)
 
 
 def test_book_shapes():
-    assert set(book(3).realize().edges()) == {(0, 1), (0, 2), (1, 2)}
-    b6 = book(6).realize()
-    assert all(k in b6.adj[0] and k in b6.adj[1] for k in range(2, 6))
+    assert set(book(3).edges()) == {(0, 1), (0, 2), (1, 2)}
+    b6 = adjacency(6, book(6).edges())
+    assert all(k in b6[0] and k in b6[1] for k in range(2, 6))
     with pytest.raises(OutOfRangeError):
         book(1)
 
 
 def test_path_square_shape():
-    g = path_square(6).realize()
+    g = path_square(6)
     expected = {(i, j) for i in range(6) for j in range(i + 1, 6) if j - i <= 2}
     assert set(g.edges()) == expected
 
 
 def test_fan_shape():
-    g = fan(6).realize()
-    assert all(k in g.adj[0] for k in range(1, 6))
-    assert all(k + 1 in g.adj[k] for k in range(1, 5))
-    assert g.m == 9
+    g = fan(6)
+    adj = adjacency(6, g.edges())
+    assert all(k in adj[0] for k in range(1, 6))
+    assert all(k + 1 in adj[k] for k in range(1, 5))
+    assert g.m == len(g.edges()) == 9
 
 
 def test_four_vertex_families_coincide():
-    assert book(4).realize().m == path_square(4).realize().m == fan(4).realize().m == 5
+    assert book(4).m == path_square(4).m == fan(4).m == 5
 
 
 def test_random_chain_properties():
-    assert set(random_chain(3, 99).realize().edges()) == set(book(3).realize().edges())
+    assert set(random_chain(3, 99).edges()) == set(book(3).edges())
     for seed in range(20):
-        g = random_chain(10, seed).realize()
-        assert kirchhoff_count(g) == 2584  # F(18)
+        assert kirchhoff_count(random_chain(10, seed)) == 2584  # F(18)
     with pytest.raises(OutOfRangeError):
         random_chain(2, 0)
+
+
+def test_random_chain_is_a_chain_grown_from_one_edge():
+    # the former per-vertex loop gives the same construction, coin for coin
+    for n in range(3, 40):
+        for seed in range(30):
+            c = random_chain(n, seed)
+            assert c == random_chain_by_steps(n, seed)
+            assert len(simplicial_vertices(c)) == (3 if n == 3 else 2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -91,7 +103,7 @@ def test_all_labeled_counts(corpus):
 def test_all_labeled_distinct_and_valid(corpus):
     for n in range(3, 9):
         assert all(c.base == (0, 1) for c in corpus[n])
-        assert len({frozenset(c.realize().edges()) for c in corpus[n]}) == len(corpus[n])
+        assert len({frozenset(c.edges()) for c in corpus[n]}) == len(corpus[n])
 
 
 def test_all_labeled_is_the_choice_product_in_order():

@@ -3,13 +3,13 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twotrees import (
-    ForeignEdgeError,
     InvalidConstructionError,
     LoopEdgeError,
     OutOfRangeError,
@@ -17,14 +17,13 @@ from twotrees import (
     TwoTreeConstruction,
     book,
     edge,
-    is_spanning_tree,
     random_two_tree,
     recognize,
 )
 from twotrees.formats import serialize_edge_list
 from twotrees.graph import spanning_forest_components
 
-from oracle import component_count, is_tree_edge_set
+from oracle import adjacency, component_count
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -46,11 +45,31 @@ def test_edge_orientation_free(u, v):
 
 def test_simple_graph_basics():
     g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert g.m == 3
-    assert len(g.adj[1]) == 2
-    assert 1 in g.adj[2]
-    assert 3 not in g.adj[0]
+    assert (g.n, g.m) == (4, 3)
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
+    assert g.sorted_edges == ((0, 1), (1, 2), (2, 3))
+    # either orientation, in any order, and a repeat counts once
+    assert SimpleGraph.from_edges(4, [(3, 2), (1, 0), (2, 1), (0, 1)]) == g
+    g.edges().append((0, 3))  # a fresh list each call
+    assert g.m == 3
+    with pytest.raises(OutOfRangeError, match="nonnegative"):
+        SimpleGraph.from_edges(-1, [])
+
+
+def test_from_edges_builds_nothing_per_vertex():
+    edges = [(0, v) for v in range(1, 27)]
+    SimpleGraph.from_edges(27, edges)  # warm
+    # 26 edges take a few kB at any n; n = 10^5 goes first, so a build per
+    # vertex fails there at megabytes, before 10^9 could exhaust memory
+    for n in (10**5, 10**9):
+        tracemalloc.start()
+        try:
+            g = SimpleGraph.from_edges(n, edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000, f"n={n}: peak {peak} bytes"
+        assert (g.n, g.m, g.edges()) == (n, 26, edges)
 
 
 def test_simple_graph_rejects_bad_edges():
@@ -137,7 +156,7 @@ def test_value_types_are_frozen_and_compare_by_field():
     g = c.realize()
     assert repr(c) == "TwoTreeConstruction(n=3, base=(0, 1), attachments=((2, (0, 1)),))"
     assert repr(g) == "SimpleGraph(n=3, m=3)"
-    for value, field in ((c, "base"), (g, "adj")):
+    for value, field in ((c, "base"), (g, "sorted_edges")):
         with pytest.raises(AttributeError, match="cannot assign"):
             setattr(value, field, None)
         with pytest.raises(AttributeError, match="cannot delete"):
@@ -203,21 +222,9 @@ def test_realize_edge_count_invariant(n, seed):
     for built in (c, relabelled):
         assert built.realize() == SimpleGraph.from_edges(n, built.edges())
         assert built.edges() == built.realize().edges()
-        assert built.adjacency() == [set(s) for s in built.realize().adj]
+        assert built.m == len(built.edges()) == built.realize().m
+        assert built.adjacency() == adjacency(n, built.edges())
         assert serialize_edge_list(built) == serialize_edge_list(built.realize())
-
-
-def test_is_spanning_tree_examples():
-    k3 = TwoTreeConstruction(3, (0, 1), ((2, (0, 1)),)).realize()
-    assert is_spanning_tree(k3, [(0, 1), (1, 2)])
-    assert not is_spanning_tree(k3, [(0, 1), (1, 2), (0, 2)])
-
-    b4 = book(4).realize()
-    assert is_spanning_tree(b4, [(0, 1), (0, 2), (0, 3)])
-    assert not is_spanning_tree(b4, [(0, 1), (0, 2)])
-
-    with pytest.raises(ForeignEdgeError):
-        is_spanning_tree(b4, [(0, 1), (0, 2), (2, 3)])
 
 
 @st.composite
@@ -236,7 +243,5 @@ def edge_lists(draw):
 def test_union_find_matches_the_bfs_oracle(case):
     # repeated edges, cycles, isolated vertices and both orientations occur
     n, edges = case
-    g = SimpleGraph.from_edges(n, edges)
-    assert is_spanning_tree(g, edges) == is_tree_edge_set(n, edges)
     is_forest = len(edges) == n - component_count(n, edges)
     assert spanning_forest_components(n, edges) == (n - len(edges) if is_forest else None)
