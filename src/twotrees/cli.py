@@ -37,7 +37,6 @@ from .errors import (
     InvariantError,
     NotTwoTreeError,
     OutOfRangeError,
-    TooLargeError,
     TwoTreeError,
 )
 from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge, spanning_forest_components
@@ -94,9 +93,6 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader stopped early (`| head`): not a failure
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (OutOfRangeError, TooLargeError, FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
     except NotTwoTreeError as exc:
         print(f"error: not a 2-tree ({exc.reason.value}): {exc}", file=sys.stderr)
         return EXIT_NOT_TWO_TREE
@@ -106,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"error: invariant failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except TwoTreeError as exc:
+    except (TwoTreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
     return EXIT_INVARIANT if failed else EXIT_OK
@@ -244,7 +240,7 @@ def _cmd_count(args) -> dict:
         if args.n is None:
             raise OutOfRangeError("closed-form counting needs --n")
         value = getattr(counting, CLOSED_FORM_FAMILIES[args.family])(args.n)
-        outputs.update({"n": args.n, "family": args.family})
+        outputs["n"] = args.n
     elif method in ("kirchhoff", "brute"):  # each oracle checks its own caps
         g = _load(args)
         if not isinstance(g, TwoTreeConstruction):

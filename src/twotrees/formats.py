@@ -13,8 +13,9 @@ Construction format::
 The two base vertices are the ones never introduced by an attachment line.
 An edge list parses to ``(n, edges)`` with no graph built, so a header's n
 costs nothing until the caller checks it; a construction parses to a checked
-``TwoTreeConstruction``.  Tree streams carry one tree per line ("u-v" tokens,
-canonically sorted) after a header line ``# n=<n> expected=<count>``.
+``TwoTreeConstruction``.  Tree streams, which are written and never read back,
+carry one tree per line ("u-v" tokens, canonically sorted) after a header line
+``# n=<n> expected=<count>``.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ def edge_tokens(edges: Iterable[Edge]) -> list[str]:
     return [f"{u}-{v}" for u, v in edges]
 
 
-def tree_stream_header(n: int, expected: int | None) -> str:
-    return f"# n={n} expected={decimal(expected) if expected is not None else 'unknown'}"
+def tree_stream_header(n: int, expected: int) -> str:
+    return f"# n={n} expected={decimal(expected)}"
 
 
 _BLOCK_DIGITS = 4000
@@ -142,19 +143,6 @@ def decimal(count: int) -> str:
         blocks.append(str(low).zfill(_BLOCK_DIGITS))
     blocks.append(str(count))
     return "".join(reversed(blocks))
-
-
-def parse_tree_line(line: str) -> frozenset:
-    out = []
-    for token in line.split():
-        parts = token.split("-")
-        if len(parts) != 2:
-            raise FormatError(f"bad tree token {token!r}")
-        u, v = _int(parts[0]), _int(parts[1])
-        if u == v:
-            raise FormatError(f"tree token {token!r} is a loop")
-        out.append(edge(u, v))
-    return frozenset(out)
 
 
 def _data_lines(text: str) -> Iterator[str]:

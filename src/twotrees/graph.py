@@ -187,10 +187,8 @@ class TwoTreeConstruction(_Frozen):
 
 
 def _neighbour_sets(n: int, edges: Iterable[Edge]) -> list[set[int]]:
-    """A neighbour set per vertex, for recognition; edges are checked as by
-    :meth:`SimpleGraph.from_edges`."""
-    if n < 0:
-        raise OutOfRangeError(f"vertex count must be nonnegative, got {n}")
+    """A neighbour set per vertex, for recognition, whose caller has checked
+    n >= 2; edges are checked as by :meth:`SimpleGraph.from_edges`."""
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if u == v:

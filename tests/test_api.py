@@ -36,7 +36,7 @@ REMOVED = {
     ],
     "errors": ["InconsistentChainError", "InvalidTreeError", "IllegalSplitError", "BadGlueError"],
     "recognition": ["TwoSimplicialOrdering"],
-    "formats": ["read_edges"],
+    "formats": ["read_edges", "parse_tree_line"],
 }
 
 
@@ -102,6 +102,19 @@ def test_import_twotrees_loads_no_submodule():
     loaded = _child_modules("import sys, twotrees; print(*sys.modules, file=sys.stderr)")
     assert sorted(m for m in loaded if m.startswith("twotrees.")) == []
     assert not NOT_AT_COLD_START & loaded
+
+
+def test_a_submodule_loads_when_the_package_attribute_is_first_read():
+    loaded = _child_modules(
+        "import sys, twotrees\n"
+        "assert 'twotrees.counting' not in sys.modules\n"
+        "counting = twotrees.counting\n"
+        "assert counting is sys.modules['twotrees.counting'] is vars(twotrees)['counting']\n"
+        "assert counting.count_book(4) == 8\n"
+        "print(*sys.modules, file=sys.stderr)"
+    )
+    assert "twotrees.counting" in loaded
+    assert "twotrees.extremal" not in loaded
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -719,6 +719,21 @@ def test_bad_paths_and_bytes_exit_2_with_one_error_line(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["enumerate", "--limit", "-1"], "2 1\n0 1\n", "--limit must be nonnegative, got -1"),
+        (["count"], "3 3\n0 1 2\n0 2\n1 2\n", "edge line must be 'u v', got '0 1 2'"),
+        (["order"], "4\n2 0 1\n3 0 4\n", "attachment line '3 0 4' outside vertex range [0, 4)"),
+    ],
+)
+def test_malformed_input_exits_2_naming_the_fault(capsys, tmp_path, argv, text, message):
+    target = tmp_path / "g.txt"
+    target.write_text(text)
+    code, out, err = run(capsys, *argv, "--in", str(target))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["bounds", "--trials", "-3"], "--trials"),
@@ -738,16 +753,113 @@ def test_verify_rejects_out_of_range_arguments(capsys, argv, flag):
     assert err.startswith("error: ") and flag in err
 
 
-def test_closed_stdout_pipe_exits_0_quietly():
+def _enumerate_book_14_child() -> subprocess.Popen:
+    """``python -m twotrees enumerate`` of book(14), about 2 MB of stream, on pipes."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [sys.executable, "-m", "twotrees", "enumerate", "--family", "book", "--n", "14"],
         env=dict(os.environ, PYTHONPATH=path),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
+
+
+def test_closed_stdout_pipe_exits_0_quietly():
+    proc = _enumerate_book_14_child()
     assert proc.stdout.readline() == b"# n=14 expected=28672\n"
     proc.stdout.close()  # the tree lines that follow overrun the pipe buffer
     err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def test_a_reader_that_stops_mid_line_ends_the_stream_with_exit_0():
+    # `enumerate ... | head -c 100`: head exits after 100 bytes, and the
+    # stream's next write meets a closed pipe
+    proc = _enumerate_book_14_child()
+    head = subprocess.Popen(["head", "-c", "100"], stdin=proc.stdout, stdout=subprocess.PIPE)
+    proc.stdout.close()  # head holds the only read end
+    out, _ = head.communicate(timeout=60)
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+    _, lines = _enumerate_stdout("--family", "book", "--n", "14", "--limit", "5")
+    assert out.decode() == "".join(line + "\n" for line in lines)[:100]
+
+
+# Every --in command, run on each fuzzed input; closed-form exits 2 on a file.
+FUZZ_COMMANDS = [
+    ["order"],
+    *(["count", "--method", m] for m in ("auto", "kirchhoff", "recurrence", "closed-form", "brute")),
+    ["enumerate", "--limit", "3"],
+    ["improve", "min"],
+    ["improve", "max"],
+]
+FUZZ_EXIT_CODES = {cli.EXIT_OK, cli.EXIT_RANGE, cli.EXIT_NOT_TWO_TREE, cli.EXIT_MISMATCH, cli.EXIT_INVARIANT}
+
+
+@pytest.fixture(scope="module")
+def fuzz_input(tmp_path_factory) -> Path:
+    """One input file, rewritten for each fuzzed example."""
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+
+def _run_every_command(path: Path, text: str) -> None:
+    """Each command on ``text`` exits with a documented code and raises nothing;
+    stderr is empty on success, and one ``error:`` line otherwise."""
+    path.write_text(text, encoding="utf-8")
+    for argv in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([*argv, "--in", str(path)])
+        assert code in FUZZ_EXIT_CODES, (argv, text, code)
+        if code == cli.EXIT_OK:
+            assert err.getvalue() == "", (argv, text)
+        else:
+            assert err.getvalue().startswith("error: "), (argv, text, err.getvalue())
+            assert err.getvalue().count("\n") == 1, (argv, text, err.getvalue())
+
+
+_tokens = st.one_of(st.integers(-2, 12).map(str), st.text(max_size=6))
+_lines = st.one_of(st.lists(_tokens, max_size=4).map(" ".join), st.text(max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_lines, max_size=8))
+def test_fuzzed_lines_end_in_a_documented_exit_code(fuzz_input, lines):
+    _run_every_command(fuzz_input, "\n".join(lines) + "\n")
+
+
+@st.composite
+def _perturbed_two_trees(draw) -> str:
+    """A random 2-tree in either format, relabelled, then with up to two rows
+    dropped, swapped, reversed or given an arbitrary vertex."""
+    n = draw(st.integers(2, 9))
+    c = random_two_tree(n, draw(st.integers(0, 2**32 - 1)))
+    as_edges = draw(st.booleans())
+    text = serialize_edge_list(c) if as_edges else serialize_construction(c)
+    header, *rows = (line.split() for line in text.splitlines())
+    perm = draw(st.permutations(range(n)))
+    rows = [[str(perm[int(t)]) for t in row] for row in rows]
+    if as_edges and draw(st.booleans()):  # a relabelled edge list, canonical again
+        rows = sorted(sorted(row, key=int) for row in rows)
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        op = draw(st.sampled_from(["drop", "swap", "reverse", "redirect"]))
+        if op == "drop":
+            del rows[i]
+        elif op == "swap":
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "reverse":
+            rows[i].reverse()
+        else:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = str(draw(st.integers(-1, n)))
+    return "".join(" ".join(row) + "\n" for row in [header, *rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_perturbed_two_trees())
+def test_perturbed_two_trees_end_in_a_documented_exit_code(fuzz_input, text):
+    _run_every_command(fuzz_input, text)

@@ -95,6 +95,8 @@ def test_chain_edge_counts_examples():
     assert through_tip > through_start and through_tip > through_side
     with pytest.raises(OutOfRangeError):
         chain_edge_counts(3, 2, 0)
+    with pytest.raises(OutOfRangeError, match=r"need 0 <= beta <= alpha, got \(2, 3\)"):
+        chain_edge_counts(2, 3, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,6 +153,9 @@ def test_count_containing_examples():
     assert count_containing(k3, []) == kirchhoff_count(k3)
     b4 = book(4)
     assert count_containing(b4, [(0, 1)]) == 4  # 2^(4-2) through the spine
+    # a spanning tree leaves one class, and is the only tree containing it
+    assert count_containing(k3, [(0, 1), (1, 2)]) == 1
+    assert count_containing(b4, [(0, 2), (1, 2), (1, 3)]) == 1
     with pytest.raises(CyclicRequirementError):
         count_containing(k3, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(ForeignEdgeError):

@@ -78,6 +78,8 @@ def test_improve_min_rejects_books():
         improve_min(book(3))
     with pytest.raises(IsBookError):
         improve_min(book(4))
+    with pytest.raises(OutOfRangeError, match="improve_min needs n >= 5, got 2"):
+        improve_min(book(2))  # no degree-2 vertex to call it a book by
 
 
 def test_improve_min_split_identity():

@@ -9,7 +9,6 @@ from twotrees.formats import (
     decimal,
     parse_construction,
     parse_edge_list,
-    parse_tree_line,
     serialize_construction,
     serialize_edge_list,
     serialize_tree,
@@ -80,6 +79,7 @@ def test_sniffing():
         "3 2\n0 1\n0 1\n",  # duplicate
         "3 1\n0 3\n",  # out of range
         "3 1\nx y\n",  # not integers
+        "3 2\n0 1 2\n0 2\n",  # three fields
     ],
 )
 def test_edge_list_rejects(text):
@@ -94,11 +94,28 @@ def test_edge_list_rejects(text):
         "4\n2 0 1\n3 0\n",  # short line
         "4\n2 0 1\n3 2 2\n",  # loop attach
         "4\n2 0 1\n2 0 2\n",  # vertex 2 introduced twice: base would have 3
+        "4\n2 0 1\n3 0 4\n",  # vertex 4 outside [0, 4)
     ],
 )
 def test_construction_rejects(text):
     with pytest.raises(FormatError):
         parse_construction(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_edge_list, "", "empty edge-list input"),
+        (parse_edge_list, "# only a comment\n", "empty edge-list input"),
+        (parse_edge_list, "3\n", "edge-list header must be 'n m', got '3'"),
+        (parse_construction, "", "empty construction input"),
+        (parse_construction, "3 2\n", "construction header must be a single 'n', got '3 2'"),
+    ],
+)
+def test_parsers_name_an_empty_or_misshapen_header(parse, text, message):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert str(exc.value) == message
 
 
 def test_construction_parses_but_fails_to_realize():
@@ -111,21 +128,11 @@ def test_construction_parses_but_fails_to_realize():
 
 
 def test_tree_line_round_trip():
-    tree = frozenset({(0, 1), (0, 2), (1, 3)})
-    line = serialize_tree(tree)
-    assert line == "0-1 0-2 1-3"
-    assert parse_tree_line(line) == tree
-
-
-@pytest.mark.parametrize("line", ["0-0", "0-1 2-2", "3-03"])
-def test_tree_line_rejects_loops(line):
-    with pytest.raises(FormatError):
-        parse_tree_line(line)
+    assert serialize_tree(frozenset({(0, 1), (0, 2), (1, 3)})) == "0-1 0-2 1-3"
 
 
 def test_tree_stream_header():
     assert tree_stream_header(5, 21) == "# n=5 expected=21"
-    assert tree_stream_header(5, None) == "# n=5 expected=unknown"
 
 
 def test_decimal_writes_counts_past_the_str_digit_cap():

@@ -168,6 +168,8 @@ def test_extend_with_chain_records():
         assert w in attach_next  # each attach edge touches the previous vertex
     assert recognize(7, grown.edges()).edges() == grown.edges()
     assert extend_with_chain(path_square(5), (2, 4), 2, seed=1).attachments[-2] == (5, (2, 4))
+    with pytest.raises(OutOfRangeError, match="need at least one chain step, got 0"):
+        extend_with_chain(host, (0, 1), 0, seed=0)
     for absent in [(2, 3), (2, 9), (7, 9)]:  # not an edge, or not even vertices
         with pytest.raises(OutOfRangeError, match="not in graph"):
             extend_with_chain(host, absent, 1, seed=0)
