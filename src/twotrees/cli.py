@@ -14,8 +14,9 @@ Subcommands::
     improve    run the count-decreasing or count-increasing surgery
 
 Exit codes: 0 success, 2 usage or out-of-range input, 3 not a 2-tree,
-4 cross-check mismatch, 5 invariant failure.  ``--json`` emits a RunReport
-(validated by ``run_report.schema.json``); counts are always decimal strings.
+4 cross-check mismatch, 5 invariant failure.  ``--json`` adds a RunReport
+(``run_report.schema.json``) as stderr's last line and leaves stdout as it is;
+counts are always decimal strings.
 
 Handlers import ``counting``, ``enumeration``, ``extremal``, ``recognition``
 and ``json`` where they use them, so a run loads only what its subcommand runs.
@@ -48,6 +49,7 @@ EXIT_MISMATCH = 4
 EXIT_INVARIANT = 5
 
 AUTO_CROSS_CHECK_MAX_N = 100  # count --method auto runs Kirchhoff only up to here
+EITHER_INPUT = "provide either --in FILE or --family NAME with --n N"
 
 # The flags each verify suite reads: name -> (default, lowest, highest), None unbounded.
 VERIFY_FLAGS = {
@@ -64,11 +66,11 @@ FAMILIES = {
     "chain": generators.random_chain,
     "random": generators.random_two_tree,
 }
-CLOSED_FORM_FAMILIES = {  # family -> its closed form in ``counting``
-    "book": "count_book",
-    "path-square": "count_two_simplicial",
-    "fan": "count_two_simplicial",
-    "chain": "count_two_simplicial",
+CLOSED_FORM_FAMILIES = {  # family -> its closed form in ``counting``, its generator's least n
+    "book": ("count_book", 2),
+    "path-square": ("count_two_simplicial", 2),
+    "fan": ("count_two_simplicial", 2),
+    "chain": ("count_two_simplicial", 3),
 }
 
 
@@ -80,15 +82,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         outputs = args.handler(args)
         failed = bool(outputs.pop("_failed", False))
-        if getattr(args, "json", False):
-            import json
-            report = {
-                "command": " ".join(argv),
-                "inputs": _echo_inputs(args),
-                "outputs": outputs,
-                "wall_time_ms": (time.perf_counter() - started) * 1000.0,
-            }
-            print(json.dumps(report, sort_keys=True))
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
     except BrokenPipeError:  # the reader stopped early (`| head`): not a failure
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -105,6 +98,15 @@ def main(argv: list[str] | None = None) -> int:
     except (TwoTreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
+    if args.json:  # the RunReport is stderr's last line, never on the data stream
+        import json
+        report = {
+            "command": " ".join(argv),
+            "inputs": _echo_inputs(args),
+            "outputs": outputs,
+            "wall_time_ms": (time.perf_counter() - started) * 1000.0,
+        }
+        print(json.dumps(report, sort_keys=True), file=sys.stderr)
     return EXIT_INVARIANT if failed else EXIT_OK
 
 
@@ -183,11 +185,11 @@ def _read_input(path: str) -> str:
 
 def _load(args) -> TwoTreeConstruction | tuple[int, list[Edge]]:
     """The ``--in`` file as parsed (an edge list stays ``(n, edges)``, with no
-    graph built), or the ``--family`` construction."""
-    if args.infile is not None:
+    graph built), or the ``--family`` construction; never both."""
+    if args.infile is not None and args.family is None and args.n is None:
         return formats.sniff_and_parse(_read_input(args.infile))
-    if args.family is None or args.n is None:
-        raise OutOfRangeError("provide either --in FILE or --family NAME with --n N")
+    if args.infile is not None or args.family is None or args.n is None:
+        raise OutOfRangeError(EITHER_INPUT)
     return _generate(args.family, args.n, args.seed)
 
 
@@ -239,7 +241,11 @@ def _cmd_count(args) -> dict:
             )
         if args.n is None:
             raise OutOfRangeError("closed-form counting needs --n")
-        value = getattr(counting, CLOSED_FORM_FAMILIES[args.family])(args.n)
+        if args.infile is not None:
+            raise OutOfRangeError(EITHER_INPUT)
+        closed_form, least_n = CLOSED_FORM_FAMILIES[args.family]
+        generators._require_n(args.n, least_n)  # the family's own bound and message
+        value = getattr(counting, closed_form)(args.n)
         outputs["n"] = args.n
     elif method in ("kirchhoff", "brute"):  # each oracle checks its own caps
         g = _load(args)
@@ -262,8 +268,7 @@ def _cmd_count(args) -> dict:
     if args.family is not None:
         outputs["family"] = args.family
     outputs["count"] = formats.decimal(value)
-    if not args.json:
-        print(outputs["count"])
+    print(outputs["count"])
     return outputs
 
 
@@ -299,8 +304,7 @@ def _cmd_survey(args) -> dict:
     import json
     from . import extremal
     summary = extremal.survey_extremal(args.n).to_json()
-    if not args.json:
-        print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(summary, sort_keys=True))
     return summary
 
 
@@ -332,37 +336,34 @@ def _cmd_improve(args) -> dict:
             "t_g": formats.decimal(rep.t_g),
             "t_gprime": formats.decimal(rep.t_gprime),
         }
-    if not args.json:
-        print(json.dumps(outputs, sort_keys=True))
+    print(json.dumps(outputs, sort_keys=True))
     return outputs
 
 
 def _cmd_verify(args) -> dict:
     from . import counting
     suite = args.suite
-    flags = _verify_flags(args)
-    if args.seed is None:
-        args.seed = 0  # the RunReport echoes seed 0 for every suite
+    _verify_flags(args)
     checks: list[tuple[str, bool]] = []
     if suite == "oracle":
-        for n in range(3, flags["n_max"] + 1):
+        for n in range(3, args.n_max + 1):
             ok = all(
                 counting.kirchhoff_count(c) == counting.brute_force_count(c)
                 for c in generators.all_labeled_two_trees(n)
             )
             checks.append((f"determinant equals subset brute force, n={n}", ok))
     elif suite == "bounds":
-        trials, n_max = flags["trials"], flags["n_max"]
+        trials, n_max = args.trials, args.n_max
         ok = True
         for i in range(trials):
             n = 3 + (i % max(n_max - 2, 1))
-            c = generators.random_two_tree(n, flags["seed"] + i)
+            c = generators.random_two_tree(n, args.seed + i)
             lo, hi = counting.verify_bounds(c)
             ok = ok and lo and hi
         checks.append((f"2^(n-2) <= T <= 3^(n-2) over {trials} random 2-trees", ok))
     elif suite == "extremal":
         from . import extremal
-        for n in range(4, flags["n_max"] + 1):
+        for n in range(4, args.n_max + 1):
             summary = extremal.survey_extremal(n)
             lo, hi = counting.count_book(n), counting.count_two_simplicial(n)
             ok = (
@@ -373,7 +374,7 @@ def _cmd_verify(args) -> dict:
             )
             checks.append((f"extremes and attainers match closed forms, n={n}", ok))
     else:  # identities
-        trials, seed = flags["trials"], flags["seed"]
+        trials, seed = args.trials, args.seed
         checks.append(
             ("glued-pair count identities", _check_glue_identities(trials, seed))
         )
@@ -393,10 +394,9 @@ def _cmd_verify(args) -> dict:
     return out
 
 
-def _verify_flags(args) -> dict[str, int]:
-    """Fill in and range-check the flags ``args.suite`` reads; any other flag set is an error."""
+def _verify_flags(args) -> None:
+    """Fill in and range-check, on ``args``, the flags ``args.suite`` reads; any other flag set is an error."""
     table = VERIFY_FLAGS[args.suite]
-    values = {}
     for name in ("trials", "n_max", "seed"):  # the order errors are reported in
         value, flag = getattr(args, name), "--" + name.replace("_", "-")
         if name not in table:
@@ -408,8 +408,7 @@ def _verify_flags(args) -> dict[str, int]:
         if (lo is not None and value < lo) or (hi is not None and value > hi):
             need = f"{flag} >= {lo}" if hi is None else f"{lo} <= {flag} <= {hi}"
             raise OutOfRangeError(f"{args.suite} suite needs {need}, got {value}")
-        values[name] = value
-    return values
+        setattr(args, name, value)
 
 
 def _check_glue_identities(trials: int, seed: int) -> bool:

@@ -10,8 +10,9 @@ classes; consumers here only need coverage and determinism.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import OutOfRangeError, TooLargeError
 from .graph import Edge, TwoTreeConstruction, edge
@@ -55,14 +56,7 @@ def random_two_tree(n: int, seed: Seed) -> TwoTreeConstruction:
     """Uniform attach-edge choice at every step, deterministic per seed."""
     _require_n(n, 2)
     rng = random.Random(seed)
-    edges: list[Edge] = [(0, 1)]
-    attachments: list[tuple[int, Edge]] = []
-    for k in range(2, n):
-        attach = edges[rng.randrange(len(edges))]
-        attachments.append((k, attach))
-        edges.append(edge(k, attach[0]))
-        edges.append(edge(k, attach[1]))
-    return TwoTreeConstruction(n, (0, 1), tuple(attachments))
+    return _replay(n, (rng.randrange(2 * k - 3) for k in range(2, n)))
 
 
 def all_labeled_two_trees(n: int) -> Iterator[TwoTreeConstruction]:
@@ -78,22 +72,21 @@ def all_labeled_two_trees(n: int) -> Iterator[TwoTreeConstruction]:
         raise OutOfRangeError(f"all_labeled_two_trees needs n >= 3, got {n}")
     if n > ALL_LABELED_MAX_N:
         raise TooLargeError(f"all_labeled_two_trees capped at n = {ALL_LABELED_MAX_N}, got {n}")
+    choice_ranges = (range(2 * k - 3) for k in range(2, n))
+    return (_replay(n, choices) for choices in itertools.product(*choice_ranges))
+
+
+def _replay(n: int, choices: Iterable[int]) -> TwoTreeConstruction:
+    """The construction on base {0, 1} in which vertex k goes on the
+    ``choices[k - 2]``-th edge of the build-order list: the base edge, then
+    each vertex's two new edges.  The list holds 2k - 3 edges when k arrives."""
     edges: list[Edge] = [(0, 1)]
     attachments: list[tuple[int, Edge]] = []
-
-    def grow(k: int) -> Iterator[TwoTreeConstruction]:
-        if k == n:
-            yield TwoTreeConstruction(n, (0, 1), tuple(attachments))
-            return
-        for i in range(len(edges)):
-            x, y = edges[i]
-            attachments.append((k, (x, y)))
-            edges.extend((edge(k, x), edge(k, y)))
-            yield from grow(k + 1)
-            del edges[-2:]
-            attachments.pop()
-
-    return grow(2)
+    for k, i in enumerate(choices, 2):
+        x, y = edges[i]
+        attachments.append((k, (x, y)))
+        edges += ((x, k), (y, k))
+    return TwoTreeConstruction(n, (0, 1), tuple(attachments))
 
 
 def extend_with_chain(

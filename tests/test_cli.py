@@ -107,9 +107,9 @@ def test_construction_with_a_missing_attach_edge_exits_2(capsys, tmp_path, argv)
 
 
 def test_gen_json_report(capsys):
-    code, out, _ = run(capsys, "gen", "book", "4", "--json", "--out", "/dev/null")
-    assert code == 0
-    report = json.loads(out)
+    code, out, err = run(capsys, "gen", "book", "4", "--json", "--out", "/dev/null")
+    assert (code, out) == (0, "")
+    report = json.loads(err)
     assert report["outputs"]["family"] == "book"
     assert report["inputs"]["format"] == "edges"
     assert report["wall_time_ms"] >= 0
@@ -161,6 +161,17 @@ def test_count_closed_form_chain_family(capsys):
     code, out, _ = run(capsys, "count", "--method", "closed-form", "--family", "chain", "--n", "10")
     assert code == 0
     assert out.strip() == "2584"  # F(18)
+
+
+def test_count_closed_form_takes_the_family_generators_bound(capsys, monkeypatch):
+    # the same exit and message as the family's own run, and no family built
+    for family, n, least in (("chain", 2, 3), ("book", 1, 2)):
+        want = (2, "", f"error: need n >= {least}, got {n}\n")
+        assert run(capsys, "count", "--family", family, "--n", str(n)) == want
+        monkeypatch.setitem(cli.FAMILIES, family, None)
+        argv = ["count", "--method", "closed-form", "--family", family, "--n", str(n)]
+        assert run(capsys, *argv) == want
+    assert run(capsys, "count", "--method", "closed-form", "--family", "chain", "--n", "3") == (0, "3\n", "")
 
 
 def test_count_not_two_tree_exit_3(capsys, tmp_path):
@@ -260,8 +271,8 @@ def test_sparse_header_counts_zero_without_building_a_graph(capsys, tmp_path, mo
     _tripwire(monkeypatch, SimpleGraph, "edges")
     _tripwire(monkeypatch, counting, "_laplacian_cofactor")
     code, out, err = run(capsys, "count", "--method", method, "--in", str(target), "--json")
-    assert code == 0 and err == ""
-    assert json.loads(out)["outputs"] == {"count": "0", "method": method, "n": 100000}
+    assert code == 0 and out == "0\n"
+    assert json.loads(err)["outputs"] == {"count": "0", "method": method, "n": 100000}
     code, out, _ = run(capsys, "count", "--method", method, "--in", str(target))
     assert code == 0 and out == "0\n"
 
@@ -350,9 +361,9 @@ def test_count_mismatch_exit_4(capsys, tmp_path, monkeypatch):
 def test_count_auto_cross_checks_up_to_n_100(capsys, tmp_path, n, cross_check):
     target = tmp_path / "g.edges"
     run(capsys, "gen", "random", str(n), "--seed", "5", "--out", str(target))
-    code, out, _ = run(capsys, "count", "--in", str(target), "--json")
+    code, _, err = run(capsys, "count", "--in", str(target), "--json")
     assert code == 0
-    outputs = json.loads(out)["outputs"]
+    outputs = json.loads(err)["outputs"]
     assert outputs["cross_check"] == cross_check
     assert outputs["count"] == str(count_via_construction(random_two_tree(n, 5)))
 
@@ -369,9 +380,9 @@ def test_count_at_n_10_000_prints_the_engine_count(capsys, tmp_path, monkeypatch
     monkeypatch.setattr(counting, "kirchhoff_count", refuse)
     code, out, _ = run(capsys, "count", "--in", str(target))
     assert code == 0 and out == want + "\n"
-    code, out, _ = run(capsys, "count", "--in", str(target), "--json")
-    assert code == 0
-    outputs = json.loads(out)["outputs"]
+    code, out, err = run(capsys, "count", "--in", str(target), "--json")
+    assert code == 0 and out == want + "\n"
+    outputs = json.loads(err)["outputs"]
     assert (outputs["count"], outputs["cross_check"]) == (want, "skipped")
 
 
@@ -393,9 +404,9 @@ def _schema():
 def test_count_json_report_schema(capsys):
     import jsonschema
 
-    code, out, _ = run(capsys, "count", "--family", "book", "--n", "8", "--json")
-    assert code == 0
-    report = json.loads(out)
+    code, out, err = run(capsys, "count", "--family", "book", "--n", "8", "--json")
+    assert (code, out) == (0, "256\n")
+    report = json.loads(err)
     jsonschema.validate(report, _schema())
     assert report["outputs"]["count"] == "256"
     assert report["outputs"]["family"] == "book"
@@ -418,11 +429,69 @@ def test_all_json_reports_validate(capsys, tmp_path):
     ]
     for argv in invocations:
         code = cli.main(list(argv))
-        out = capsys.readouterr().out
+        err = capsys.readouterr().err
         assert code == 0, argv
-        report = json.loads(out.strip().splitlines()[-1])
+        report = json.loads(err)
         jsonschema.validate(report, schema)
         assert report["command"] == " ".join(argv)
+
+
+# Each subcommand in each of its stdout shapes, with and without --out.
+JSON_CONTRACT_RUNS = [
+    ["gen", "book", "5"],
+    ["gen", "random", "7", "--seed", "3", "--out", "{out}"],
+    ["order", "--family", "path-square", "--n", "6"],
+    *(
+        ["count", "--method", m, "--family", "book", "--n", "6"]
+        for m in ("auto", "kirchhoff", "recurrence", "closed-form", "brute")
+    ),
+    ["enumerate", "--family", "book", "--n", "5", "--limit", "7"],
+    ["enumerate", "--family", "path-square", "--n", "5", "--out", "{out}"],
+    ["verify", "oracle", "--n-max", "4"],
+    ["verify", "bounds", "--trials", "5"],
+    ["verify", "extremal", "--n-max", "5"],
+    ["verify", "identities", "--trials", "2"],
+    ["survey", "--n", "5"],
+    ["improve", "min", "--family", "path-square", "--n", "6"],
+    ["improve", "max", "--family", "book", "--n", "6", "--out", "{out}"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_CONTRACT_RUNS, ids=" ".join)
+def test_json_adds_one_report_line_to_stderr_and_nothing_else(capsys, tmp_path, argv):
+    import jsonschema
+
+    runs = []
+    for flag in ([], ["--json"]):
+        written = tmp_path / f"out{len(flag)}.txt"
+        args = [arg.format(out=written) for arg in argv] + flag
+        code, out, err = run(capsys, *args)
+        runs.append((args, code, out, err, written.read_text() if written.exists() else None))
+    (_, code, out, err, written), (args, code_json, out_json, err_json, written_json) = runs
+    assert (code, err) == (0, "")
+    assert (code_json, out_json, written_json) == (code, out, written)
+    *before, line = err_json.splitlines(True)
+    assert "".join(before) == err
+    report = json.loads(line)
+    jsonschema.validate(report, _schema())
+    assert report["command"] == " ".join(args)
+
+
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (["oracle", "--n-max", "4"], {"n_max": 4}),
+        (["extremal", "--n-max", "5"], {"n_max": 5}),
+        (["bounds", "--trials", "5"], {"trials": 5, "n_max": 16, "seed": 0}),
+        (["identities", "--trials", "2"], {"trials": 2, "seed": 0}),
+    ],
+    ids=["oracle", "extremal", "bounds", "identities"],
+)
+def test_verify_reports_the_flags_its_suite_read(capsys, argv, inputs):
+    # defaults included, and no seed for a suite that reads none
+    code, _, err = run(capsys, "verify", *argv, "--json")
+    assert code == 0
+    assert json.loads(err)["inputs"] == {"suite": argv[0], **inputs}
 
 
 def test_enumerate_counts_and_header(capsys):
@@ -442,7 +511,7 @@ def test_enumerate_k3(capsys):
 
 def test_enumerate_limit_truncates(capsys, tmp_path):
     target = tmp_path / "trees.txt"
-    code, out, _ = run(
+    code, out, err = run(
         capsys,
         "enumerate",
         "--family",
@@ -455,8 +524,8 @@ def test_enumerate_limit_truncates(capsys, tmp_path):
         str(target),
         "--json",
     )
-    assert code == 0
-    report = json.loads(out)
+    assert (code, out) == (0, "")
+    report = json.loads(err)
     assert report["outputs"]["truncated"] is True
     assert report["outputs"]["emitted"] == 1000
     assert len(target.read_text().strip().splitlines()) == 1001
@@ -534,8 +603,10 @@ def test_enumerate_every_limit_is_a_prefix(n, family):
     full = _library_stream(book(n) if family == "book" else path_square(n))
     total = len(full) - 1
     for k in range(total + 2):
-        code, lines = _enumerate_stdout("--family", family, "--n", str(n), "--limit", str(k), "--json")
-        report = json.loads(lines.pop())["outputs"]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, lines = _enumerate_stdout("--family", family, "--n", str(n), "--limit", str(k), "--json")
+        report = json.loads(err.getvalue())["outputs"]
         assert (code, lines) == (0, full[: k + 1])
         assert (report["emitted"], report["truncated"]) == (min(k, total), k < total)
 
@@ -657,6 +728,12 @@ def test_verify_failure_exit_5(capsys, monkeypatch):
     assert code == 5
     assert "[FAIL]" in out
     assert "invariant failed" in err
+    # under --json the report follows the error line
+    code_json, out_json, err_json = run(capsys, "verify", "identities", "--trials", "3", "--json")
+    assert (code_json, out_json) == (code, out)
+    error_line, line = err_json.splitlines(True)
+    assert error_line == err
+    assert json.loads(line)["outputs"]["checks"]["glued-pair count identities"] is False
 
 
 # sha256 of `twotrees [SUBCOMMAND] --help` at 80 columns: the CLI's usage
@@ -753,12 +830,12 @@ def test_verify_rejects_out_of_range_arguments(capsys, argv, flag):
     assert err.startswith("error: ") and flag in err
 
 
-def _enumerate_book_14_child() -> subprocess.Popen:
+def _enumerate_book_14_child(*flags: str) -> subprocess.Popen:
     """``python -m twotrees enumerate`` of book(14), about 2 MB of stream, on pipes."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
-        [sys.executable, "-m", "twotrees", "enumerate", "--family", "book", "--n", "14"],
+        [sys.executable, "-m", "twotrees", "enumerate", "--family", "book", "--n", "14", *flags],
         env=dict(os.environ, PYTHONPATH=path),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -766,11 +843,12 @@ def _enumerate_book_14_child() -> subprocess.Popen:
 
 
 def test_closed_stdout_pipe_exits_0_quietly():
-    proc = _enumerate_book_14_child()
-    assert proc.stdout.readline() == b"# n=14 expected=28672\n"
-    proc.stdout.close()  # the tree lines that follow overrun the pipe buffer
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (0, b"")
+    for flags in ([], ["--json"]):  # a report follows only a stream read whole
+        proc = _enumerate_book_14_child(*flags)
+        assert proc.stdout.readline() == b"# n=14 expected=28672\n"
+        proc.stdout.close()  # the tree lines that follow overrun the pipe buffer
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (0, b""), flags
 
 
 def test_a_reader_that_stops_mid_line_ends_the_stream_with_exit_0():
@@ -817,6 +895,17 @@ def _run_every_command(path: Path, text: str) -> None:
         else:
             assert err.getvalue().startswith("error: "), (argv, text, err.getvalue())
             assert err.getvalue().count("\n") == 1, (argv, text, err.getvalue())
+
+
+@pytest.mark.parametrize("argv", FUZZ_COMMANDS, ids=" ".join)
+def test_in_with_family_or_n_exits_2(capsys, tmp_path, argv):
+    # the file and a family together: neither is read or reported in place of the other
+    target = tmp_path / "b5.edges"
+    target.write_text(serialize_edge_list(book(5)))
+    want = (2, "", f"error: {cli.EITHER_INPUT}\n")
+    assert run(capsys, *argv, "--in", str(target), "--family", "path-square", "--n", "9") == want
+    if "closed-form" not in argv:  # which asks for --family before reading anything else
+        assert run(capsys, *argv, "--in", str(target), "--n", "9") == want
 
 
 _tokens = st.one_of(st.integers(-2, 12).map(str), st.text(max_size=6))

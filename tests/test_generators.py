@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import tracemalloc
 
@@ -119,6 +120,46 @@ def test_all_labeled_is_the_choice_product_in_order():
                 edges += [(x, k), (y, k)]
             expected.append(tuple(attachments))
         assert [c.attachments for c in all_labeled_two_trees(n)] == expected
+
+
+def _attachments_sha256(constructions) -> str:
+    digest = hashlib.sha256()
+    for c in constructions:
+        digest.update(f"{c.attachments}\n".encode())
+    return digest.hexdigest()
+
+
+# sha256 of each construction's attachments, one repr per line, in stream
+# order; recorded from the recursive corpus walk and the per-step random draw
+# that the choice replay replaced.
+CORPUS_SHA256 = {
+    3: "04e87ad3cceabd9b642db4e4d25b08aabc3531012ec6edb82b535b73032e8b73",
+    4: "7b5a660bbb34036218640284794438e2d91f1b578c7dcd8d8b9fa34060cbe74c",
+    5: "efe3ff617f05b3c9673799d39c4c827688e3472a24e093acdc953913534d3d65",
+    6: "a6f97472628c8ee2e06bbec5c4b9be61284818e7ddab46f4bcb986ac8033e43f",
+    7: "019cd988a43e1ca1329a22dbec1e19d22a37f01bddb6bf7e5f30b88f5f8a983a",
+    8: "455265db2d5ba4eed04e6f7c86b6cfe9f493ce2b3e30b847f0782e5f223c0ead",
+    9: "a544255edcc474b5f3555e1223957fb677e98c4f466645d957f31294715c4ac1",
+}
+RANDOM_SHA256 = {  # n -> random_two_tree(n, seed) for seeds 0, 1 and 2
+    2: "bf7189515ec1aa14f2dff58050b715ef1b6c6bfc32a4cc822237d73f44d980ae",
+    3: "f05fb47ba5becc55448988233f89c9ca20e2cbe0f6634dfc2f2e1f30011c5718",
+    4: "52f4346b5c608b008acbbc0e9966596df84cd41fcbe3aa5d911d077862178994",
+    7: "53a657c4e7b003da77d8d9ee602caf5b9fcb8614117574b4eb325fa4b49162a9",
+    24: "17dc4b41fe5a47cf82ae1a94bcca0ca0798aedea8a281054db0215436c9019f3",
+    100: "2a093159fd2ed099466e6ffebd0b90900ef9f02b74eb2f5e1ef2ebc59830eed8",
+    1000: "4c93fca60590163ae293ecbc9995341c937d9c952c82c10c84bd9c42406d84e9",
+}
+
+
+@pytest.mark.parametrize("n", CORPUS_SHA256)
+def test_all_labeled_stream_golden(n):
+    assert _attachments_sha256(all_labeled_two_trees(n)) == CORPUS_SHA256[n]
+
+
+@pytest.mark.parametrize("n", RANDOM_SHA256)
+def test_random_two_tree_golden(n):
+    assert _attachments_sha256(random_two_tree(n, seed) for seed in range(3)) == RANDOM_SHA256[n]
 
 
 def test_all_labeled_guards():  # raised at the call, with no next()
