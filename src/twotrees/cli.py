@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a named 2-tree family")
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("n", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=["edges", "construction"], default="edges")
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
@@ -170,7 +170,7 @@ def _input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--family", choices=sorted(FAMILIES), default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
 
@@ -187,10 +187,11 @@ def _load(args) -> TwoTreeConstruction | tuple[int, list[Edge]]:
     """The ``--in`` file as parsed (an edge list stays ``(n, edges)``, with no
     graph built), or the ``--family`` construction; never both."""
     if args.infile is not None and args.family is None and args.n is None:
+        _refuse_seed(args, "--in FILE")
         return formats.sniff_and_parse(_read_input(args.infile))
     if args.infile is not None or args.family is None or args.n is None:
         raise OutOfRangeError(EITHER_INPUT)
-    return _generate(args.family, args.n, args.seed)
+    return _generate(args)
 
 
 def _load_construction(args) -> TwoTreeConstruction:
@@ -202,11 +203,18 @@ def _load_construction(args) -> TwoTreeConstruction:
     return recognition.recognize(*loaded)
 
 
-def _generate(family: str, n: int, seed: int) -> TwoTreeConstruction:
-    maker = FAMILIES[family]
-    if family in ("chain", "random"):
-        return maker(n, seed)
-    return maker(n)
+def _generate(args) -> TwoTreeConstruction:
+    maker = FAMILIES[args.family]
+    if args.family not in ("chain", "random"):
+        _refuse_seed(args, f"{args.family} family")
+        return maker(args.n)
+    args.seed = 0 if args.seed is None else args.seed  # the report echoes the seed used
+    return maker(args.n, args.seed)
+
+
+def _refuse_seed(args, what: str) -> None:
+    if args.seed is not None:
+        raise OutOfRangeError(f"{what} does not read --seed")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -215,7 +223,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> dict:
-    c = _generate(args.family, args.n, args.seed)
+    c = _generate(args)
     if args.format == "edges":
         _write(formats.serialize_edge_list(c), args.out)
     else:
@@ -243,6 +251,7 @@ def _cmd_count(args) -> dict:
             raise OutOfRangeError("closed-form counting needs --n")
         if args.infile is not None:
             raise OutOfRangeError(EITHER_INPUT)
+        _refuse_seed(args, "closed-form counting")
         closed_form, least_n = CLOSED_FORM_FAMILIES[args.family]
         generators._require_n(args.n, least_n)  # the family's own bound and message
         value = getattr(counting, closed_form)(args.n)
@@ -436,16 +445,16 @@ def _check_chain_formulas(trials: int, seed: int) -> bool:
         c = generators.random_two_tree(3 + rng.randrange(5), seed * 77 + i)
         edges = c.edges()
         start = edges[rng.randrange(len(edges))]
-        alpha = counting.kirchhoff_count(c)
-        beta = counting.count_containing(c, [start])
+        alpha = counting.count_via_construction(c)
+        beta = counting.count_via_construction(c, [start])
         for p in range(1, 4):
             grown_c = generators.extend_with_chain(c, start, p, seed + p)
             through_start, _, through_tip = counting.chain_edge_counts(alpha, beta, p)
             tip_vertex, tip_attach = grown_c.attachments[-1]
             tip_edge = edge(tip_vertex, tip_attach[0])
-            if counting.count_containing(grown_c, [start]) != through_start:
+            if counting.count_via_construction(grown_c, [start]) != through_start:
                 return False
-            if counting.count_containing(grown_c, [tip_edge]) != through_tip:
+            if counting.count_via_construction(grown_c, [tip_edge]) != through_tip:
                 return False
     return True
 

@@ -202,14 +202,6 @@ def verify_bounds(c: TwoTreeConstruction) -> tuple[bool, bool]:
     return (2 ** (c.n - 2) <= t, t <= 3 ** (c.n - 2))
 
 
-def count_containing_or_zero(g: Graph, required: Iterable[Edge]) -> int:
-    """Like :func:`count_containing` but 0 when the requirement is cyclic."""
-    try:
-        return count_containing(g, required)
-    except CyclicRequirementError:
-        return 0
-
-
 def _laplacian_cofactor(edges: Iterable[Edge], cls: Sequence[int], k: int) -> int:
     """Cofactor of the Laplacian of the graph on ``edges`` with vertex v merged
     into class ``cls[v]`` of ``k``: edges inside a class drop, parallel ones add up."""

@@ -35,11 +35,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .counting import (
-    count_containing_or_zero,
-    count_via_construction,
-    kirchhoff_count,
-)
+from .counting import count_via_construction
 from .errors import (
     AlreadyTwoSimplicialError,
     CyclicRequirementError,
@@ -50,7 +46,7 @@ from .errors import (
     TooLargeError,
 )
 from .generators import all_labeled_two_trees
-from .graph import Edge, TwoTreeConstruction, edge, spanning_forest_components
+from .graph import Edge, TwoTreeConstruction, _union_find, edge
 from .recognition import _is_book_shape, _path_order, _peel, simplicial_vertices
 
 
@@ -204,11 +200,12 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
     The last vertex v arrives on its attach edge e = wz, so the 2-tree G of
     ``c`` is G - v glued to the triangle vwz along e.  For an acyclic edge set
     S of G - v, with t and s the constrained counts of G - v (through S, and
-    through S plus e), G must satisfy, for S not containing e:
+    through S plus e), G must satisfy
 
         T(S) = 2t + s    T(S+vw) = t + s    T(S+vz) = t + s    T(S+vw+vz) = s
 
-    and for S containing e: 2s, s, s, 0.  Returns True iff all four hold.
+    where s = 0 when S already joins w and z (e in S included): then S + e
+    and S + vw + vz each close a cycle.  Returns True iff all four hold.
     """
     if c.n < 3:
         raise OutOfRangeError(f"glue_identity_check needs n >= 3, got {c.n}")
@@ -220,26 +217,24 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
             raise ForeignEdgeError(f"required edge ({a}, {b}) not in the graph")
         if v in (a, b):
             raise ForeignEdgeError(f"required edge ({a}, {b}) touches the split vertex")
-    if spanning_forest_components(c.n, req) is None:
+    find = _union_find(c.n, req)
+    if find is None:
         raise CyclicRequirementError("required edge set contains a cycle")
+    joined = find(w) == find(z)
 
     prime, remap = _compact(c.base, c.attachments[:-1])
     s_prime = [(remap[a], remap[b]) for a, b in req]
-    t = count_containing_or_zero(prime, s_prime)
-    if (w, z) in req:
-        expected = (2 * t, t, t, 0)
-    else:
-        s_val = count_containing_or_zero(prime, s_prime + [(remap[w], remap[z])])
-        expected = (2 * t + s_val, t + s_val, t + s_val, s_val)
+    t = count_via_construction(prime, s_prime)
+    s = 0 if joined else count_via_construction(prime, s_prime + [(remap[w], remap[z])])
 
     vw, vz = edge(v, w), edge(v, z)
     got = (
-        count_containing_or_zero(c, req),
-        count_containing_or_zero(c, req + [vw]),
-        count_containing_or_zero(c, req + [vz]),
-        count_containing_or_zero(c, req + [vw, vz]),
+        count_via_construction(c, req),
+        count_via_construction(c, req + [vw]),
+        count_via_construction(c, req + [vz]),
+        0 if joined else count_via_construction(c, req + [vw, vz]),
     )
-    return got == expected
+    return got == (2 * t + s, t + s, t + s, s)
 
 
 class ExtremalSurvey(NamedTuple):
@@ -270,7 +265,7 @@ def survey_extremal(n: int) -> ExtremalSurvey:
     if n > 8:
         raise TooLargeError(f"survey_extremal capped at n = 8, got {n}")
     for size, c in enumerate(all_labeled_two_trees(n), 1):  # n >= 4: never empty
-        t = kirchhoff_count(c)
+        t = count_via_construction(c)
         simp = simplicial_vertices(c)
         book, two = _is_book_shape(n, simp), len(simp) == 2
         if size == 1 or t < lo:

@@ -27,7 +27,7 @@ PUBLIC = [
 ]
 
 REMOVED = {
-    "counting": ["ChainState", "chain_step", "EdgeCountQuery"],
+    "counting": ["ChainState", "chain_step", "EdgeCountQuery", "count_containing_or_zero"],
     "enumeration": ["extend_tree", "choice_vector_decode", "ExtensionChoice"],
     "graph": ["tree_vertex_span", "is_spanning_tree"],
     "extremal": [

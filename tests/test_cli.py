@@ -494,6 +494,37 @@ def test_verify_reports_the_flags_its_suite_read(capsys, argv, inputs):
     assert json.loads(err)["inputs"] == {"suite": argv[0], **inputs}
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["count", "--in", "{tri}", "--seed", "7"], "--in FILE does not read --seed"),
+        (["gen", "book", "4", "--seed", "9"], "book family does not read --seed"),
+        (["improve", "min", "--family", "fan", "--n", "6", "--seed", "0"], "fan family does not read --seed"),
+        (
+            ["count", "--method", "closed-form", "--family", "book", "--n", "5", "--seed", "3"],
+            "closed-form counting does not read --seed",
+        ),
+        (["count", "--family", "random", "--n", "6"], {"family": "random", "method": "auto", "n": 6, "seed": 0}),
+        (["gen", "chain", "6", "--seed", "4", "--out", os.devnull], {"family": "chain", "format": "edges", "n": 6, "seed": 4}),
+        (["count", "--family", "book", "--n", "6"], {"family": "book", "method": "auto", "n": 6}),
+        (["count", "--in", "{tri}"], {"file": "{tri}", "method": "auto"}),
+    ],
+    ids=["in-file", "gen-book", "improve-fan", "closed-form", "random", "gen-chain", "book", "in-file-no-seed"],
+)
+def test_seed_is_echoed_where_read_and_refused_elsewhere(capsys, tmp_path, argv, want):
+    # a seed nothing reads is an error, as in verify, not a value the report makes up
+    tri = tmp_path / "tri.edges"
+    tri.write_text("3 3\n0 1\n1 2\n0 2\n")
+    argv = [str(tri) if a == "{tri}" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--json")
+    if isinstance(want, str):
+        assert (code, out, err) == (2, "", f"error: {want}\n")
+    else:
+        assert code == 0
+        want = {k: str(tri) if v == "{tri}" else v for k, v in want.items()}
+        assert json.loads(err.splitlines()[-1])["inputs"] == want
+
+
 def test_enumerate_counts_and_header(capsys):
     code, out, _ = run(capsys, "enumerate", "--family", "book", "--n", "4")
     assert code == 0

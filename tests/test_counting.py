@@ -330,9 +330,8 @@ def test_count_containing_caps_n_before_it_builds(monkeypatch):
     monkeypatch.setattr(counting, "_union_find", boom)
     monkeypatch.setattr(counting, "_laplacian_cofactor", boom)
     big = random_two_tree(3000, 1)  # an (n - 1)^2 matrix would be 9 * 10^6 entries
-    for count in (count_containing, counting.count_containing_or_zero):
-        with pytest.raises(TooLargeError, match="count_containing capped at 400 vertices, graph has 3000"):
-            count(big, [])
+    with pytest.raises(TooLargeError, match="count_containing capped at 400 vertices, graph has 3000"):
+        count_containing(big, [])
     monkeypatch.undo()  # the real helpers again, under a cap of 6
     monkeypatch.setattr(counting, "KIRCHHOFF_MAX_N", 6)
     assert count_containing(path_square(6), [(0, 1)]) == count_via_construction(path_square(6), [(0, 1)])

@@ -29,6 +29,7 @@ from twotrees import (
     count_book,
     count_stream,
     count_two_simplicial,
+    counting,
     enumerate_spanning_trees,
     extremal,
     fan,
@@ -43,6 +44,7 @@ from twotrees import (
     recognize,
     simplicial_vertices,
     survey_extremal,
+    verify_bounds,
 )
 from twotrees import cli, recognition
 from twotrees.enumeration import tree_stream_blocks
@@ -428,13 +430,65 @@ def test_glue_identity_check_notices_a_wrong_count(monkeypatch):
     c = random_two_tree(9, 4)
     required = _random_acyclic_subset(c, random.Random(1), 0.4)
     assert glue_identity_check(c, required)
-    real = extremal.count_containing_or_zero
+    real = extremal.count_via_construction
 
     def off_by_one_on_g(g, req):
         return real(g, req) + (g.n == c.n)
 
-    monkeypatch.setattr(extremal, "count_containing_or_zero", off_by_one_on_g)
+    monkeypatch.setattr(extremal, "count_via_construction", off_by_one_on_g)
     assert not glue_identity_check(c, required)
+
+
+@pytest.mark.parametrize("n", [401, 2000])
+def test_glue_identity_check_runs_past_the_oracle_cap(n):
+    # the six counts come from the engine, so n = 400 is no limit
+    c = random_two_tree(n, n)
+    rng = random.Random(n)
+    for p in (0.0, 0.1, 0.5):
+        assert glue_identity_check(c, _random_acyclic_subset(c, rng, p))
+
+
+def test_library_counts_2_trees_without_an_oracle(monkeypatch, capsys):
+    # the determinant and the brute force only run where a result is
+    # compared against them: none of these compares
+    def refuse(*args):
+        raise AssertionError("an oracle counted a 2-tree")
+
+    monkeypatch.setattr(counting, "_laplacian_cofactor", refuse)
+    monkeypatch.setattr(counting, "brute_force_count", refuse)
+    assert survey_extremal(7)[2:] == (112, 144, True, True)
+    rng = random.Random(19)
+    for i in range(50):
+        c = random_two_tree(4 + rng.randrange(12), i)
+        assert glue_identity_check(c, _random_acyclic_subset(c, rng, rng.random()))
+    c = random_two_tree(12, 3)
+    low, high = improve_min(c), improve_max(c)
+    assert low.winner_count < low.t_g == high.t_g < high.t_gprime
+    assert verify_bounds(c) == (True, True)
+    assert cli.main(["verify", "extremal", "--n-max", "6"]) == 0
+    capsys.readouterr()
+
+
+def test_identities_suite_runs_the_oracles_only_for_deletion_contraction(monkeypatch, capsys):
+    calls: list[tuple[str, str]] = []
+
+    def traced(name):
+        real = getattr(counting, name)
+
+        def wrapper(*args):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return real(*args)
+
+        monkeypatch.setattr(counting, name, wrapper)
+
+    traced("kirchhoff_count")
+    traced("count_containing")
+    trials = 30
+    assert cli.main(["verify", "identities", "--trials", str(trials)]) == 0
+    capsys.readouterr()
+    assert {caller for _, caller in calls} == {"_check_deletion_contraction"}
+    assert [name for name, _ in calls].count("kirchhoff_count") == 2 * trials
+    assert [name for name, _ in calls].count("count_containing") == trials
 
 
 def test_survey_small_values():
@@ -471,7 +525,7 @@ def test_survey_tracks_the_attainers_of_any_count(monkeypatch, scramble):
         all(is_book(c) for c, t in zip(corpus, counts) if t == lo),
         all(len(simplicial_vertices(c)) == 2 for c, t in zip(corpus, counts) if t == hi),
     )
-    monkeypatch.setattr(extremal, "kirchhoff_count", scrambled)
+    monkeypatch.setattr(extremal, "count_via_construction", scrambled)
     assert tuple(survey_extremal(6)) == expected
 
 
