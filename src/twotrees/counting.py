@@ -8,9 +8,10 @@ trees, ``b`` 2-forests separating x from y; a plain edge starts at (1, 1), a
 required one at (1, 0).  Peeling in reverse build order, vertex v on {x, y}
 joins its two edges in series, (a1 a2, a1 b2 + b1 a2), then that pair in
 parallel into {x, y}, (a b3 + b a3, b b3); the base edge's ``a`` is the count.
-Kirchhoff (Bareiss) and the subset brute force stay as independent oracles.
-They read only a graph's ``n``, ``m`` and ``edges()``, so they take a
-construction or a ``SimpleGraph`` as is, and each checks its caps first.
+Kirchhoff (Bareiss) and a brute force that lists each tree as a rooted parent
+map stay as independent oracles.  They read only a graph's ``n``, ``m`` and
+``edges()``, so they take a construction or a ``SimpleGraph`` as is, and each
+checks its caps first.
 
 Chain growth (each new vertex glued onto an edge incident to the previous
 one) satisfies ``t_p = 2 t_{p-1} + s_{p-1}`` and ``s_p = t_{p-1} + s_{p-1}``
@@ -27,20 +28,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import (
-    CyclicRequirementError,
-    ForeignEdgeError,
-    OutOfRangeError,
-    TooLargeError,
-)
-from .graph import (
-    Edge,
-    SimpleGraph,
-    TwoTreeConstruction,
-    _union_find,
-    edge,
-    spanning_forest_components,
-)
+from .errors import CyclicRequirementError, ForeignEdgeError, OutOfRangeError, TooLargeError
+from .graph import Edge, SimpleGraph, TwoTreeConstruction, _union_find, edge, spanning_forest_components
 
 BRUTE_FORCE_EDGE_LIMIT = 25
 KIRCHHOFF_MAX_N = 400  # the cofactor matrix holds (n - 1)^2 ints; n = 300 takes seconds
@@ -138,44 +127,56 @@ def count_containing(g: Graph, required: Iterable[Edge]) -> int:
 
 
 def brute_force_count(g: Graph) -> int:
-    """Independent oracle: count acyclic (n-1)-edge subsets one by one.
+    """Independent oracle: count spanning trees one by one, as rooted parent maps.
 
-    Backtracks over the sorted edges, skipping each one and then taking it if
-    it joins two components, so no cyclic prefix is extended; without path
-    compression a join undoes with one assignment.
+    The root is a vertex of largest degree, the smallest index on a tie.  The
+    others, farthest first in breadth-first order, each take as parent a
+    neighbour whose chain of parents does not lead back to them, which would
+    close a cycle; each spanning tree is one such map.  A vertex's own
+    breadth-first parent has no parent yet when it chooses, so no choice is a
+    dead end: every branch of the search ends in at least one tree.
     """
     n, m = g.n, g.m
     if n < 1:
         raise OutOfRangeError("brute_force_count needs at least one vertex")
     if m > BRUTE_FORCE_EDGE_LIMIT:
-        raise TooLargeError(
-            f"brute force capped at {BRUTE_FORCE_EDGE_LIMIT} edges, graph has {m}"
-        )
+        raise TooLargeError(f"brute force capped at {BRUTE_FORCE_EDGE_LIMIT} edges, graph has {m}")
     if n == 1:
         return 1
     if m < n - 1:
         return 0
-    edges = g.edges()
-    parent = list(range(n))
+    adj: list[list[int]] = [[] for _ in range(n)]  # n <= m + 1 <= 26 from here
+    for u, v in g.edges():
+        adj[u].append(v)
+        adj[v].append(u)
+    order = [max(range(n), key=lambda v: len(adj[v]))]
+    for u in order:  # breadth-first: the list grows as it is read
+        order += [w for w in adj[u] if w not in order]
+    if len(order) < n:
+        return 0
+    up = [-1] * n  # a vertex's parent, or -1 before it has one; the root never does
+    *inner, last = order[:0:-1]  # last is a neighbour of the root
 
-    def walk(i: int, need: int) -> int:
-        # Subsets of edges[i:] with `need` edges that complete the forest;
-        # callers keep m - i >= need, so edges[i] exists while need > 0.
-        if need == 0:
-            return 1
-        total = walk(i + 1, need) if m - i > need else 0
-        u, v = edges[i]
-        while parent[u] != u:
-            u = parent[u]
-        while parent[v] != v:
-            v = parent[v]
-        if u != v:
-            parent[u] = v
-            total += walk(i + 1, need - 1)
-            parent[u] = u
+    def grow(i: int) -> int:  # trees that keep the parents given to inner[:i]
+        if i == len(inner):
+            total = 0
+            for u in adj[last]:
+                while (q := up[u]) >= 0:
+                    u = q
+                total += u != last
+            return total
+        v, total = inner[i], 0
+        for p in adj[v]:
+            u = p
+            while (q := up[u]) >= 0:
+                u = q
+            if u != v:
+                up[v] = p
+                total += grow(i + 1)
+                up[v] = -1
         return total
 
-    return walk(0, n - 1)
+    return grow(0)
 
 
 def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()) -> int:

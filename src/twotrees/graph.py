@@ -213,8 +213,7 @@ def _union_find(n: int, edges: Iterable[Edge]) -> Callable[[int], int] | None:
     """``find`` after joining every edge, or None when an edge, a repeated one
     included, closes a cycle.
 
-    This path-halving union-find is the package's only one outside the
-    brute-force oracle.
+    This path-halving union-find is the package's only one.
     """
     parent = list(range(n))
 

@@ -1,13 +1,14 @@
 """Test-side oracles, kept independent of the package implementations.
 
 Spanning trees are counted here by filtering edge subsets with a BFS
-connectivity check (the package's own brute force backtracks with a
-union-find, and the production path is the series-parallel engine);
+connectivity check (the package's own brute force lists rooted parent maps,
+and the production path is the series-parallel engine);
 a BFS component count is the reference for the package's union-find
 (``spanning_forest_components``); determinants come from cofactor
-expansion; Fibonacci numbers from the plain recurrence.  The package's
-former brute force, a fresh union-find per (n-1)-subset, is kept as the
-reference for its backtracking walk, and its former per-vertex
+expansion; Fibonacci numbers from the plain recurrence.  The package's two
+former brute forces, a fresh union-find per (n-1)-subset and the
+backtracking walk over edge subsets that followed it, are kept as references
+for its parent-map count, and its former per-vertex
 ``random_chain`` loop as the reference for the chain that function now
 grows with ``extend_with_chain``.  The
 list-growing enumeration materialises every level of the build order, as a
@@ -107,6 +108,41 @@ def brute_force_by_subsets(g) -> int:
         if ok:
             count += 1
     return count
+
+
+def brute_force_by_backtracking(g) -> int:
+    """Count acyclic (n-1)-edge subsets of ``g`` one by one (no edge cap; n >= 1).
+
+    Backtracks over the sorted edges, skipping each one and then taking it if
+    it joins two components, so no cyclic prefix is extended; without path
+    compression a join undoes with one assignment.
+    """
+    n, m = g.n, g.m
+    if n == 1:
+        return 1
+    if m < n - 1:
+        return 0
+    edges = g.edges()
+    parent = list(range(n))
+
+    def walk(i: int, need: int) -> int:
+        # Subsets of edges[i:] with `need` edges that complete the forest;
+        # callers keep m - i >= need, so edges[i] exists while need > 0.
+        if need == 0:
+            return 1
+        total = walk(i + 1, need) if m - i > need else 0
+        u, v = edges[i]
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            total += walk(i + 1, need - 1)
+            parent[u] = u
+        return total
+
+    return walk(0, n - 1)
 
 
 def spanning_trees_by_enumeration(n: int, edges) -> set[frozenset]:

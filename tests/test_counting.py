@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from twotrees import (
     count_containing,
     count_two_simplicial,
     count_via_construction,
+    fan,
     fibonacci,
     kirchhoff_count,
     path_square,
@@ -31,6 +33,7 @@ from twotrees.counting import _det_bareiss
 from twotrees.graph import TwoTreeConstruction, edge, spanning_forest_components
 
 from oracle import (
+    brute_force_by_backtracking,
     brute_force_by_subsets,
     det_by_cofactors,
     fib_by_recurrence,
@@ -231,6 +234,68 @@ def test_brute_force_matches_subset_filter(g):
 def test_brute_force_rejects_empty_graph():
     with pytest.raises(OutOfRangeError):
         brute_force_count(SimpleGraph.from_edges(0, []))
+
+
+def test_brute_force_exact_values_at_the_edge_cap():
+    k7 = SimpleGraph.from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+    grid = SimpleGraph.from_edges(  # 4 x 4, vertex 4r + c
+        16, [(v, v + 1) for v in range(16) if v % 4 < 3] + [(v, v + 4) for v in range(12)]
+    )
+    path = SimpleGraph.from_edges(26, [(v, v + 1) for v in range(25)])
+    cycle = SimpleGraph.from_edges(25, [(v, (v + 1) % 25) for v in range(25)])
+    assert fibonacci(26) == 121_393
+    cases = [
+        (book(14), 28_672),
+        (fan(14), 121_393),
+        (path_square(14), 121_393),
+        (k7, 16_807),
+        (grid, 100_352),
+        (path, 1),
+        (cycle, 25),
+    ]
+    for g, expected in cases:
+        assert g.m <= counting.BRUTE_FORCE_EDGE_LIMIT
+        assert brute_force_count(g) == expected
+
+
+@st.composite
+def capped_graphs(draw):
+    """Up to 26 vertices and 25 edges on shuffled labels: a random spanning
+    tree on each side of a drawn cut, plus up to eight more edges inside the
+    sides.  A cut inside the range leaves the graph disconnected, and a side
+    of one vertex leaves it isolated; the shuffle puts the largest degree
+    anywhere."""
+    n = draw(st.integers(1, 26))
+    cut = draw(st.one_of(st.just(n), st.integers(1, n)))  # no edge joins [0, cut) to [cut, n)
+    more = draw(st.integers(0, 8))
+    rng = random.Random(draw(seeds))
+    tree = [(rng.randrange(0 if v < cut else cut, v), v) for v in range(1, n) if v != cut]
+    rest = [(u, v) for u, v in itertools.combinations(range(n), 2) if (u < cut) == (v < cut)]
+    rest = [e for e in rest if e not in tree]
+    extra = rng.sample(rest, min(more, len(rest), 25 - len(tree)))
+    label = rng.sample(range(n), n)
+    return SimpleGraph.from_edges(n, [(label[u], label[v]) for u, v in tree + extra])
+
+
+def _k(vertices):
+    return [(u, v) for u in vertices for v in vertices if u < v]
+
+
+@settings(max_examples=100, deadline=None)
+@given(capped_graphs())
+# disconnected with m >= n - 1: two K4s; a 25-cycle and an isolated vertex
+@example(SimpleGraph.from_edges(8, _k(range(4)) + _k(range(4, 8))))
+@example(SimpleGraph.from_edges(26, [(v, (v + 1) % 25) for v in range(25)]))
+# isolated vertices: K5 on 1..5 beside vertex 0; a 5-cycle among 9 vertices
+@example(SimpleGraph.from_edges(6, _k(range(1, 6))))
+@example(SimpleGraph.from_edges(9, [(2, 4), (4, 6), (6, 8), (8, 3), (3, 2)]))
+# largest degree away from vertex 0: a 12-wheel with hub 12; a tie at 5 and 7
+@example(
+    SimpleGraph.from_edges(13, [e for v in range(12) for e in ((v, (v + 1) % 12), (v, 12))])
+)
+@example(SimpleGraph.from_edges(8, [(5, 0), (5, 1), (5, 2), (7, 3), (7, 4), (7, 6), (5, 7)]))
+def test_brute_force_matches_the_edge_subset_walk(g):
+    assert brute_force_count(g) == brute_force_by_backtracking(g)
 
 
 def test_count_via_construction_families():
