@@ -40,7 +40,7 @@ from .errors import (
     OutOfRangeError,
     TwoTreeError,
 )
-from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge, spanning_forest_components
+from .graph import Edge, SimpleGraph, TwoTreeConstruction, _union_find, edge
 
 EXIT_OK = 0
 EXIT_RANGE = 2
@@ -76,8 +76,9 @@ CLOSED_FORM_FAMILIES = {  # family -> its closed form in ``counting``, its gener
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # The top-level parser takes no option but --help, so its first other token
+    # is the subcommand argparse reads; if that is not a name, it stops there.
+    args = _build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     started = time.perf_counter()
     try:
         outputs = args.handler(args)
@@ -110,58 +111,67 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_INVARIANT if failed else EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(chosen: str | None) -> argparse.ArgumentParser:
+    """Every subcommand's name and help, and the arguments of ``chosen`` alone:
+    argparse reads no other subcommand's, so a start builds only what it parses."""
     parser = argparse.ArgumentParser(
         prog="twotrees", description="Exact spanning-tree toolkit for 2-trees"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", help="generate a named 2-tree family")
-    p.add_argument("family", choices=sorted(FAMILIES))
-    p.add_argument("n", type=int)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=["edges", "construction"], default="edges")
-    p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_gen)
+    if chosen == "gen":
+        p.add_argument("family", choices=sorted(FAMILIES))
+        p.add_argument("n", type=int)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--format", choices=["edges", "construction"], default="edges")
+        p.add_argument("--out", default=None)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("order", help="print a 2-simplicial (deletion) ordering")
-    _input_flags(p)
-    p.set_defaults(handler=_cmd_order)
+    if chosen == "order":
+        _input_flags(p)
+        p.set_defaults(handler=_cmd_order)
 
     p = sub.add_parser("count", help="exact spanning-tree count")
-    _input_flags(p)
-    p.add_argument(
-        "--method",
-        choices=["auto", "kirchhoff", "recurrence", "closed-form", "brute"],
-        default="auto",
-    )
-    p.set_defaults(handler=_cmd_count)
+    if chosen == "count":
+        _input_flags(p)
+        p.add_argument(
+            "--method",
+            choices=["auto", "kirchhoff", "recurrence", "closed-form", "brute"],
+            default="auto",
+        )
+        p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("enumerate", help="stream all spanning trees")
-    _input_flags(p)
-    p.add_argument("--out", default=None)
-    p.add_argument("--limit", type=int, default=None)
-    p.set_defaults(handler=_cmd_enumerate)
+    if chosen == "enumerate":
+        _input_flags(p)
+        p.add_argument("--out", default=None)
+        p.add_argument("--limit", type=int, default=None)
+        p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run an invariant suite")
-    p.add_argument("suite", choices=sorted(VERIFY_FLAGS))
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_verify)
+    if chosen == "verify":
+        p.add_argument("suite", choices=sorted(VERIFY_FLAGS))
+        p.add_argument("--n-max", dest="n_max", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--trials", type=int, default=None)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("survey", help="extremal sweep over the exhaustive corpus")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_survey)
+    if chosen == "survey":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=_cmd_survey)
 
     p = sub.add_parser("improve", help="run one extremal surgery")
-    p.add_argument("direction", choices=["min", "max"])
-    _input_flags(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_improve)
+    if chosen == "improve":
+        p.add_argument("direction", choices=["min", "max"])
+        _input_flags(p)
+        p.add_argument("--out", default=None)
+        p.set_defaults(handler=_cmd_improve)
 
     return parser
 
@@ -430,9 +440,11 @@ def _check_glue_identities(trials: int, seed: int) -> bool:
         pool = [e for e in c.edges() if v not in e]
         rng.shuffle(pool)
         req: list[Edge] = []
+        find = _union_find(n, req)
         for e in pool:
-            if rng.random() < 0.4 and spanning_forest_components(n, req + [e]) is not None:
+            if rng.random() < 0.4 and find(e[0]) != find(e[1]):
                 req.append(e)
+                find = _union_find(n, req)
         if not extremal.glue_identity_check(c, req):
             return False
     return True

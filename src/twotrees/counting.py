@@ -29,7 +29,9 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import CyclicRequirementError, ForeignEdgeError, OutOfRangeError, TooLargeError
-from .graph import Edge, SimpleGraph, TwoTreeConstruction, _union_find, edge, spanning_forest_components
+from .graph import (
+    Edge, SimpleGraph, TwoTreeConstruction, _edge_ids, _union_find, edge, spanning_forest_components,
+)
 
 BRUTE_FORCE_EDGE_LIMIT = 25
 KIRCHHOFF_MAX_N = 400  # the cofactor matrix holds (n - 1)^2 ints; n = 300 takes seconds
@@ -181,20 +183,24 @@ def brute_force_count(g: Graph) -> int:
 
 def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()) -> int:
     """Trees of the 2-tree ``c`` through every ``required`` edge, in O(n) steps."""
-    pair = {c.base: (1, 1)}
-    for v, (x, y) in c.attachments:
-        pair[edge(v, x)] = pair[edge(v, y)] = (1, 1)
+    m = 2 * c.n - 3
+    a, b = [1] * m, [1] * m  # by edge id: step i's edges at v are 2i + 1 and 2i + 2
     req = {edge(*e) for e in required}
-    if req.difference(pair):
-        raise ForeignEdgeError(f"required edge {min(req.difference(pair))} not in graph")
-    if spanning_forest_components(c.n, req) is None:
-        raise CyclicRequirementError("required edges contain a cycle")
-    pair.update(dict.fromkeys(req, (1, 0)))
-    for v, (x, y) in reversed(c.attachments):
-        (a1, b1), (a2, b2), (a3, b3) = pair.pop(edge(v, x)), pair.pop(edge(v, y)), pair[(x, y)]
-        a, b = a1 * a2, a1 * b2 + b1 * a2  # series: the two edges at v
-        pair[(x, y)] = (a * b3 + b * a3, b * b3)  # parallel into the attach edge
-    return pair[c.base][0]
+    if req:
+        ids = _edge_ids(c.n, c.attachments, req)
+        foreign = [e for e, i in zip(req, ids) if i < 0]
+        if foreign:
+            raise ForeignEdgeError(f"required edge {min(foreign)} not in graph")
+        if spanning_forest_components(c.n, req) is None:
+            raise CyclicRequirementError("required edges contain a cycle")
+        for i in ids:
+            b[i] = 0
+    for p, j in zip(reversed(c.parent), range(m - 2, 0, -2)):
+        a1, a2 = a[j], a[j + 1]
+        sa, sb = a1 * a2, a1 * b[j + 1] + b[j] * a2  # series: the two edges at v
+        a3, b3 = a[p], b[p]
+        a[p], b[p] = sa * b3 + sb * a3, sb * b3  # parallel into the attach edge
+    return a[0]
 
 
 def verify_bounds(c: TwoTreeConstruction) -> tuple[bool, bool]:

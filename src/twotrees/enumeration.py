@@ -9,7 +9,8 @@ yields each tree once.
 
 One walk, :func:`_walk`, applies and undoes one choice at a time on a flag
 per edge of ``c.edges()``, in sorted order.  Each added vertex is a level
-(vx, vy, xy) of edge indices; ``tests/oracle.py`` is the reference order.
+(vx, vy, xy) of those flags' indices, read off its edge ids by ranking the
+ids once; ``tests/oracle.py`` is the reference order.
 
 ``enumerate_spanning_trees`` walks every level and reads each tree as a
 ``frozenset``.  ``tree_stream_blocks`` writes the CLI's stream.  Its walk
@@ -29,20 +30,19 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .formats import edge_tokens
-from .graph import Edge, SpanningTree, TwoTreeConstruction, edge
+from .graph import Edge, SpanningTree, TwoTreeConstruction
 
 
 def enumerate_spanning_trees(c: TwoTreeConstruction) -> Iterator[SpanningTree]:
     """Yield every spanning tree of the 2-tree ``c`` exactly once, as edge sets."""
-    edges = c.edges()
-    return map(frozenset, map(compress, repeat(edges), _walk(*_levels(c, edges))))
+    edges, steps, flags = _levels(c)
+    return map(frozenset, map(compress, repeat(edges), _walk(steps, flags)))
 
 
 def tree_stream_blocks(c: TwoTreeConstruction) -> Iterator[tuple[str, int]]:
     """Yield the trees of :func:`enumerate_spanning_trees`, in order, as blocks
     ``(text, lines)`` of ``lines`` lines of ``formats.serialize_tree`` plus newline."""
-    edges = c.edges()
-    steps, flags = _levels(c, edges)
+    edges, steps, flags = _levels(c)
     k = min(len(steps), max((k for k in range(6) if 3**k * (c.n - 1) <= 1 << 16), default=0))
     head, tail = steps[: len(steps) - k], steps[len(steps) - k :]
     made = {i for vx, vy, _ in tail for i in (vx, vy)}
@@ -90,13 +90,18 @@ def _tail_table(tail: list, cuts: list[int], runs: list, flags: bytearray) -> tu
     return itemgetter(*picks), lines, low
 
 
-def _levels(c: TwoTreeConstruction, edges: list[Edge]) -> tuple[list, bytearray]:
-    """The level of each attachment, and the flags of the base edge's tree."""
-    index = {e: i for i, e in enumerate(edges)}
-    steps = [(index[edge(v, x)], index[edge(v, y)], index[(x, y)]) for v, (x, y) in c.attachments]
-    flags = bytearray(len(edges))
-    flags[index[c.base]] = 1
-    return steps, flags
+def _levels(c: TwoTreeConstruction) -> tuple[list[Edge], list, bytearray]:
+    """The sorted edges, the level of each attachment, and the flags of the
+    base edge's tree; a flag's index is its edge's rank in the sorted edges."""
+    by_id = c.edges_by_id()
+    order = sorted(range(len(by_id)), key=by_id.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    steps = [(rank[j], rank[j + 1], rank[p]) for j, p in zip(range(1, len(by_id), 2), c.parent)]
+    flags = bytearray(len(by_id))
+    flags[rank[0]] = 1
+    return [by_id[i] for i in order], steps, flags
 
 
 def _walk(steps: list[tuple[int, int, int]], flags: bytearray) -> Iterator[bytearray]:

@@ -77,16 +77,10 @@ def all_labeled_two_trees(n: int) -> Iterator[TwoTreeConstruction]:
 
 
 def _replay(n: int, choices: Iterable[int]) -> TwoTreeConstruction:
-    """The construction on base {0, 1} in which vertex k goes on the
-    ``choices[k - 2]``-th edge of the build-order list: the base edge, then
-    each vertex's two new edges.  The list holds 2k - 3 edges when k arrives."""
-    edges: list[Edge] = [(0, 1)]
-    attachments: list[tuple[int, Edge]] = []
-    for k, i in enumerate(choices, 2):
-        x, y = edges[i]
-        attachments.append((k, (x, y)))
-        edges += ((x, k), (y, k))
-    return TwoTreeConstruction(n, (0, 1), tuple(attachments))
+    """The construction on base {0, 1} in which vertex k goes on the edge with
+    id ``choices[k - 2]``: the base edge, then each vertex's two new edges, in
+    build order.  2k - 3 edges are present when k arrives."""
+    return TwoTreeConstruction(n, (0, 1), zip(range(2, n), choices))
 
 
 def extend_with_chain(

@@ -7,9 +7,16 @@ remaining vertex; reading the attachments backwards gives an elimination
 ordering in which every removed vertex has degree 2.  Generators emit the
 canonical labelling (base ``{0, 1}``, vertex ``k`` added at step ``k - 2``),
 but the type accepts any introduction order so that recognised graphs round
-trip with their original labels.  The constructor checks the whole build rule
-(each attach edge present when its vertex arrives), so every construction
-counts without further checks.  Both types are immutable
+trip with their original labels.
+
+An edge is named by the build step that made it: the base edge is id 0, and
+step i's new edges, from its vertex to the smaller and the larger end of its
+attach edge, are ids 2i + 1 and 2i + 2.  A construction stores ``parent``,
+the id of each step's attach edge, next to ``attachments``; the build rule
+(each attach edge present when its vertex arrives) is then
+``parent[i] < 2i + 1``.  The constructor checks it, with the vertex cover,
+so every construction counts without further checks, and the counting engine
+and the enumeration walk index lists by id.  Both types are immutable
 ``__slots__`` classes that compare and hash by field, as frozen dataclasses
 would; the package does not import ``dataclasses``, which would add its
 ``inspect`` and ``ast`` imports to every CLI start.
@@ -17,6 +24,7 @@ would; the package does not import ``dataclasses``, which would add its
 
 from __future__ import annotations
 
+from operator import itemgetter, le
 from typing import Callable, Iterable
 
 from .errors import (
@@ -36,13 +44,14 @@ def edge(u: int, v: int) -> Edge:
 
 
 class _Frozen:
-    """Base of the value types: the fields are the ``__slots__``, set once in
-    ``__init__``; equality, hash and repr go by field, as for a frozen dataclass."""
+    """Base of the value types: the fields are the ``__match_args__``, set once
+    in ``__init__``; equality, hash and repr go by field, as for a frozen
+    dataclass.  A slot outside them holds what ``__init__`` derives from them."""
 
     __slots__ = ()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -59,7 +68,7 @@ class _Frozen:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
@@ -107,55 +116,66 @@ class TwoTreeConstruction(_Frozen):
     """A 2-tree given as a base edge plus an ordered attachment sequence.
 
     ``attachments[i]`` is ``(new_vertex, attach_edge)``: the vertex added at
-    step ``i``, glued onto both endpoints of an edge already present.  The
-    base endpoints together with the attached vertices must cover
-    ``0 .. n-1`` exactly once each.  The constructor raises
-    InvalidConstructionError when either rule fails.
+    step ``i``, glued onto both endpoints of an edge already present.  A
+    caller may name the attach edge by its id instead of its ends; it is
+    stored as its ends either way, and ``parent[i]`` holds its id.  The base
+    endpoints together with the attached vertices must cover ``0 .. n-1``
+    exactly once each.  The constructor raises InvalidConstructionError when
+    either rule fails.
     """
 
-    __slots__ = __match_args__ = ("n", "base", "attachments")
+    __match_args__ = ("n", "base", "attachments")
+    __slots__ = (*__match_args__, "parent")
 
-    def __init__(self, n: int, base: Edge, attachments: Iterable[tuple[int, Edge]]):
+    def __init__(self, n: int, base: Edge, attachments: Iterable[tuple[int, Edge | int]]):
         if n < 2:
             raise OutOfRangeError(f"a construction needs n >= 2, got {n}")
         base = edge(*base)
-        # Pairs already in canonical (v, (x, y)) form, as every generator and
-        # peel passes them, are kept as given rather than rebuilt.
-        atts = tuple(
-            a if type(a) is tuple and type(a[1]) is tuple and a[1][0] < a[1][1]
-            else (a[0], edge(*a[1]))
-            for a in attachments
-        )
+        atts = list(attachments)
+        by_id = bool(atts) and type(atts[0][1]) is int
+        if not by_id:
+            # Pairs already in canonical (v, (x, y)) form, as every peel
+            # passes them, are kept as given rather than rebuilt.
+            atts = [
+                a if type(a) is tuple and type(a[1]) is tuple and a[1][0] < a[1][1]
+                else (a[0], edge(*a[1]))
+                for a in atts
+            ]
         if len(atts) != n - 2:
             raise InvalidConstructionError(
                 f"expected {n - 2} attachments for n={n}, got {len(atts)}"
             )
         introduced = [base[0], base[1]]
-        introduced.extend(v for v, _ in atts)
+        introduced.extend(map(itemgetter(0), atts))
         if sorted(introduced) != list(range(n)):
             raise InvalidConstructionError(
                 "base endpoints plus attached vertices must cover each of "
                 f"0..{n - 1} exactly once"
             )
-        # Edge {x, y} appears when the later of x and y arrives.  Checked in
-        # build order, it exists at step i iff both are vertices, that one
-        # arrived before i and is a base vertex or holds the other in its own
-        # attach edge.
-        step = [-1] * n
-        for i, (v, _) in enumerate(atts):
-            step[v] = i
-        for i, (v, (x, y)) in enumerate(atts):
-            if 0 <= x and y < n:
-                later, other = (y, x) if step[y] > step[x] else (x, y)
-                k = step[later]
-                if k < i and (k < 0 or other in atts[k][1]):
-                    continue
-            raise InvalidConstructionError(
-                f"attach edge {(x, y)} absent when vertex {v} is added"
-            )
+        if by_id:  # read each attach edge's ends off the step that made it
+            parent = []
+            for i, (v, p) in enumerate(atts):
+                if type(p) is not int or not 0 <= p <= 2 * i:
+                    raise InvalidConstructionError(
+                        f"attach edge id {p!r} absent when vertex {v} is added"
+                    )
+                if p:
+                    u, ends = atts[(p - 1) >> 1]
+                    w = ends[(p - 1) & 1]
+                    atts[i] = (v, (u, w) if u < w else (w, u))
+                else:
+                    atts[i] = (v, base)
+                parent.append(p)
+        else:
+            parent = _edge_ids(n, atts, map(itemgetter(1), atts))
+            if -1 in parent or not all(map(le, parent, range(0, 2 * n, 2))):
+                i = next(i for i, p in enumerate(parent) if not 0 <= p <= 2 * i)
+                v, e = atts[i]  # the first attach edge absent or made at step i or later
+                raise InvalidConstructionError(f"attach edge {e} absent when vertex {v} is added")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "attachments", atts)
+        object.__setattr__(self, "attachments", tuple(atts))
+        object.__setattr__(self, "parent", tuple(parent))
 
     @property
     def m(self) -> int:
@@ -163,11 +183,16 @@ class TwoTreeConstruction(_Frozen):
 
     def edges(self) -> list[Edge]:
         """The 2n - 3 edges of the 2-tree, as sorted canonical tuples."""
+        out = self.edges_by_id()
+        out.sort()
+        return out
+
+    def edges_by_id(self) -> list[Edge]:
+        """The 2n - 3 edges of the 2-tree as canonical tuples, edge id i at index i."""
         out = [self.base]
         for v, (x, y) in self.attachments:
             out.append((v, x) if v < x else (x, v))
             out.append((v, y) if v < y else (y, v))
-        out.sort()
         return out
 
     def adjacency(self) -> list[set[int]]:
@@ -184,6 +209,39 @@ class TwoTreeConstruction(_Frozen):
     def realize(self) -> SimpleGraph:
         """The 2-tree as a :class:`SimpleGraph`; the oracles take ``self`` as is."""
         return SimpleGraph(self.n, tuple(self.edges()))
+
+
+def _edge_ids(n: int, attachments, edges: Iterable[Edge]) -> list[int]:
+    """The id of each canonical edge in ``edges`` in the 2-tree that
+    ``attachments`` (checked for cover, not for order) build, or -1 for a pair
+    that is not an edge.
+
+    Edge {x, y} appears when the later of x and y arrives: it is the base edge
+    when both are base vertices, else one of the later one's two step edges.
+    """
+    step = [-1] * n  # the step each vertex arrives at; -1 for the base vertices
+    for i, (v, _) in enumerate(attachments):
+        step[v] = i
+    ids: list[int] = []
+    append = ids.append
+    for x, y in edges:
+        p = -1
+        if 0 <= x and y < n:
+            k, kx = step[y], step[x]
+            if k > kx:
+                other = x
+            elif kx > k:
+                k, other = kx, y
+            else:  # only the two base vertices share a step
+                append(0)
+                continue
+            ends = attachments[k][1]
+            if other == ends[0]:
+                p = 2 * k + 1
+            elif other == ends[1]:
+                p = 2 * k + 2
+        append(p)
+    return ids
 
 
 def _neighbour_sets(n: int, edges: Iterable[Edge]) -> list[set[int]]:

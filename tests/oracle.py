@@ -15,8 +15,10 @@ list-growing enumeration materialises every level of the build order, as a
 reference for the package's depth-first walk and its choice order.  The
 rescanning degree-2 eliminations are the package's former quadratic loops
 (recognition, the path walk and the max surgery's core peel), kept as
-references for its heap-driven peel.  Only references live here: nothing
-from the package is moved in to keep it alive.
+references for its heap-driven peel.  The engine's former loop, which keyed
+each edge's pair by its tuple in a dict, is the reference for the engine on
+edge ids.  Only references live here: nothing from the package is moved in
+to keep it alive.
 """
 
 from __future__ import annotations
@@ -143,6 +145,23 @@ def brute_force_by_backtracking(g) -> int:
         return total
 
     return walk(0, n - 1)
+
+
+def count_by_edge_dict(c, required=()) -> int:
+    """The package's former series-parallel engine: each edge's (a, b) pair in a
+    dict keyed by the edge's tuple, peeled in reverse build order.  ``required``
+    must be an acyclic set of edges of ``c``."""
+    pair = {c.base: (1, 1)}
+    for v, (x, y) in c.attachments:
+        pair[edge(v, x)] = pair[edge(v, y)] = (1, 1)
+    for e in required:
+        assert edge(*e) in pair, f"required edge {e} not in the 2-tree"
+        pair[edge(*e)] = (1, 0)
+    for v, (x, y) in reversed(c.attachments):
+        (a1, b1), (a2, b2), (a3, b3) = pair.pop(edge(v, x)), pair.pop(edge(v, y)), pair[(x, y)]
+        a, b = a1 * a2, a1 * b2 + b1 * a2  # series: the two edges at v
+        pair[(x, y)] = (a * b3 + b * a3, b * b3)  # parallel into the attach edge
+    return pair[c.base][0]
 
 
 def spanning_trees_by_enumeration(n: int, edges) -> set[frozenset]:

@@ -57,11 +57,17 @@ def test_criterion_1_enumeration_completeness(corpus):
     checked = 0
     ok = True
     for n in range(3, 9):
+        spanning: set[frozenset] = set()  # trees on n vertices found spanning so far
         for c in corpus[n]:
             edges = set(c.edges())
             emitted = list(enumerate_spanning_trees(c))
-            distinct = len(set(emitted)) == len(emitted)
-            valid = all(t <= edges and spanning_forest_components(n, t) == 1 for t in emitted)
+            trees = set(emitted)
+            distinct = len(trees) == len(emitted)
+            new = trees - spanning  # the forest check runs once per distinct tree
+            valid = all(map(edges.issuperset, emitted)) and all(
+                spanning_forest_components(n, t) == 1 for t in new
+            )
+            spanning |= new
             k = kirchhoff_count(c)
             b = brute_force_count(c)
             e = count_via_construction(c)

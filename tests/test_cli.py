@@ -39,7 +39,7 @@ from twotrees.formats import (
     serialize_tree,
 )
 
-from oracle import decimal_by_str
+from oracle import component_count, decimal_by_str
 
 
 def run(capsys, *argv):
@@ -747,6 +747,26 @@ def test_verify_identities(capsys):
     assert out.count("[PASS]") == 3
 
 
+def test_glue_check_draws_the_same_required_sets(monkeypatch):
+    # reference: each candidate edge joins S when a fresh forest check of
+    # S + e passes, with the same RNG draws in the same order
+    seen = []
+    monkeypatch.setattr(extremal, "glue_identity_check", lambda c, req: not seen.append((c, req)))
+    assert cli._check_glue_identities(40, 7)
+    rng, want = random.Random(7), []
+    for i in range(40):
+        n = 4 + rng.randrange(5) + rng.randrange(5)
+        c = random_two_tree(n, 7 * 1000 + i)
+        pool = [e for e in c.edges() if c.attachments[-1][0] not in e]
+        rng.shuffle(pool)
+        req: list = []
+        for e in pool:
+            if rng.random() < 0.4 and component_count(n, req + [e]) == n - len(req) - 1:
+                req.append(e)
+        want.append((c, req))
+    assert seen == want and sum(map(len, (req for _, req in want))) > 40
+
+
 def test_verify_extremal_guard(capsys):
     code, _, err = run(capsys, "verify", "extremal", "--n-max", "9")
     assert code == 2
@@ -788,6 +808,15 @@ def test_help_text_is_pinned(capsys, monkeypatch, subcommand):
         cli.main([subcommand, "--help"] if subcommand else ["--help"])
     assert exc.value.code == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_SHA256[subcommand]
+
+
+def test_only_the_chosen_subcommand_gets_its_arguments():
+    names = ["gen", "order", "count", "enumerate", "verify", "survey", "improve"]
+    for chosen in (None, "nosuch", *names):
+        sub = cli._build_parser(chosen)._subparsers._group_actions[0]
+        assert list(sub.choices) == names
+        for name, parser in sub.choices.items():  # -h alone, or the full set
+            assert (len(parser._actions) > 1) == (name == chosen), (chosen, name)
 
 
 def test_usage_error_exit_2():

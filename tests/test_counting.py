@@ -26,6 +26,7 @@ from twotrees import (
     kirchhoff_count,
     path_square,
     random_two_tree,
+    recognize,
     verify_bounds,
 )
 from twotrees import counting
@@ -35,6 +36,8 @@ from twotrees.graph import TwoTreeConstruction, edge, spanning_forest_components
 from oracle import (
     brute_force_by_backtracking,
     brute_force_by_subsets,
+    component_count,
+    count_by_edge_dict,
     det_by_cofactors,
     fib_by_recurrence,
     tree_count_by_enumeration,
@@ -316,8 +319,6 @@ def test_count_via_construction_matches_kirchhoff(n, seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(3, 10), seeds)
 def test_count_via_construction_on_recognized_labels(n, seed):
-    from twotrees import recognize
-
     g = random_two_tree(n, seed)
     relabeled = SimpleGraph.from_edges(
         g.n, [edge(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()]
@@ -336,6 +337,34 @@ def test_engine_matches_count_containing_with_requirements(n, seed, k):
         if spanning_forest_components(c.n, required + [e]) is not None:
             required.append(e)
     assert count_via_construction(c, required) == count_containing(c, required)
+
+
+def _acyclic_sample(rng: random.Random, c: TwoTreeConstruction, k: int) -> list:
+    """Up to k edges of c drawn at random, each kept when it closes no cycle."""
+    required: list = []
+    for e in rng.sample(c.edges(), min(k, c.m)):
+        if component_count(c.n, required + [e]) == c.n - len(required) - 1:
+            required.append(e)
+    return required
+
+
+def test_engine_matches_the_edge_dict_loop_on_the_corpus(corpus):
+    rng = random.Random(21)
+    for n in range(3, 8):
+        for c in corpus[n]:
+            assert count_via_construction(c) == count_by_edge_dict(c)
+            required = _acyclic_sample(rng, c, rng.randrange(1, n))
+            assert count_via_construction(c, required) == count_by_edge_dict(c, required)
+
+
+def test_engine_matches_the_edge_dict_loop_up_to_n_200():
+    rng = random.Random(200)
+    for seed in range(120):
+        n = 2 + rng.randrange(199)
+        for c in (random_two_tree(n, seed), recognize(n, random_two_tree(n, seed).edges()[::-1])):
+            assert count_via_construction(c) == count_by_edge_dict(c)
+            required = _acyclic_sample(rng, c, rng.randrange(n))
+            assert count_via_construction(c, required) == count_by_edge_dict(c, required)
 
 
 def test_engine_rejects_requirements_like_count_containing():

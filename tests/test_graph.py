@@ -17,6 +17,7 @@ from twotrees import (
     TwoTreeConstruction,
     book,
     edge,
+    path_square,
     random_two_tree,
     recognize,
 )
@@ -170,6 +171,56 @@ def test_value_types_are_frozen_and_compare_by_field():
         case TwoTreeConstruction(n, base, _):
             assert (n, base) == (3, (0, 1))
     assert len({c, TwoTreeConstruction(3, (1, 0), [(2, (1, 0))]), g}) == 2
+
+
+def _id_layout_holds(c: TwoTreeConstruction) -> bool:
+    """Edge 0 is the base; step i's edges from its vertex to the smaller and
+    the larger end of its attach edge are 2i + 1 and 2i + 2; parent[i] names
+    the attach edge and was made before step i."""
+    by_id = c.edges_by_id()
+    ok = by_id[0] == c.base and sorted(by_id) == c.edges() and len(c.parent) == c.n - 2
+    for i, (v, (x, y)) in enumerate(c.attachments):
+        ok = ok and by_id[2 * i + 1] == edge(v, x) and by_id[2 * i + 2] == edge(v, y)
+        ok = ok and 0 <= c.parent[i] < 2 * i + 1 and by_id[c.parent[i]] == (x, y)
+    return ok
+
+
+def test_edge_ids_follow_the_build_order(corpus):
+    assert all(_id_layout_holds(c) for n in range(3, 8) for c in corpus[n])
+    for seed in range(20):
+        c = random_two_tree(2 + seed * 7, seed)
+        relabelled = [edge(c.n - 1 - u, c.n - 1 - v) for u, v in c.edges()]
+        assert _id_layout_holds(c) and _id_layout_holds(recognize(c.n, relabelled))
+    assert book(2).parent == () and book(5).parent == (0, 0, 0)
+    assert path_square(6).parent == (0, 2, 4, 6)  # each vertex on its predecessor's edge to its larger end
+
+
+def test_a_construction_from_ids_equals_the_one_from_tuples():
+    for seed in range(20):
+        by_id = random_two_tree(3 + seed, seed)  # made from its drawn ids
+        c = recognize(by_id.n, by_id.edges()[::-1])  # made from tuples, in another order
+        for x, y in (
+            (by_id, TwoTreeConstruction(by_id.n, by_id.base, by_id.attachments)),
+            (c, TwoTreeConstruction(c.n, list(c.base), [[v, p] for (v, _), p in zip(c.attachments, c.parent)])),
+        ):
+            assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+            assert x.parent == y.parent and x.attachments == y.attachments
+            for copied in (pickle.loads(pickle.dumps(y)), copy.deepcopy(y)):
+                assert copied == x and copied.parent == x.parent
+
+
+def test_attach_edge_ids_must_name_an_earlier_edge():
+    assert TwoTreeConstruction(4, (0, 1), ((2, 0), (3, 2))).attachments == ((2, (0, 1)), (3, (1, 2)))
+    for attachments, wrong in (  # step 0 may name only the base, step 1 ids 0..2
+        (((2, -1), (3, 0)), r"id -1 absent when vertex 2"),
+        (((2, 1), (3, 0)), r"id 1 absent when vertex 2"),
+        (((2, 0), (3, 3)), r"id 3 absent when vertex 3"),
+        (((2, 0), (3, (0, 1))), r"id \(0, 1\) absent when vertex 3"),
+    ):
+        with pytest.raises(InvalidConstructionError, match=wrong):
+            TwoTreeConstruction(4, (0, 1), attachments)
+    with pytest.raises(InvalidConstructionError, match="exactly once"):
+        TwoTreeConstruction(4, (0, 1), ((2, 0), (2, 0)))  # the cover is checked first
 
 
 def _attach_edges_present(n, base, attachments):
