@@ -29,9 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import CyclicRequirementError, ForeignEdgeError, OutOfRangeError, TooLargeError
-from .graph import (
-    Edge, SimpleGraph, TwoTreeConstruction, _edge_ids, _union_find, edge, spanning_forest_components,
-)
+from .graph import Edge, SimpleGraph, TwoTreeConstruction, _edge_ids, _union_find, edge
 
 BRUTE_FORCE_EDGE_LIMIT = 25
 KIRCHHOFF_MAX_N = 400  # the cofactor matrix holds (n - 1)^2 ints; n = 300 takes seconds
@@ -191,7 +189,7 @@ def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()
         foreign = [e for e, i in zip(req, ids) if i < 0]
         if foreign:
             raise ForeignEdgeError(f"required edge {min(foreign)} not in graph")
-        if spanning_forest_components(c.n, req) is None:
+        if _union_find(c.n, req) is None:
             raise CyclicRequirementError("required edges contain a cycle")
         for i in ids:
             b[i] = 0
@@ -230,10 +228,8 @@ def _laplacian_cofactor(edges: Iterable[Edge], cls: Sequence[int], k: int) -> in
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
-    """Integer determinant by fraction-free elimination with row pivoting."""
+    """Integer determinant of a nonempty matrix by fraction-free elimination with row pivoting."""
     n = len(m)
-    if n == 0:
-        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -38,7 +38,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .counting import count_via_construction
 from .errors import (
     AlreadyTwoSimplicialError,
-    CyclicRequirementError,
     ForeignEdgeError,
     InvariantError,
     IsBookError,
@@ -46,7 +45,7 @@ from .errors import (
     TooLargeError,
 )
 from .generators import all_labeled_two_trees
-from .graph import Edge, TwoTreeConstruction, _union_find, edge
+from .graph import Edge, TwoTreeConstruction, _edge_ids, _union_find, edge
 from .recognition import _is_book_shape, _path_order, _peel, simplicial_vertices
 
 
@@ -205,21 +204,20 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
         T(S) = 2t + s    T(S+vw) = t + s    T(S+vz) = t + s    T(S+vw+vz) = s
 
     where s = 0 when S already joins w and z (e in S included): then S + e
-    and S + vw + vz each close a cycle.  Returns True iff all four hold.
+    and S + vw + vz each close a cycle.  Returns True iff all four hold.  An
+    edge of S outside G - v raises ForeignEdgeError; the engine rejects a cyclic S.
     """
     if c.n < 3:
         raise OutOfRangeError(f"glue_identity_check needs n >= 3, got {c.n}")
     v, (w, z) = c.attachments[-1]
     req = list(dict.fromkeys(edge(*f) for f in required))  # a repeat is no cycle
-    present = set(c.edges())
-    for a, b in req:
-        if (a, b) not in present:
+    for (a, b), i in zip(req, _edge_ids(c.n, c.attachments, req)):
+        if i < 0:
             raise ForeignEdgeError(f"required edge ({a}, {b}) not in the graph")
         if v in (a, b):
             raise ForeignEdgeError(f"required edge ({a}, {b}) touches the split vertex")
+    t_s = count_via_construction(c, req)
     find = _union_find(c.n, req)
-    if find is None:
-        raise CyclicRequirementError("required edge set contains a cycle")
     joined = find(w) == find(z)
 
     prime, remap = _compact(c.base, c.attachments[:-1])
@@ -229,7 +227,7 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
 
     vw, vz = edge(v, w), edge(v, z)
     got = (
-        count_via_construction(c, req),
+        t_s,
         count_via_construction(c, req + [vw]),
         count_via_construction(c, req + [vz]),
         0 if joined else count_via_construction(c, req + [vw, vz]),

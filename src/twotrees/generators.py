@@ -15,7 +15,7 @@ import random
 from typing import Iterable, Iterator
 
 from .errors import OutOfRangeError, TooLargeError
-from .graph import Edge, TwoTreeConstruction, edge
+from .graph import Edge, TwoTreeConstruction, _edge_ids, edge
 
 Seed = int
 
@@ -95,7 +95,7 @@ def extend_with_chain(
     if steps < 1:
         raise OutOfRangeError(f"need at least one chain step, got {steps}")
     x, y = edge(*start_edge)
-    if (x, y) not in c.edges():
+    if _edge_ids(c.n, c.attachments, [(x, y)]) == [-1]:
         raise OutOfRangeError(f"start edge ({x}, {y}) not in graph")
     rng = random.Random(seed)
     records: list[tuple[int, Edge]] = []

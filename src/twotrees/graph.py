@@ -108,7 +108,7 @@ class SimpleGraph(_Frozen):
         """All edges as sorted canonical tuples."""
         return list(self.sorted_edges)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:  # a debugging aid: the edges are left out
         return f"SimpleGraph(n={self.n}, m={self.m})"
 
 
@@ -138,7 +138,7 @@ class TwoTreeConstruction(_Frozen):
             # passes them, are kept as given rather than rebuilt.
             atts = [
                 a if type(a) is tuple and type(a[1]) is tuple and a[1][0] < a[1][1]
-                else (a[0], edge(*a[1]))
+                else _attach_pair(a[0], a[1])
                 for a in atts
             ]
         if len(atts) != n - 2:
@@ -211,6 +211,13 @@ class TwoTreeConstruction(_Frozen):
         return SimpleGraph(self.n, tuple(self.edges()))
 
 
+def _attach_pair(v: int, e: Edge) -> tuple[int, Edge]:
+    """``(v, e)`` with ``e`` canonical, when attach edges are given as pairs."""
+    if type(e) is int:
+        raise InvalidConstructionError(f"attach edge {e} absent when vertex {v} is added")
+    return v, edge(*e)
+
+
 def _edge_ids(n: int, attachments, edges: Iterable[Edge]) -> list[int]:
     """The id of each canonical edge in ``edges`` in the 2-tree that
     ``attachments`` (checked for cover, not for order) build, or -1 for a pair
@@ -261,17 +268,11 @@ def _neighbour_sets(n: int, edges: Iterable[Edge]) -> list[set[int]]:
 SpanningTree = frozenset  # frozenset[Edge]; edge set of a spanning tree
 
 
-def spanning_forest_components(n: int, edges: Iterable[Edge]) -> int | None:
-    """Number of components of an acyclic edge set on n vertices, else None."""
-    edges = list(edges)
-    return None if _union_find(n, edges) is None else n - len(edges)
-
-
 def _union_find(n: int, edges: Iterable[Edge]) -> Callable[[int], int] | None:
     """``find`` after joining every edge, or None when an edge, a repeated one
     included, closes a cycle.
 
-    This path-halving union-find is the package's only one.
+    This path-halving union-find is the package's only one and its one forest test.
     """
     parent = list(range(n))
 

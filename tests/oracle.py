@@ -4,7 +4,7 @@ Spanning trees are counted here by filtering edge subsets with a BFS
 connectivity check (the package's own brute force lists rooted parent maps,
 and the production path is the series-parallel engine);
 a BFS component count is the reference for the package's union-find
-(``spanning_forest_components``); determinants come from cofactor
+(``graph._union_find``, its one forest test); determinants come from cofactor
 expansion; Fibonacci numbers from the plain recurrence.  The package's two
 former brute forces, a fresh union-find per (n-1)-subset and the
 backtracking walk over edge subsets that followed it, are kept as references

@@ -773,18 +773,40 @@ def test_verify_extremal_guard(capsys):
     assert "n-max" in err
 
 
-def test_verify_failure_exit_5(capsys, monkeypatch):
-    monkeypatch.setattr(extremal, "glue_identity_check", lambda *a, **k: False)
+def _one_more(f, index=None):
+    """``f`` returning one more, or one more in item ``index`` of the tuple it returns."""
+    def shifted(*args):
+        got = f(*args)
+        if index is None:
+            return got + 1
+        return (*got[:index], got[index] + 1, *got[index + 1:])
+    return shifted
+
+
+@pytest.mark.parametrize(
+    "module, name, stand_in, check",
+    [
+        (extremal, "glue_identity_check", lambda *a, **k: False, "glued-pair count identities"),
+        (counting, "chain_edge_counts", _one_more(counting.chain_edge_counts, 0), "chain Fibonacci closed forms"),
+        (counting, "chain_edge_counts", _one_more(counting.chain_edge_counts, 2), "chain Fibonacci closed forms"),
+        (counting, "count_containing", _one_more(counting.count_containing), "deletion-contraction consistency"),
+    ],
+    ids=["glued-pair", "chain-start", "chain-tip", "deletion-contraction"],
+)
+def test_verify_failure_exit_5(capsys, monkeypatch, module, name, stand_in, check):
+    # each identities check fails alone: the glued-pair check stubbed, the other two
+    # comparing against a closed form or an oracle that is off by one
+    monkeypatch.setattr(module, name, stand_in)
     code, out, err = run(capsys, "verify", "identities", "--trials", "3", "--seed", "0")
     assert code == 5
-    assert "[FAIL]" in out
-    assert "invariant failed" in err
+    assert out.count("[FAIL]") == 1 and f"[FAIL] {check}\n" in out
+    assert err == f"error: invariant failed: {check}\n"
     # under --json the report follows the error line
     code_json, out_json, err_json = run(capsys, "verify", "identities", "--trials", "3", "--json")
     assert (code_json, out_json) == (code, out)
     error_line, line = err_json.splitlines(True)
     assert error_line == err
-    assert json.loads(line)["outputs"]["checks"]["glued-pair count identities"] is False
+    assert json.loads(line)["outputs"]["checks"][check] is False
 
 
 # sha256 of `twotrees [SUBCOMMAND] --help` at 80 columns: the CLI's usage

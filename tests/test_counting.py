@@ -31,7 +31,7 @@ from twotrees import (
 )
 from twotrees import counting
 from twotrees.counting import _det_bareiss
-from twotrees.graph import TwoTreeConstruction, edge, spanning_forest_components
+from twotrees.graph import TwoTreeConstruction, _union_find, edge
 
 from oracle import (
     brute_force_by_backtracking,
@@ -192,9 +192,7 @@ def test_count_containing_matches_enumeration(n, seed):
 
 
 def _is_cyclic_pair(g, required):
-    from twotrees.graph import spanning_forest_components
-
-    return spanning_forest_components(g.n, required) is None
+    return _union_find(g.n, required) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,7 +332,7 @@ def test_engine_matches_count_containing_with_requirements(n, seed, k):
     c = random_two_tree(n, seed)
     required: list = []
     for e in rng.sample(c.edges(), min(k, c.m)):
-        if spanning_forest_components(c.n, required + [e]) is not None:
+        if _union_find(c.n, required + [e]) is not None:
             required.append(e)
     assert count_via_construction(c, required) == count_containing(c, required)
 
@@ -445,7 +443,7 @@ def test_oracles_read_a_construction_as_its_edge_list(corpus):
             assert brute_force_count(c) == brute_force_count(g)
             required: list = []
             for e in rng.sample(c.edges(), rng.randrange(n)):
-                if spanning_forest_components(n, required + [e]) is not None:
+                if _union_find(n, required + [e]) is not None:
                     required.append(e)
             assert count_containing(c, required) == count_containing(g, required)
 

@@ -49,7 +49,7 @@ from twotrees import (
 from twotrees import cli, recognition
 from twotrees.enumeration import tree_stream_blocks
 from twotrees.formats import serialize_edge_list
-from twotrees.graph import spanning_forest_components
+from twotrees.graph import _union_find
 from twotrees.recognition import _peel
 
 from oracle import peel_to_core_by_rescan
@@ -360,7 +360,7 @@ def _random_acyclic_subset(c, rng, p):
     rng.shuffle(pool)
     required = []
     for e in pool:
-        if rng.random() < p and spanning_forest_components(c.n, required + [e]) is not None:
+        if rng.random() < p and _union_find(c.n, required + [e]) is not None:
             required.append(e)
     return required
 
@@ -393,8 +393,12 @@ def test_glue_identity_check_with_required_e():
 
 
 def test_glue_identity_check_rejects_cycle():
-    with pytest.raises(CyclicRequirementError):
+    # the engine's first count rejects a cyclic S, after every edge of S is checked
+    with pytest.raises(CyclicRequirementError, match="^required edges contain a cycle$"):
         glue_identity_check(path_square(6), [(1, 2), (2, 3), (1, 3)])
+    for late, wrong in (((2, 9), "not in the graph"), ((4, 5), "touches the split vertex")):
+        with pytest.raises(ForeignEdgeError, match=wrong):
+            glue_identity_check(path_square(6), [(1, 2), (2, 3), (1, 3), late])
 
 
 def test_glue_identity_check_ignores_a_repeated_edge():

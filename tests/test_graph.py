@@ -22,7 +22,7 @@ from twotrees import (
     recognize,
 )
 from twotrees.formats import serialize_edge_list
-from twotrees.graph import spanning_forest_components
+from twotrees.graph import _union_find
 
 from oracle import adjacency, component_count
 
@@ -216,6 +216,7 @@ def test_attach_edge_ids_must_name_an_earlier_edge():
         (((2, 1), (3, 0)), r"id 1 absent when vertex 2"),
         (((2, 0), (3, 3)), r"id 3 absent when vertex 3"),
         (((2, 0), (3, (0, 1))), r"id \(0, 1\) absent when vertex 3"),
+        (((2, (0, 1)), (3, 1)), r"edge 1 absent when vertex 3"),  # a pair first, then an id
     ):
         with pytest.raises(InvalidConstructionError, match=wrong):
             TwoTreeConstruction(4, (0, 1), attachments)
@@ -294,5 +295,9 @@ def edge_lists(draw):
 def test_union_find_matches_the_bfs_oracle(case):
     # repeated edges, cycles, isolated vertices and both orientations occur
     n, edges = case
-    is_forest = len(edges) == n - component_count(n, edges)
-    assert spanning_forest_components(n, edges) == (n - len(edges) if is_forest else None)
+    components = component_count(n, edges)
+    find = _union_find(n, edges)
+    if len(edges) == n - components:  # a forest: find names its components
+        assert find is not None and len({find(v) for v in range(n)}) == components
+    else:
+        assert find is None
