@@ -181,9 +181,8 @@ def brute_force_count(g: Graph) -> int:
 
 def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()) -> int:
     """Trees of the 2-tree ``c`` through every ``required`` edge, in O(n) steps."""
-    m = 2 * c.n - 3
-    a, b = [1] * m, [1] * m  # by edge id: step i's edges at v are 2i + 1 and 2i + 2
     req = {edge(*e) for e in required}
+    ids: list[int] = []
     if req:
         ids = _edge_ids(c.n, c.attachments, req)
         foreign = [e for e, i in zip(req, ids) if i < 0]
@@ -191,9 +190,22 @@ def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()
             raise ForeignEdgeError(f"required edge {min(foreign)} not in graph")
         if _union_find(c.n, req) is None:
             raise CyclicRequirementError("required edges contain a cycle")
-        for i in ids:
-            b[i] = 0
-    for p, j in zip(reversed(c.parent), range(m - 2, 0, -2)):
+    return _count(c.parent, ids)
+
+
+def _count(parent: Sequence[int], required_ids: Iterable[int] = ()) -> int:
+    """Trees of the 2-tree whose step i attaches onto edge id ``parent[i]``,
+    through every id in ``required_ids``, which must name a forest: nothing
+    here checks them.
+
+    A prefix ``parent[:k]`` is the 2-tree its first k steps build, with the
+    same edge ids, so a 2-tree less its last vertices counts with no copy.
+    """
+    m = 2 * len(parent) + 1
+    a, b = [1] * m, [1] * m  # by edge id: step i's edges at v are 2i + 1 and 2i + 2
+    for i in required_ids:
+        b[i] = 0
+    for p, j in zip(reversed(parent), range(m - 2, 0, -2)):
         a1, a2 = a[j], a[j + 1]
         sa, sb = a1 * a2, a1 * b[j + 1] + b[j] * a2  # series: the two edges at v
         a3, b3 = a[p], b[p]

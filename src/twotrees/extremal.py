@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .counting import count_via_construction
+from .counting import _count, count_via_construction
 from .errors import (
     AlreadyTwoSimplicialError,
     ForeignEdgeError,
@@ -107,12 +107,13 @@ def improve_min(c: TwoTreeConstruction) -> SplitReport:
     c_g1 = TwoTreeConstruction(c.n, base, rest + ((v1, e1), (v2, e1)))
     c_g2 = TwoTreeConstruction(c.n, base, rest + ((v1, e2), (v2, e2)))
 
-    c_h, remap = _compact(base, rest)
-    h1, h2 = (remap[e1[0]], remap[e1[1]]), (remap[e2[0]], remap[e2[1]])
-    t_h = count_via_construction(c_h)
-    beta1 = count_via_construction(c_h, [h1])
-    beta2 = count_via_construction(c_h, [h2])
-    gamma = count_via_construction(c_h, [h1, h2])
+    # H keeps the ids of G1 and G2 minus their last two steps, which name e1 and e2.
+    c_h = _compact(base, rest)
+    h, h1, h2 = c_h.parent, c_g1.parent[-1], c_g2.parent[-1]
+    t_h = _count(h)
+    beta1 = _count(h, [h1])
+    beta2 = _count(h, [h2])
+    gamma = _count(h, [h1, h2])
 
     t_g = count_via_construction(c)
     t_g1 = count_via_construction(c_g1)
@@ -141,7 +142,6 @@ def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
     v, v_prime = simp[0], simp[1]
     adj = c.adjacency()
     deletions = _peel(adj, keep={v, v_prime})
-    core = set(range(c.n)).difference(u for u, _ in deletions)
     ends = [w for w in range(c.n) if len(adj[w]) == 2]
     _check(ends == [v, v_prime], "peeled core must have exactly two degree-2 vertices")
 
@@ -152,7 +152,13 @@ def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
     q = len(order)
     pos = {vertex: q - i for i, vertex in enumerate(order)}  # order[0]=v has pos q
 
-    hanging = _hanging_pieces(core, deletions)
+    # Replaying the deletions rebuilds G; a re-added vertex's piece hangs on
+    # its attach edge when both ends are core vertices, else on an end's.
+    root: dict[int, Edge] = {}
+    for u, (a, b) in reversed(deletions):
+        root[u] = r = root.get(a) or root.get(b) or (a, b)
+        _check(root.get(b, r) == r, "a peeled vertex chains back to one core edge")
+    hanging = set(root.values())
     # Each core edge's highest position among the path vertices it was the
     # attach edge of; the path peel deletes from the top down, so the first wins.
     attach_positions = {f: pos[u] for u, f in reversed(path_deletions)}
@@ -170,7 +176,7 @@ def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
     crucial = min(incident) if incident else min(at_peak)
 
     p = q - j_star + 1
-    moved = set(hanging[crucial])
+    moved = {u for u, r in root.items() if r == crucial}
 
     # G' rebuilds the core in path order, then re-adds every peeled vertex,
     # with the moved piece's glue vertices renamed canonical endpoint to
@@ -189,7 +195,7 @@ def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
     _check(t_gprime > t_g, "T(G') > T(G) after the reattachment")
 
     # J is the moved piece rebuilt on the crucial edge, in G's rebuild order.
-    piece, _ = _compact(crucial, [(u, f) for u, f in reversed(deletions) if u in moved])
+    piece = _compact(crucial, [(u, f) for u, f in reversed(deletions) if u in moved])
     return SurgeryReport(crucial, p, piece, c_prime, t_g, t_gprime)
 
 
@@ -209,28 +215,27 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
     """
     if c.n < 3:
         raise OutOfRangeError(f"glue_identity_check needs n >= 3, got {c.n}")
-    v, (w, z) = c.attachments[-1]
+    _, (w, z) = c.attachments[-1]
     req = list(dict.fromkeys(edge(*f) for f in required))  # a repeat is no cycle
-    for (a, b), i in zip(req, _edge_ids(c.n, c.attachments, req)):
+    ids = _edge_ids(c.n, c.attachments, req)
+    for (a, b), i in zip(req, ids):
         if i < 0:
             raise ForeignEdgeError(f"required edge ({a}, {b}) not in the graph")
-        if v in (a, b):
+        if i >= c.m - 2:  # v's two edges are the last ids
             raise ForeignEdgeError(f"required edge ({a}, {b}) touches the split vertex")
-    t_s = count_via_construction(c, req)
+    t_s = count_via_construction(c, req)  # the engine rejects a cyclic S
     find = _union_find(c.n, req)
     joined = find(w) == find(z)
 
-    prime, remap = _compact(c.base, c.attachments[:-1])
-    s_prime = [(remap[a], remap[b]) for a, b in req]
-    t = count_via_construction(prime, s_prime)
-    s = 0 if joined else count_via_construction(prime, s_prime + [(remap[w], remap[z])])
-
-    vw, vz = edge(v, w), edge(v, z)
+    # G - v is the build order minus its last step, with the same edge ids.
+    prime, e, vw, vz = c.parent[:-1], c.parent[-1], c.m - 2, c.m - 1
+    t = _count(prime, ids)
+    s = 0 if joined else _count(prime, ids + [e])
     got = (
         t_s,
-        count_via_construction(c, req + [vw]),
-        count_via_construction(c, req + [vz]),
-        0 if joined else count_via_construction(c, req + [vw, vz]),
+        _count(c.parent, ids + [vw]),
+        _count(c.parent, ids + [vz]),
+        0 if joined else _count(c.parent, ids + [vw, vz]),
     )
     return got == (2 * t + s, t + s, t + s, s)
 
@@ -283,41 +288,11 @@ def _check(ok: bool, identity: str) -> None:
         raise InvariantError(identity)
 
 
-def _compact(
-    base: Edge, attachments: Sequence[tuple[int, Edge]]
-) -> tuple[TwoTreeConstruction, dict[int, int]]:
+def _compact(base: Edge, attachments: Sequence[tuple[int, Edge]]) -> TwoTreeConstruction:
     """The 2-tree built by ``attachments`` on ``base``, its vertices relabelled
-    densely in sorted order, and the old-to-new map.
-
-    The map is increasing, so it keeps every canonical edge canonical.
+    densely in sorted order.  The relabelling is increasing, so it keeps every
+    canonical edge canonical and every edge id.
     """
     remap = {old: new for new, old in enumerate(sorted([*base, *(u for u, _ in attachments)]))}
     relabelled = tuple((remap[u], (remap[a], remap[b])) for u, (a, b) in attachments)
-    return TwoTreeConstruction(len(remap), (remap[base[0]], remap[base[1]]), relabelled), remap
-
-
-def _hanging_pieces(
-    core: set[int], deletions: list[tuple[int, Edge]]
-) -> dict[Edge, list[int]]:
-    """Group peeled vertices by the core edge their attachment chains back to.
-
-    Replaying deletions in reverse is a rebuild; each re-added vertex roots
-    at its attach edge when both endpoints are in the core, else inherits the
-    root of an attach endpoint added earlier.
-    """
-    root_of_vertex: dict[int, Edge] = {}
-    pieces: dict[Edge, list[int]] = {}
-    for u, (a, b) in reversed(deletions):
-        if a in core and b in core:
-            root = edge(a, b)
-        elif a in core:
-            root = root_of_vertex[b]
-        elif b in core:
-            root = root_of_vertex[a]
-        else:
-            ra, rb = root_of_vertex[a], root_of_vertex[b]
-            _check(ra == rb, "a peeled vertex chains back to one core edge")
-            root = ra
-        root_of_vertex[u] = root
-        pieces.setdefault(root, []).append(u)
-    return pieces
+    return TwoTreeConstruction(len(remap), (remap[base[0]], remap[base[1]]), relabelled)

@@ -87,6 +87,8 @@ def parse_construction(text: str) -> TwoTreeConstruction:
             raise FormatError(f"attachment line {row!r} outside vertex range [0, {n})")
         if x == y:
             raise FormatError(f"attachment line {row!r} names a loop edge")
+        if v in introduced:
+            raise FormatError(f"attachment line {row!r} introduces vertex {v} a second time")
         introduced.add(v)
         attachments.append((v, edge(x, y)))
     base_vertices = sorted(set(range(n)) - introduced)

@@ -883,6 +883,7 @@ def test_bad_paths_and_bytes_exit_2_with_one_error_line(capsys, tmp_path, argv):
         (["enumerate", "--limit", "-1"], "2 1\n0 1\n", "--limit must be nonnegative, got -1"),
         (["count"], "3 3\n0 1 2\n0 2\n1 2\n", "edge line must be 'u v', got '0 1 2'"),
         (["order"], "4\n2 0 1\n3 0 4\n", "attachment line '3 0 4' outside vertex range [0, 4)"),
+        (["count"], "4\n2 0 1\n2 0 1\n", "attachment line '2 0 1' introduces vertex 2 a second time"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_fault(capsys, tmp_path, argv, text, message):

@@ -30,7 +30,7 @@ from twotrees import (
     verify_bounds,
 )
 from twotrees import counting
-from twotrees.counting import _det_bareiss
+from twotrees.counting import _count, _det_bareiss
 from twotrees.graph import TwoTreeConstruction, _union_find, edge
 
 from oracle import (
@@ -363,6 +363,38 @@ def test_engine_matches_the_edge_dict_loop_up_to_n_200():
             assert count_via_construction(c) == count_by_edge_dict(c)
             required = _acyclic_sample(rng, c, rng.randrange(n))
             assert count_via_construction(c, required) == count_by_edge_dict(c, required)
+
+
+def _prefix_counts_agree(c: TwoTreeConstruction, rng: random.Random) -> None:
+    """For every k, the id-level count of ``c.parent[:k]`` through a random
+    forest S matches ``count_containing`` on the 2-tree that the first k steps
+    build, whose k + 2 vertices are relabelled densely here."""
+    by_id = c.edges_by_id()
+    for k in range(c.n - 1):
+        ids = [i for i in range(2 * k + 1) if rng.random() < 0.5]
+        rng.shuffle(ids)
+        forest: list[int] = []
+        for i in ids:
+            if _union_find(c.n, [by_id[j] for j in forest + [i]]) is not None:
+                forest.append(i)
+        kept = sorted([*c.base, *(v for v, _ in c.attachments[:k])])
+        label = {v: new for new, v in enumerate(kept)}
+        edges = [edge(label[x], label[y]) for x, y in by_id[: 2 * k + 1]]
+        prefix = SimpleGraph.from_edges(k + 2, edges)
+        assert _count(c.parent[:k], forest) == count_containing(prefix, [edges[i] for i in forest])
+
+
+def test_a_prefix_of_parent_counts_the_2_tree_it_builds(corpus):
+    rng = random.Random(23)
+    for n in range(3, 8):
+        for c in corpus[n]:
+            _prefix_counts_agree(c, rng)
+    for seed in range(100):
+        n = 3 + rng.randrange(58)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        c = recognize(n, [(perm[a], perm[b]) for a, b in random_two_tree(n, seed).edges()])
+        _prefix_counts_agree(c, rng)
 
 
 def test_engine_rejects_requirements_like_count_containing():

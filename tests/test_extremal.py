@@ -46,7 +46,7 @@ from twotrees import (
     survey_extremal,
     verify_bounds,
 )
-from twotrees import cli, recognition
+from twotrees import cli, graph, recognition
 from twotrees.enumeration import tree_stream_blocks
 from twotrees.formats import serialize_edge_list
 from twotrees.graph import _union_find
@@ -126,6 +126,11 @@ def test_wrong_counts_raise_invariant_error(monkeypatch):
         extremal, "count_via_construction", lambda c, required=(): real(c, required) + 1
     )
     with pytest.raises(InvariantError):
+        improve_min(path_square(6))
+    monkeypatch.undo()
+    real_by_id = extremal._count
+    monkeypatch.setattr(extremal, "_count", lambda parent, ids=(): real_by_id(parent, ids) + 1)
+    with pytest.raises(InvariantError):  # H's four counts, which go by edge id
         improve_min(path_square(6))
     monkeypatch.setattr(extremal, "count_via_construction", lambda c, required=(): 7)
     with pytest.raises(InvariantError):
@@ -430,17 +435,52 @@ def test_glue_identity_check_randomized(n, seed):
     assert glue_identity_check(c, _random_acyclic_subset(c, rng, 0.5))
 
 
-def test_glue_identity_check_notices_a_wrong_count(monkeypatch):
+@pytest.mark.parametrize("wrong", range(6), ids=["T_S", "t", "s", "T_S_vw", "T_S_vz", "T_S_vw_vz"])
+def test_glue_identity_check_notices_a_wrong_count(monkeypatch, wrong):
+    # T(S) comes from the engine, then t, s and the three counts through v's
+    # edges by id, in this order; each one off by one must fail the check
     c = random_two_tree(9, 4)
-    required = _random_acyclic_subset(c, random.Random(1), 0.4)
+    required = _random_acyclic_subset(c, random.Random(0), 0.4)
     assert glue_identity_check(c, required)
-    real = extremal.count_via_construction
+    calls: list[int] = []
 
-    def off_by_one_on_g(g, req):
-        return real(g, req) + (g.n == c.n)
+    def off_by_one_at_call_wrong(real):
+        def count(*args):
+            calls.append(len(calls))
+            return real(*args) + (calls[-1] == wrong)
 
-    monkeypatch.setattr(extremal, "count_via_construction", off_by_one_on_g)
+        return count
+
+    for name in ("count_via_construction", "_count"):
+        monkeypatch.setattr(extremal, name, off_by_one_at_call_wrong(getattr(extremal, name)))
     assert not glue_identity_check(c, required)
+    assert len(calls) == 6  # S does not join w and z, so s is counted
+
+
+def test_glue_identity_check_looks_s_up_twice(monkeypatch):
+    # S does not join w and z, so all six counts run: the engine's T(S) and
+    # the check itself each look S up and test it as a forest; the five
+    # counts by edge id do neither
+    c = random_two_tree(60, 5)
+    required = _random_acyclic_subset(c, random.Random(1), 0.3)
+    _, (w, z) = c.attachments[-1]
+    find = _union_find(c.n, required)
+    assert required and find(w) != find(z)
+    calls = {"_edge_ids": 0, "_union_find": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name, getattr(graph, name))
+        for module in (graph, counting, extremal):
+            monkeypatch.setattr(module, name, wrapper)
+    assert glue_identity_check(c, required)
+    assert calls == {"_edge_ids": 2, "_union_find": 2}
 
 
 @pytest.mark.parametrize("n", [401, 2000])

@@ -93,7 +93,8 @@ def test_edge_list_rejects(text):
         "4\n2 0 1\n",  # missing a line
         "4\n2 0 1\n3 0\n",  # short line
         "4\n2 0 1\n3 2 2\n",  # loop attach
-        "4\n2 0 1\n2 0 2\n",  # vertex 2 introduced twice: base would have 3
+        "4\n2 0 1\n2 0 2\n",  # vertex 2 introduced twice, on two attach edges
+        "4\n2 0 1\n2 0 1\n",  # vertex 2 introduced twice, on one attach edge
         "4\n2 0 1\n3 0 4\n",  # vertex 4 outside [0, 4)
     ],
 )
