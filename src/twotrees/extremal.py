@@ -15,9 +15,10 @@ Two constructive surgeries drive the extremal picture:
   this walk terminates on.
 
 * ``improve_max``: in a graph with more than two degree-2 vertices, peel
-  every surplus one, read off the Hamiltonian-path ordering of the core,
-  detach the hanging piece glued highest along that path, and re-glue it at
-  the tip edge next to the path's end.  The tip edge lies in strictly more
+  every surplus one, then peel the core along its Hamiltonian path from its
+  end v.  The first path triangle, from v, that holds a hanging edge (at
+  step p) names the crucial edge; detach the piece glued on it and re-glue
+  it at the tip edge next to v.  The tip edge lies in strictly more
   spanning trees of the kept part than the old glue edge does, and the tree
   count of a glued pair is strictly increasing in that quantity, so the
   rewired graph strictly beats the original.
@@ -145,12 +146,10 @@ def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
     ends = [w for w in range(c.n) if len(adj[w]) == 2]
     _check(ends == [v, v_prime], "peeled core must have exactly two degree-2 vertices")
 
-    tip = edge(v, min(adj[v]))  # read before the path peel deletes v
     # Peeling on with only v' kept walks the core's Hamiltonian path from v.
     order, path_deletions = _path_order(adj, v_prime)
     _check(order[0] == v and order[-1] == v_prime, "core path must run from v to v'")
-    q = len(order)
-    pos = {vertex: q - i for i, vertex in enumerate(order)}  # order[0]=v has pos q
+    tip = edge(v, path_deletions[0][1][0])
 
     # Replaying the deletions rebuilds G; a re-added vertex's piece hangs on
     # its attach edge when both ends are core vertices, else on an end's.
@@ -159,23 +158,16 @@ def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
         root[u] = r = root.get(a) or root.get(b) or (a, b)
         _check(root.get(b, r) == r, "a peeled vertex chains back to one core edge")
     hanging = set(root.values())
-    # Each core edge's highest position among the path vertices it was the
-    # attach edge of; the path peel deletes from the top down, so the first wins.
-    attach_positions = {f: pos[u] for u, f in reversed(path_deletions)}
+    # A side at the peeled vertex beats the attach edge.  At most one side
+    # hangs: v's hold nothing, and after v one is the previous attach edge.
+    for p, (u, (a, b)) in enumerate(path_deletions, 1):
+        sides = {edge(u, a), edge(u, b)} & hanging
+        if sides or (a, b) in hanging:
+            crucial = min(sides, default=(a, b))
+            break
+    else:
+        raise InvariantError("no path triangle holds a hanging edge")
 
-    def edge_index(f: Edge) -> int:
-        by_attach = attach_positions.get(f, 0)
-        by_endpoint = max(pos[f[0]], pos[f[1]])
-        return max(by_attach, by_endpoint)
-
-    j_star = max(edge_index(f) for f in hanging)
-    at_peak = [f for f in hanging if edge_index(f) == j_star]
-    v_j = order[q - j_star]
-    # Prefer the hanging edge incident to the peak vertex over its attach edge.
-    incident = [f for f in at_peak if v_j in f]
-    crucial = min(incident) if incident else min(at_peak)
-
-    p = q - j_star + 1
     moved = {u for u, r in root.items() if r == crucial}
 
     # G' rebuilds the core in path order, then re-adds every peeled vertex,

@@ -130,48 +130,53 @@ class TwoTreeConstruction(_Frozen):
     def __init__(self, n: int, base: Edge, attachments: Iterable[tuple[int, Edge | int]]):
         if n < 2:
             raise OutOfRangeError(f"a construction needs n >= 2, got {n}")
-        base = edge(*base)
-        atts = list(attachments)
-        by_id = bool(atts) and type(atts[0][1]) is int
-        if not by_id:
-            # Pairs already in canonical (v, (x, y)) form, as every peel
-            # passes them, are kept as given rather than rebuilt.
-            atts = [
-                a if type(a) is tuple and type(a[1]) is tuple and a[1][0] < a[1][1]
-                else _attach_pair(a[0], a[1])
-                for a in atts
-            ]
-        if len(atts) != n - 2:
-            raise InvalidConstructionError(
-                f"expected {n - 2} attachments for n={n}, got {len(atts)}"
-            )
-        introduced = [base[0], base[1]]
-        introduced.extend(map(itemgetter(0), atts))
-        if sorted(introduced) != list(range(n)):
-            raise InvalidConstructionError(
-                "base endpoints plus attached vertices must cover each of "
-                f"0..{n - 1} exactly once"
-            )
-        if by_id:  # read each attach edge's ends off the step that made it
-            parent = []
-            for i, (v, p) in enumerate(atts):
-                if type(p) is not int or not 0 <= p <= 2 * i:
-                    raise InvalidConstructionError(
-                        f"attach edge id {p!r} absent when vertex {v} is added"
-                    )
-                if p:
-                    u, ends = atts[(p - 1) >> 1]
-                    w = ends[(p - 1) & 1]
-                    atts[i] = (v, (u, w) if u < w else (w, u))
-                else:
-                    atts[i] = (v, base)
-                parent.append(p)
-        else:
-            parent = _edge_ids(n, atts, map(itemgetter(1), atts))
-            if -1 in parent or not all(map(le, parent, range(0, 2 * n, 2))):
-                i = next(i for i, p in enumerate(parent) if not 0 <= p <= 2 * i)
-                v, e = atts[i]  # the first attach edge absent or made at step i or later
-                raise InvalidConstructionError(f"attach edge {e} absent when vertex {v} is added")
+        try:
+            base = edge(*base)
+            atts = list(attachments)
+            by_id = bool(atts) and type(atts[0][1]) is int
+            if not by_id:
+                # Pairs already in canonical (v, (x, y)) form, as every peel
+                # passes them, are kept as given rather than rebuilt.
+                atts = [
+                    a if type(a) is tuple and type(a[1]) is tuple and a[1][0] < a[1][1]
+                    else _attach_pair(a[0], a[1])
+                    for a in atts
+                ]
+            if len(atts) != n - 2:
+                raise InvalidConstructionError(
+                    f"expected {n - 2} attachments for n={n}, got {len(atts)}"
+                )
+            introduced = [base[0], base[1]]
+            introduced.extend(map(itemgetter(0), atts))
+            if sorted(introduced) != list(range(n)):
+                raise InvalidConstructionError(
+                    "base endpoints plus attached vertices must cover each of "
+                    f"0..{n - 1} exactly once"
+                )
+            if by_id:  # read each attach edge's ends off the step that made it
+                parent = []
+                for i, (v, p) in enumerate(atts):
+                    if type(p) is not int or not 0 <= p <= 2 * i:
+                        raise InvalidConstructionError(
+                            f"attach edge id {p!r} absent when vertex {v} is added"
+                        )
+                    if p:
+                        u, ends = atts[(p - 1) >> 1]
+                        w = ends[(p - 1) & 1]
+                        atts[i] = (v, (u, w) if u < w else (w, u))
+                    else:
+                        atts[i] = (v, base)
+                    parent.append(p)
+            else:
+                parent = _edge_ids(n, atts, map(itemgetter(1), atts))
+                if -1 in parent or not all(map(le, parent, range(0, 2 * n, 2))):
+                    i = next(i for i, p in enumerate(parent) if not 0 <= p <= 2 * i)
+                    v, e = atts[i]  # the first attach edge absent or made at step i or later
+                    raise InvalidConstructionError(f"attach edge {e} absent when vertex {v} is added")
+        except LoopEdgeError:
+            raise
+        except (TypeError, ValueError, IndexError) as exc:  # a record of the wrong shape
+            raise InvalidConstructionError(f"malformed construction record: {exc}") from exc
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "attachments", tuple(atts))

@@ -17,8 +17,11 @@ rescanning degree-2 eliminations are the package's former quadratic loops
 (recognition, the path walk and the max surgery's core peel), kept as
 references for its heap-driven peel.  The engine's former loop, which keyed
 each edge's pair by its tuple in a dict, is the reference for the engine on
-edge ids.  Only references live here: nothing from the package is moved in
-to keep it alive.
+edge ids.  The max surgery's former positional rule, which ranks each
+hanging edge by where along the core path it first appears, is the reference
+for the crucial edge it now reads off the path peel; it runs on the package's
+own peels, which the rescans above check.  Only references live here:
+nothing from the package is moved in to keep it alive.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from collections import deque
 from itertools import combinations
 
 from twotrees.graph import TwoTreeConstruction, edge
+from twotrees.recognition import _path_order, _peel, simplicial_vertices
 
 
 def is_tree_edge_set(n: int, edges) -> bool:
@@ -359,3 +363,34 @@ def peel_to_core_by_rescan(n: int, edges, v: int, v_prime: int):
 def _clique_pair(adj: list[set[int]], v: int) -> bool:
     a, b = adj[v]
     return b in adj[a]
+
+
+def crucial_edge_by_positions(c):
+    """``(crucial_edge, p)`` of ``improve_max`` on ``c``, by the former rule.
+
+    Path vertex ``order[i]`` has position q - i, so v has the highest.  A
+    hanging edge's index is the higher of its endpoints' positions and the
+    position of the first path vertex it is the attach edge of; the piece
+    on the highest-indexed one moves, and among ties an edge incident to the
+    path vertex at that position wins over the rest, the smaller first.
+    """
+    v, v_prime = simplicial_vertices(c)[:2]
+    adj = c.adjacency()
+    deletions = _peel(adj, keep={v, v_prime})
+    order, path_deletions = _path_order(adj, v_prime)
+    q = len(order)
+    pos = {vertex: q - i for i, vertex in enumerate(order)}
+    root = {}
+    for u, (a, b) in reversed(deletions):
+        root[u] = root.get(a) or root.get(b) or (a, b)
+    hanging = set(root.values())
+    attach_positions = {f: pos[u] for u, f in reversed(path_deletions)}
+
+    def edge_index(f):
+        return max(attach_positions.get(f, 0), pos[f[0]], pos[f[1]])
+
+    j_star = max(map(edge_index, hanging))
+    at_peak = [f for f in hanging if edge_index(f) == j_star]
+    v_j = order[q - j_star]
+    incident = [f for f in at_peak if v_j in f]
+    return min(incident or at_peak), q - j_star + 1

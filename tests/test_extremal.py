@@ -31,6 +31,7 @@ from twotrees import (
     count_two_simplicial,
     counting,
     enumerate_spanning_trees,
+    extend_with_chain,
     extremal,
     fan,
     glue_identity_check,
@@ -40,6 +41,7 @@ from twotrees import (
     kirchhoff_count,
     path_ordering_if_two_simplicial,
     path_square,
+    random_chain,
     random_two_tree,
     recognize,
     simplicial_vertices,
@@ -52,7 +54,7 @@ from twotrees.formats import serialize_edge_list
 from twotrees.graph import _union_find
 from twotrees.recognition import _peel
 
-from oracle import peel_to_core_by_rescan
+from oracle import crucial_edge_by_positions, peel_to_core_by_rescan
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -315,11 +317,56 @@ def test_improve_max_multiple_hanging_pieces():
     ]
     c = recognize(8, edges)
     rep = improve_max(c)
-    assert rep.t_gprime > rep.t_g
+    # the first path triangle, {0, 1, 2}, holds only its attach edge, which wins
+    assert (rep.crucial_edge, rep.p) == ((1, 2), 1)
+    assert rep.subtree_j.edges() == [(0, 1), (0, 2), (1, 2)]
+    assert (rep.t_g, rep.t_gprime) == (320, 344)
     assert rep.g_prime.n == 8
     # pure function: identical reports on identical input
     assert improve_max(c) == rep
 
+
+def _max_surgery_inputs(count: int, n_max: int):
+    """Relabelled random 2-trees and chains with extra pieces, n <= n_max."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randrange(6, n_max + 1)
+        if seed % 2:
+            c = random_two_tree(n, seed)
+        else:  # a chain, then pieces grown out of random edges up to n vertices
+            c = random_chain(rng.randrange(4, n), seed)
+            while c.n < n:
+                start = rng.choice(c.edges())
+                c = extend_with_chain(c, start, rng.randrange(1, n - c.n + 1), seed)
+        label = list(range(n))
+        rng.shuffle(label)
+        yield recognize(n, [(label[u], label[v]) for u, v in c.edges()])
+
+
+def test_improve_max_matches_the_positional_rule(corpus):
+    graphs = [c for n in (5, 6, 7) for c in corpus[n]]
+    graphs.extend(_max_surgery_inputs(300, 300))
+    checked = 0
+    for c in graphs:
+        if len(simplicial_vertices(c)) > 2:
+            rep = improve_max(c)
+            assert (rep.crucial_edge, rep.p) == crucial_edge_by_positions(c)
+            checked += 1
+    assert checked > 1000
+
+
+def test_improve_max_guards_a_path_peel_without_hanging_edges(monkeypatch):
+    # a path peel whose triangles all sit on two vertices outside the graph
+    # holds no hanging edge, so no piece can be chosen to move
+    real = extremal._path_order
+
+    def off_the_graph(adj, goal):
+        order, deletions = real(adj, goal)
+        return order, [(u, (len(adj), len(adj) + 1)) for u, _ in deletions]
+
+    monkeypatch.setattr(extremal, "_path_order", off_the_graph)
+    with pytest.raises(InvariantError, match="no path triangle holds a hanging edge"):
+        improve_max(book(6))
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(9, 13), seeds)

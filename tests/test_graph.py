@@ -15,6 +15,7 @@ from twotrees import (
     OutOfRangeError,
     SimpleGraph,
     TwoTreeConstruction,
+    TwoTreeError,
     book,
     edge,
     path_square,
@@ -223,6 +224,37 @@ def test_attach_edge_ids_must_name_an_earlier_edge():
     with pytest.raises(InvalidConstructionError, match="exactly once"):
         TwoTreeConstruction(4, (0, 1), ((2, 0), (2, 0)))  # the cover is checked first
 
+
+
+@pytest.mark.parametrize(
+    "base, record",
+    [
+        ((0, 1), (2, True)),
+        ((0, 1), (2, None)),
+        ((0, 1), ("2", (0, 1))),
+        ((0, 1, 2), (2, (0, 1))),
+        ((0, 1), (2, (0, 1, 2))),
+        ((0, 1), (2, (0,))),
+        ((0, 1), (2,)),
+    ],
+)
+def test_malformed_records_raise_invalid_construction(base, record):
+    with pytest.raises(InvalidConstructionError, match="malformed construction record"):
+        TwoTreeConstruction(3, base, [record])
+
+
+_atoms = st.one_of(st.integers(-1, 4), st.booleans(), st.none(), st.text(max_size=2))
+_shapes = st.one_of(_atoms, st.lists(_atoms, max_size=3).map(tuple))
+_records = st.one_of(_shapes, st.lists(_shapes, max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 5), _shapes, st.lists(_records, max_size=4))
+def test_any_record_shape_builds_or_raises_a_typed_error(n, base, records):
+    try:
+        TwoTreeConstruction(n, base, records)
+    except TwoTreeError:
+        pass
 
 def _attach_edges_present(n, base, attachments):
     """Reference rule: replay the build with an explicit set of present edges."""
