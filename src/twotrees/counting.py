@@ -188,15 +188,14 @@ def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()
         foreign = [e for e, i in zip(req, ids) if i < 0]
         if foreign:
             raise ForeignEdgeError(f"required edge {min(foreign)} not in graph")
-        if _union_find(c.n, req) is None:
-            raise CyclicRequirementError("required edges contain a cycle")
-    return _count(c.parent, ids)
+    if t := _count(c.parent, ids):  # 0 only through a cycle, as a 2-tree is connected
+        return t
+    raise CyclicRequirementError("required edges contain a cycle")
 
 
 def _count(parent: Sequence[int], required_ids: Iterable[int] = ()) -> int:
     """Trees of the 2-tree whose step i attaches onto edge id ``parent[i]``,
-    through every id in ``required_ids``, which must name a forest: nothing
-    here checks them.
+    through every id in ``required_ids``, exact for any ids: 0 through a cycle.
 
     A prefix ``parent[:k]`` is the 2-tree its first k steps build, with the
     same edge ids, so a 2-tree less its last vertices counts with no copy.

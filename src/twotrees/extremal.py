@@ -46,7 +46,7 @@ from .errors import (
     TooLargeError,
 )
 from .generators import all_labeled_two_trees
-from .graph import Edge, TwoTreeConstruction, _edge_ids, _union_find, edge
+from .graph import Edge, TwoTreeConstruction, _edge_ids, edge
 from .recognition import _is_book_shape, _path_order, _peel, simplicial_vertices
 
 
@@ -201,13 +201,12 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
 
         T(S) = 2t + s    T(S+vw) = t + s    T(S+vz) = t + s    T(S+vw+vz) = s
 
-    where s = 0 when S already joins w and z (e in S included): then S + e
-    and S + vw + vz each close a cycle.  Returns True iff all four hold.  An
-    edge of S outside G - v raises ForeignEdgeError; the engine rejects a cyclic S.
+    where the core returns s = 0 when S already joins w and z, as S + e then
+    holds a cycle (e in S adds nothing to S + e).  Returns True iff all four
+    hold.  An edge outside G - v raises ForeignEdgeError; the engine rejects a cyclic S.
     """
     if c.n < 3:
         raise OutOfRangeError(f"glue_identity_check needs n >= 3, got {c.n}")
-    _, (w, z) = c.attachments[-1]
     req = list(dict.fromkeys(edge(*f) for f in required))  # a repeat is no cycle
     ids = _edge_ids(c.n, c.attachments, req)
     for (a, b), i in zip(req, ids):
@@ -216,18 +215,16 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
         if i >= c.m - 2:  # v's two edges are the last ids
             raise ForeignEdgeError(f"required edge ({a}, {b}) touches the split vertex")
     t_s = count_via_construction(c, req)  # the engine rejects a cyclic S
-    find = _union_find(c.n, req)
-    joined = find(w) == find(z)
 
     # G - v is the build order minus its last step, with the same edge ids.
     prime, e, vw, vz = c.parent[:-1], c.parent[-1], c.m - 2, c.m - 1
     t = _count(prime, ids)
-    s = 0 if joined else _count(prime, ids + [e])
+    s = 0 if e in ids else _count(prime, ids + [e])
     got = (
         t_s,
         _count(c.parent, ids + [vw]),
         _count(c.parent, ids + [vz]),
-        0 if joined else _count(c.parent, ids + [vw, vz]),
+        _count(c.parent, ids + [vw, vz]),
     )
     return got == (2 * t + s, t + s, t + s, s)
 

@@ -24,6 +24,7 @@ would; the package does not import ``dataclasses``, which would add its
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter, le
 from typing import Callable, Iterable
 
@@ -120,8 +121,8 @@ class TwoTreeConstruction(_Frozen):
     caller may name the attach edge by its id instead of its ends; it is
     stored as its ends either way, and ``parent[i]`` holds its id.  The base
     endpoints together with the attached vertices must cover ``0 .. n-1``
-    exactly once each.  The constructor raises InvalidConstructionError when
-    either rule fails.
+    exactly once each, and every label, attach edge ends too, is an ``int``.
+    The constructor raises InvalidConstructionError when a rule fails.
     """
 
     __match_args__ = ("n", "base", "attachments")
@@ -139,20 +140,22 @@ class TwoTreeConstruction(_Frozen):
                 # passes them, are kept as given rather than rebuilt.
                 atts = [
                     a if type(a) is tuple and type(a[1]) is tuple and a[1][0] < a[1][1]
-                    else _attach_pair(a[0], a[1])
+                    else _attach_pair(*a)
                     for a in atts
                 ]
             if len(atts) != n - 2:
                 raise InvalidConstructionError(
                     f"expected {n - 2} attachments for n={n}, got {len(atts)}"
                 )
-            introduced = [base[0], base[1]]
-            introduced.extend(map(itemgetter(0), atts))
+            introduced = [*base, *map(itemgetter(0), atts)]
             if sorted(introduced) != list(range(n)):
                 raise InvalidConstructionError(
                     "base endpoints plus attached vertices must cover each of "
                     f"0..{n - 1} exactly once"
                 )
+            ends = () if by_id else chain.from_iterable(map(itemgetter(1), atts))
+            if {*map(type, introduced), *map(type, ends)} != {int}:  # True and 2.0 pass the cover
+                raise TypeError("a vertex label is not an int")
             if by_id:  # read each attach edge's ends off the step that made it
                 parent = []
                 for i, (v, p) in enumerate(atts):

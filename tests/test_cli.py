@@ -964,10 +964,11 @@ def fuzz_input(tmp_path_factory) -> Path:
     return tmp_path_factory.mktemp("fuzz") / "input.txt"
 
 
-def _run_every_command(path: Path, text: str) -> None:
-    """Each command on ``text`` exits with a documented code and raises nothing;
-    stderr is empty on success, and one ``error:`` line otherwise."""
-    path.write_text(text, encoding="utf-8")
+def _run_every_command(path: Path, text: str | bytes) -> None:
+    """Each command on ``text``, as UTF-8 or as raw bytes, exits with a
+    documented code and raises nothing; stderr is empty on success, and one
+    ``error:`` line otherwise."""
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
     for argv in FUZZ_COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
@@ -1035,3 +1036,22 @@ def _perturbed_two_trees(draw) -> str:
 @given(_perturbed_two_trees())
 def test_perturbed_two_trees_end_in_a_documented_exit_code(fuzz_input, text):
     _run_every_command(fuzz_input, text)
+
+
+@st.composite
+def _spliced_two_trees(draw) -> bytes:
+    """A random 2-tree in either format, as bytes, with one to three short
+    runs replaced by random bytes, which are often not UTF-8."""
+    c = random_two_tree(draw(st.integers(2, 9)), draw(st.integers(0, 2**32 - 1)))
+    data = (serialize_edge_list(c) if draw(st.booleans()) else serialize_construction(c)).encode()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 4)))
+        data = data[:i] + draw(st.binary(min_size=1, max_size=4)) + data[j:]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spliced_two_trees())
+def test_spliced_bytes_end_in_a_documented_exit_code(fuzz_input, data):
+    _run_every_command(fuzz_input, data)

@@ -21,6 +21,7 @@ from twotrees import (
     count_containing,
     count_two_simplicial,
     count_via_construction,
+    enumerate_spanning_trees,
     fan,
     fibonacci,
     kirchhoff_count,
@@ -395,6 +396,37 @@ def test_a_prefix_of_parent_counts_the_2_tree_it_builds(corpus):
         rng.shuffle(perm)
         c = recognize(n, [(perm[a], perm[b]) for a, b in random_two_tree(n, seed).edges()])
         _prefix_counts_agree(c, rng)
+
+
+def _count_matches_the_walk(c: TwoTreeConstruction, rng: random.Random, draws: int) -> None:
+    """``_count`` through random id sets, cyclic ones included, equals the
+    number of walk trees that hold those edges; ``count_via_construction``
+    raises CyclicRequirementError exactly when a union-find finds a cycle."""
+    by_id = c.edges_by_id()
+    trees = list(enumerate_spanning_trees(c))
+    for _ in range(draws):
+        ids = rng.sample(range(c.m), rng.randrange(min(c.m, c.n + 1) + 1))
+        required = {by_id[i] for i in ids}
+        want = sum(1 for t in trees if required <= t)
+        assert _count(c.parent, ids) == want
+        if _union_find(c.n, required) is None:
+            with pytest.raises(CyclicRequirementError, match="^required edges contain a cycle$"):
+                count_via_construction(c, required)
+        else:
+            assert count_via_construction(c, required) == want > 0
+
+
+def test_count_is_exact_for_any_required_ids(corpus):
+    rng = random.Random(25)
+    for n in range(3, 8):
+        for c in corpus[n]:
+            _count_matches_the_walk(c, rng, 3)
+    for seed in range(200):
+        n = 3 + rng.randrange(7)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        c = recognize(n, [(perm[a], perm[b]) for a, b in random_two_tree(n, seed).edges()])
+        _count_matches_the_walk(c, rng, 5)
 
 
 def test_engine_rejects_requirements_like_count_containing():

@@ -504,15 +504,15 @@ def test_glue_identity_check_notices_a_wrong_count(monkeypatch, wrong):
     assert len(calls) == 6  # S does not join w and z, so s is counted
 
 
-def test_glue_identity_check_looks_s_up_twice(monkeypatch):
-    # S does not join w and z, so all six counts run: the engine's T(S) and
-    # the check itself each look S up and test it as a forest; the five
-    # counts by edge id do neither
+def test_glue_identity_check_looks_s_up_twice_and_tests_no_forest(monkeypatch):
+    # the engine's T(S) and the check itself each look S up; the core's count
+    # judges a cycle, so neither runs a forest test, whether or not S joins w
+    # and z, and the five counts by edge id look nothing up
     c = random_two_tree(60, 5)
-    required = _random_acyclic_subset(c, random.Random(1), 0.3)
-    _, (w, z) = c.attachments[-1]
-    find = _union_find(c.n, required)
-    assert required and find(w) != find(z)
+    _, wz = c.attachments[-1]
+    apart = _random_acyclic_subset(c, random.Random(1), 0.3)
+    find = _union_find(c.n, apart)
+    assert apart and find(wz[0]) != find(wz[1])
     calls = {"_edge_ids": 0, "_union_find": 0}
 
     def counted(name, real):
@@ -522,12 +522,15 @@ def test_glue_identity_check_looks_s_up_twice(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    # each name is patched where it is bound: extremal binds no _union_find
+    for name, modules in (("_edge_ids", (graph, counting, extremal)), ("_union_find", (graph, counting))):
         wrapper = counted(name, getattr(graph, name))
-        for module in (graph, counting, extremal):
+        for module in modules:
             monkeypatch.setattr(module, name, wrapper)
-    assert glue_identity_check(c, required)
-    assert calls == {"_edge_ids": 2, "_union_find": 2}
+    for required in (apart, [wz, *apart]):  # S + wz is still a forest
+        calls.update(_edge_ids=0, _union_find=0)
+        assert glue_identity_check(c, required)
+        assert calls == {"_edge_ids": 2, "_union_find": 0}
 
 
 @pytest.mark.parametrize("n", [401, 2000])

@@ -236,6 +236,11 @@ def test_attach_edge_ids_must_name_an_earlier_edge():
         ((0, 1), (2, (0, 1, 2))),
         ((0, 1), (2, (0,))),
         ((0, 1), (2,)),
+        ((0, 2), (True, (0, 2))),  # every label an int: no bool, no float
+        ((0, 1), (2.0, 0)),
+        ((True, 0), (2, (0, 1))),
+        ((0, 1), (2, (False, True))),
+        ((0, 1), [2, (0, 1), 99]),  # two fields, whatever the container
     ],
 )
 def test_malformed_records_raise_invalid_construction(base, record):
@@ -243,18 +248,46 @@ def test_malformed_records_raise_invalid_construction(base, record):
         TwoTreeConstruction(3, base, [record])
 
 
-_atoms = st.one_of(st.integers(-1, 4), st.booleans(), st.none(), st.text(max_size=2))
+_atoms = st.one_of(
+    st.integers(-1, 4), st.integers(-1, 4).map(float), st.booleans(), st.none(), st.text(max_size=2)
+)
 _shapes = st.one_of(_atoms, st.lists(_atoms, max_size=3).map(tuple))
-_records = st.one_of(_shapes, st.lists(_shapes, max_size=3).map(tuple))
+_records = st.one_of(_shapes, st.lists(_shapes, max_size=3).map(tuple), st.lists(_shapes, max_size=3))
+
+
+@st.composite
+def _perturbed_constructions(draw):
+    """A random 2-tree's base and records, attach edges by ends or by id, with
+    up to two labels swapped for atoms: an equal float or bool among them."""
+    n = draw(st.integers(2, 6))
+    c = random_two_tree(n, draw(seeds))
+    by_id = draw(st.booleans())
+    base = list(c.base)
+    records = [[v, p if by_id else list(e)] for (v, e), p in zip(c.attachments, c.parent)]
+    labels = [(base, 0), (base, 1), *((r, 0) for r in records)]
+    if not by_id:
+        labels += [(r[1], k) for r in records for k in (0, 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        row, k = draw(st.sampled_from(labels))
+        row[k] = draw(_atoms)
+    return n, base, records
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(2, 5), _shapes, st.lists(_records, max_size=4))
-def test_any_record_shape_builds_or_raises_a_typed_error(n, base, records):
+@given(
+    st.one_of(
+        st.tuples(st.integers(2, 5), _shapes, st.lists(_records, max_size=4)),
+        _perturbed_constructions(),
+    )
+)
+def test_any_record_shape_builds_or_raises_a_typed_error(case):
+    n, base, records = case
     try:
-        TwoTreeConstruction(n, base, records)
+        c = TwoTreeConstruction(n, base, records)
     except TwoTreeError:
-        pass
+        return
+    labels = [*c.base, *(x for v, ends in c.attachments for x in (v, *ends))]
+    assert {type(x) for x in labels} == {int}, c
 
 def _attach_edges_present(n, base, attachments):
     """Reference rule: replay the build with an explicit set of present edges."""
