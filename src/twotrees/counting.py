@@ -200,15 +200,13 @@ def _count(parent: Sequence[int], required_ids: Iterable[int] = ()) -> int:
     A prefix ``parent[:k]`` is the 2-tree its first k steps build, with the
     same edge ids, so a 2-tree less its last vertices counts with no copy.
     """
-    m = 2 * len(parent) + 1
-    a, b = [1] * m, [1] * m  # by edge id: step i's edges at v are 2i + 1 and 2i + 2
+    a, b = [1] * (2 * len(parent) + 1), [1] * (2 * len(parent) + 1)
     for i in required_ids:
         b[i] = 0
-    for p, j in zip(reversed(parent), range(m - 2, 0, -2)):
-        a1, a2 = a[j], a[j + 1]
-        sa, sb = a1 * a2, a1 * b[j + 1] + b[j] * a2  # series: the two edges at v
-        a3, b3 = a[p], b[p]
-        a[p], b[p] = sa * b3 + sb * a3, sb * b3  # parallel into the attach edge
+    for p in reversed(parent):  # step i's edges at v, ids 2i + 1 and 2i + 2, are the last
+        a2, a1, b2, b1 = a.pop(), a.pop(), b.pop(), b.pop()
+        sa, sb = a1 * a2, a1 * b2 + b1 * a2  # series: the two edges at v
+        a[p], b[p] = sa * b[p] + sb * a[p], sb * b[p]  # parallel into the attach edge
     return a[0]
 
 

@@ -207,7 +207,7 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
     """
     if c.n < 3:
         raise OutOfRangeError(f"glue_identity_check needs n >= 3, got {c.n}")
-    req = list(dict.fromkeys(edge(*f) for f in required))  # a repeat is no cycle
+    req = [edge(*f) for f in required]
     ids = _edge_ids(c.n, c.attachments, req)
     for (a, b), i in zip(req, ids):
         if i < 0:

@@ -89,17 +89,10 @@ class SimpleGraph(_Frozen):
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Edge]) -> SimpleGraph:
-        """Loops and ends outside 0..n-1 raise, repeats count once; O(m) in n."""
-        if n < 0:
-            raise OutOfRangeError(f"vertex count must be nonnegative, got {n}")
-        distinct: set[Edge] = set()
-        for u, v in edges:
-            if u == v:
-                raise LoopEdgeError(f"loop edge at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise OutOfRangeError(f"edge ({u}, {v}) outside vertex range [0, {n})")
-            distinct.add((u, v) if u < v else (v, u))
-        return SimpleGraph(n, tuple(sorted(distinct)))
+        """Loops, non-int ends and ends outside 0..n-1 raise, repeats count once; O(m) in n."""
+        if type(n) is not int or n < 0:
+            raise OutOfRangeError(f"vertex count must be nonnegative, got {n!r}")
+        return SimpleGraph(n, tuple(sorted(set(_checked_edges(n, edges)))))
 
     @property
     def m(self) -> int:
@@ -259,15 +252,27 @@ def _edge_ids(n: int, attachments, edges: Iterable[Edge]) -> list[int]:
     return ids
 
 
+def _checked_edges(n: int, edges: Iterable[Edge]) -> Iterable[Edge]:
+    """Each edge record from outside, canonical: a loop raises LoopEdgeError,
+    any other record that is not two int ends in 0..n-1 OutOfRangeError."""
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise OutOfRangeError(f"edge record {e!r} is not a pair of vertices") from None
+        ints = type(u) is type(v) is int  # a bool or a float passes the range test
+        if ints and u == v:
+            raise LoopEdgeError(f"loop edge at vertex {u}")
+        if not (ints and 0 <= u < n and 0 <= v < n):
+            raise OutOfRangeError(f"edge ({u!r}, {v!r}) outside vertex range [0, {n})")
+        yield (u, v) if u < v else (v, u)
+
+
 def _neighbour_sets(n: int, edges: Iterable[Edge]) -> list[set[int]]:
     """A neighbour set per vertex, for recognition, whose caller has checked
     n >= 2; edges are checked as by :meth:`SimpleGraph.from_edges`."""
     adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if u == v:
-            raise LoopEdgeError(f"loop edge at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise OutOfRangeError(f"edge ({u}, {v}) outside vertex range [0, {n})")
+    for u, v in _checked_edges(n, edges):
         adj[u].add(v)
         adj[v].add(u)
     return adj

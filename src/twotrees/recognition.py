@@ -25,8 +25,8 @@ def recognize(n: int, edges: Collection[Edge]) -> TwoTreeConstruction:
     Edges are checked, and a repeated one counts once, as in ``SimpleGraph.from_edges``.
     The attachments are the deletion order reversed, and ``.edges()`` is the graph's.
     """
-    if n < 2:
-        raise OutOfRangeError(f"recognition needs n >= 2, got {n}")
+    if type(n) is not int or n < 2:
+        raise OutOfRangeError(f"recognition needs n >= 2, got {n!r}")
     if len(edges) < 2 * n - 3:  # before a header's n sizes anything
         raise NotTwoTreeError.wrong_edge_count(n, len(edges))
     adj = _neighbour_sets(n, edges)

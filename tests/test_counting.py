@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -455,6 +456,28 @@ def test_engine_at_ten_thousand_vertices():
     n = 10**4
     assert count_via_construction(book(n)) == count_book(n)
     assert count_via_construction(path_square(n)) == fibonacci(2 * n - 2)
+
+
+def test_engine_lets_go_of_each_piece_it_folds():
+    parent = path_square(20_000).parent
+    tracemalloc.start()
+    try:
+        t = _count(parent)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two lists of 39,999 slots take 0.7 MB; a folded piece of a path
+    # square holds Θ(n) bits, so keeping them all takes 76 MB
+    assert peak < 4_000_000, f"peak {peak} bytes"
+    assert t == fibonacci(39_998)
+
+
+def test_engine_counts_required_edges_at_twenty_thousand_vertices():
+    # a path square is a chain grown from its base edge, with its tip edge last
+    n = 20_000
+    c = path_square(n)
+    assert count_via_construction(c, [(0, 1)]) == fibonacci(2 * n - 3)
+    assert count_via_construction(c, [(n - 2, n - 1)]) == chain_edge_counts(1, 1, n - 2)[2]
 
 
 def test_kirchhoff_skips_the_matrix_without_enough_edges(monkeypatch):

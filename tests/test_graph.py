@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -79,6 +80,16 @@ def test_simple_graph_rejects_bad_edges():
         SimpleGraph.from_edges(3, [(0, 5)])
     with pytest.raises(ValueError):
         SimpleGraph.from_edges(3, [(1, 1)])
+    # an end that is no int, a bool included, is no vertex, however it compares
+    for record in ((0, 1.5), (1.0, 1), (True, 2), (0, "1")):  # the ends shown by repr
+        with pytest.raises(OutOfRangeError, match=re.escape(f"edge {record!r} outside vertex range")):
+            SimpleGraph.from_edges(3, [(1, 2), record, (0, 2)])
+    for record in ((0, 1, 2), (0,), 5, None):
+        with pytest.raises(OutOfRangeError, match=re.escape(f"edge record {record!r} is not a pair")):
+            SimpleGraph.from_edges(3, [(1, 2), record])
+    for n in (None, 3.0, "3", True):
+        with pytest.raises(OutOfRangeError, match=re.escape(f"must be nonnegative, got {n!r}")):
+            SimpleGraph.from_edges(n, [])
 
 
 def test_loop_edges_raise_a_typed_value_error():
@@ -288,6 +299,38 @@ def test_any_record_shape_builds_or_raises_a_typed_error(case):
         return
     labels = [*c.base, *(x for v, ends in c.attachments for x in (v, *ends))]
     assert {type(x) for x in labels} == {int}, c
+
+
+@st.composite
+def _perturbed_edge_lists(draw):
+    """A random 2-tree's n and edges, as lists, with up to two ends swapped for
+    atoms, an equal float or bool among them, and maybe one record for a shape."""
+    n = draw(st.integers(2, 6))
+    edges = [list(e) for e in random_two_tree(n, draw(seeds)).edges()]
+    for _ in range(draw(st.integers(0, 2))):
+        draw(st.sampled_from(edges))[draw(st.integers(0, 1))] = draw(_atoms)
+    if draw(st.booleans()):
+        edges[draw(st.integers(0, len(edges) - 1))] = draw(_shapes)
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.one_of(st.integers(-1, 5), _atoms), st.lists(_shapes, max_size=8)),
+        _perturbed_edge_lists(),
+    )
+)
+def test_any_edge_record_reads_or_raises_a_typed_error(case):
+    n, edges = case
+    for read in (SimpleGraph.from_edges, recognize):
+        try:
+            g = read(n, edges)
+        except TwoTreeError:
+            continue
+        ends = [x for e in g.edges() for x in e]
+        assert {type(x) for x in ends} <= {int} and all(0 <= x < n for x in ends), g
+
 
 def _attach_edges_present(n, base, attachments):
     """Reference rule: replay the build with an explicit set of present edges."""

@@ -100,6 +100,12 @@ def test_recognize_rejects_no_degree_two():
         (3, [(0, 1), (0, -1), (1, 2)], OutOfRangeError, r"edge \(0, -1\) outside"),
         (-1, [], OutOfRangeError, "recognition needs n >= 2, got -1"),
         (1, [], OutOfRangeError, "recognition needs n >= 2, got 1"),
+        # an end that is no int, a bool included, or a record that is no pair
+        (3, [(0, 1.0), (0, 2), (1, 2)], OutOfRangeError, r"edge \(0, 1\.0\) outside"),
+        (3, [(0, "1"), (0, 2), (1, 2)], OutOfRangeError, r"edge \(0, '1'\) outside"),
+        (3, [(0, True), (0, 2), (True, 2)], OutOfRangeError, r"edge \(0, True\) outside"),
+        (3, [(0, 1, 2), (0, 2), (1, 2)], OutOfRangeError, r"edge record \(0, 1, 2\) is not a pair"),
+        (None, [], OutOfRangeError, "recognition needs n >= 2, got None"),
     ],
 )
 def test_recognize_checks_its_edges(n, edges, error, message):
