@@ -440,11 +440,9 @@ def _check_glue_identities(trials: int, seed: int) -> bool:
         pool = [e for e in c.edges() if v not in e]
         rng.shuffle(pool)
         req: list[Edge] = []
-        find = _union_find(n, req)
         for e in pool:
-            if rng.random() < 0.4 and find(e[0]) != find(e[1]):
+            if rng.random() < 0.4 and _union_find(n, [*req, e]):
                 req.append(e)
-                find = _union_find(n, req)
         if not extremal.glue_identity_check(c, req):
             return False
     return True

@@ -112,7 +112,7 @@ def count_containing(g: Graph, required: Iterable[Edge]) -> int:
         raise TooLargeError(
             f"count_containing capped at {KIRCHHOFF_MAX_N} vertices, graph has {g.n}"
         )
-    req = [edge(*e) for e in required]
+    req = _required_edges(required)
     edges = g.edges()
     present = set(edges)
     for e in req:
@@ -181,7 +181,7 @@ def brute_force_count(g: Graph) -> int:
 
 def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()) -> int:
     """Trees of the 2-tree ``c`` through every ``required`` edge, in O(n) steps."""
-    req = {edge(*e) for e in required}
+    req = set(_required_edges(required))
     ids: list[int] = []
     if req:
         ids = _edge_ids(c.n, c.attachments, req)
@@ -191,6 +191,21 @@ def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()
     if t := _count(c.parent, ids):  # 0 only through a cycle, as a 2-tree is connected
         return t
     raise CyclicRequirementError("required edges contain a cycle")
+
+
+def _required_edges(required: Iterable[Edge], graph: str = "graph") -> list[Edge]:
+    """Each required-edge record, canonical, in input order.  A record that is
+    not a pair of int ends (a bool is not an int) names no edge of the graph."""
+    req = []
+    for e in required:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            u = v = None
+        if type(u) is not int or type(v) is not int:
+            raise ForeignEdgeError(f"required edge {e!r} not in {graph}")
+        req.append(edge(u, v))
+    return req
 
 
 def _count(parent: Sequence[int], required_ids: Iterable[int] = ()) -> int:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .counting import _count, count_via_construction
+from .counting import _count, _required_edges, count_via_construction
 from .errors import (
     AlreadyTwoSimplicialError,
     ForeignEdgeError,
@@ -207,7 +207,7 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
     """
     if c.n < 3:
         raise OutOfRangeError(f"glue_identity_check needs n >= 3, got {c.n}")
-    req = [edge(*f) for f in required]
+    req = _required_edges(required, "the graph")
     ids = _edge_ids(c.n, c.attachments, req)
     for (a, b), i in zip(req, ids):
         if i < 0:

@@ -68,8 +68,8 @@ def all_labeled_two_trees(n: int) -> Iterator[TwoTreeConstruction]:
     the same graph.  Every 2-tree on n vertices is isomorphic to one of them.
     The range guards raise at the call, not at the first ``next``.
     """
-    if n < 3:
-        raise OutOfRangeError(f"all_labeled_two_trees needs n >= 3, got {n}")
+    if type(n) is not int or n < 3:
+        raise OutOfRangeError(f"all_labeled_two_trees needs n >= 3, got {n!r}")
     if n > ALL_LABELED_MAX_N:
         raise TooLargeError(f"all_labeled_two_trees capped at n = {ALL_LABELED_MAX_N}, got {n}")
     choice_ranges = (range(2 * k - 3) for k in range(2, n))
@@ -92,8 +92,8 @@ def extend_with_chain(
     first glues onto an edge incident to its predecessor.  Returns ``c`` with
     the chain's (vertex, attach-edge) records appended to its attachments.
     """
-    if steps < 1:
-        raise OutOfRangeError(f"need at least one chain step, got {steps}")
+    if type(steps) is not int or steps < 1:
+        raise OutOfRangeError(f"need at least one chain step, got {steps!r}")
     x, y = edge(*start_edge)
     if _edge_ids(c.n, c.attachments, [(x, y)]) == [-1]:
         raise OutOfRangeError(f"start edge ({x}, {y}) not in graph")
@@ -108,5 +108,5 @@ def extend_with_chain(
 
 
 def _require_n(n: int, minimum: int) -> None:
-    if n < minimum:
-        raise OutOfRangeError(f"need n >= {minimum}, got {n}")
+    if type(n) is not int or n < minimum:
+        raise OutOfRangeError(f"need n >= {minimum}, got {n!r}")

@@ -25,7 +25,7 @@ would; the package does not import ``dataclasses``, which would add its
 from __future__ import annotations
 
 from itertools import chain
-from operator import itemgetter, le
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .errors import (
@@ -122,8 +122,8 @@ class TwoTreeConstruction(_Frozen):
     __slots__ = (*__match_args__, "parent")
 
     def __init__(self, n: int, base: Edge, attachments: Iterable[tuple[int, Edge | int]]):
-        if n < 2:
-            raise OutOfRangeError(f"a construction needs n >= 2, got {n}")
+        if type(n) is not int or n < 2:
+            raise OutOfRangeError(f"a construction needs n >= 2, got {n!r}")
         try:
             base = edge(*base)
             atts = list(attachments)
@@ -149,26 +149,18 @@ class TwoTreeConstruction(_Frozen):
             ends = () if by_id else chain.from_iterable(map(itemgetter(1), atts))
             if {*map(type, introduced), *map(type, ends)} != {int}:  # True and 2.0 pass the cover
                 raise TypeError("a vertex label is not an int")
-            if by_id:  # read each attach edge's ends off the step that made it
-                parent = []
-                for i, (v, p) in enumerate(atts):
-                    if type(p) is not int or not 0 <= p <= 2 * i:
-                        raise InvalidConstructionError(
-                            f"attach edge id {p!r} absent when vertex {v} is added"
-                        )
-                    if p:
-                        u, ends = atts[(p - 1) >> 1]
-                        w = ends[(p - 1) & 1]
-                        atts[i] = (v, (u, w) if u < w else (w, u))
-                    else:
-                        atts[i] = (v, base)
-                    parent.append(p)
-            else:
-                parent = _edge_ids(n, atts, map(itemgetter(1), atts))
-                if -1 in parent or not all(map(le, parent, range(0, 2 * n, 2))):
-                    i = next(i for i, p in enumerate(parent) if not 0 <= p <= 2 * i)
-                    v, e = atts[i]  # the first attach edge absent or made at step i or later
+            # Each attach edge's id: as given, or looked up once from its ends.
+            parent = [] if by_id else _edge_ids(n, atts, map(itemgetter(1), atts))
+            for i, (v, e) in enumerate(atts):  # the build rule, parent[i] < 2i + 1
+                p = e if by_id else parent[i]
+                if type(p) is not int or not 0 <= p <= 2 * i:
+                    e = f"id {p!r}" if by_id else e
                     raise InvalidConstructionError(f"attach edge {e} absent when vertex {v} is added")
+                if by_id:  # read its ends off the step that made it; id 0 is base[0] to base[1]
+                    u, ends = atts[(p - 1) >> 1] if p else (base[0], base)
+                    w = ends[(p - 1) & 1]
+                    atts[i] = (v, (u, w) if u < w else (w, u))
+                    parent.append(p)
         except LoopEdgeError:
             raise
         except (TypeError, ValueError, IndexError) as exc:  # a record of the wrong shape

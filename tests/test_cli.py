@@ -927,22 +927,22 @@ def _enumerate_book_14_child(*flags: str) -> subprocess.Popen:
 
 def test_closed_stdout_pipe_exits_0_quietly():
     for flags in ([], ["--json"]):  # a report follows only a stream read whole
-        proc = _enumerate_book_14_child(*flags)
-        assert proc.stdout.readline() == b"# n=14 expected=28672\n"
-        proc.stdout.close()  # the tree lines that follow overrun the pipe buffer
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=60), err) == (0, b""), flags
+        with _enumerate_book_14_child(*flags) as proc:
+            assert proc.stdout.readline() == b"# n=14 expected=28672\n"
+            proc.stdout.close()  # the tree lines that follow overrun the pipe buffer
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (0, b""), flags
 
 
 def test_a_reader_that_stops_mid_line_ends_the_stream_with_exit_0():
     # `enumerate ... | head -c 100`: head exits after 100 bytes, and the
     # stream's next write meets a closed pipe
-    proc = _enumerate_book_14_child()
-    head = subprocess.Popen(["head", "-c", "100"], stdin=proc.stdout, stdout=subprocess.PIPE)
-    proc.stdout.close()  # head holds the only read end
-    out, _ = head.communicate(timeout=60)
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (0, b"")
+    with _enumerate_book_14_child() as proc:
+        head = subprocess.Popen(["head", "-c", "100"], stdin=proc.stdout, stdout=subprocess.PIPE)
+        proc.stdout.close()  # head holds the only read end
+        out, _ = head.communicate(timeout=60)
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (0, b"")
     _, lines = _enumerate_stdout("--family", "book", "--n", "14", "--limit", "5")
     assert out.decode() == "".join(line + "\n" for line in lines)[:100]
 

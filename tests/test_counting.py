@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -12,9 +13,11 @@ from twotrees import (
     CyclicRequirementError,
     ForeignEdgeError,
     InvalidConstructionError,
+    LoopEdgeError,
     OutOfRangeError,
     SimpleGraph,
     TooLargeError,
+    TwoTreeError,
     book,
     brute_force_count,
     chain_edge_counts,
@@ -25,6 +28,7 @@ from twotrees import (
     enumerate_spanning_trees,
     fan,
     fibonacci,
+    glue_identity_check,
     kirchhoff_count,
     path_square,
     random_two_tree,
@@ -444,6 +448,63 @@ def test_engine_rejects_requirements_like_count_containing():
     # the required edges may come in either orientation and repeat
     e = (x, y)
     assert count_via_construction(c, [e[::-1], e]) == count_containing(c, [e])
+
+
+# Each function that reads a required edge set, with the words its foreign-edge message ends in.
+REQUIRED_EDGE_READERS = [
+    (count_via_construction, "not in graph"),
+    (count_containing, "not in graph"),
+    (glue_identity_check, "not in the graph"),
+]
+
+
+@pytest.mark.parametrize(
+    "read, where", REQUIRED_EDGE_READERS, ids=[read.__name__ for read, _ in REQUIRED_EDGE_READERS]
+)
+@pytest.mark.parametrize(
+    "record",
+    [("x", 1), (0, 1.0), (0, 1, 2), 3, (0, True), (True, 2), None, "01", (0,), [0.0, 1]],
+    ids=repr,
+)
+def test_a_required_record_that_is_not_two_int_ends_names_no_edge(read, where, record):
+    # (0, True) == (0, 1) and 1.0 == 1, but a bool or a float is no vertex
+    message = f"^required edge {re.escape(repr(record))} {where}$"
+    for required in ([record], [(0, 2), record], [(2, 9), record]):  # checked before any lookup
+        with pytest.raises(ForeignEdgeError, match=message):
+            read(book(5), required)
+    with pytest.raises(LoopEdgeError):  # records are read in input order
+        read(book(5), [(0, 2), (3, 3), record])
+
+
+@st.composite
+def _required_records(draw):
+    """Edges of a random 2-tree as tuples or lists, either way round, with up
+    to two ends swapped for atoms and maybe a record of another shape."""
+    ends = st.integers(-1, 7)
+    atoms = st.one_of(ends, ends.map(float), st.booleans(), st.none(), st.text(max_size=2))
+    shapes = st.one_of(atoms, st.lists(atoms, max_size=3).map(tuple), st.lists(atoms, max_size=3))
+    c = random_two_tree(draw(st.integers(3, 7)), draw(seeds))
+    edges = draw(st.lists(st.sampled_from(c.edges()), max_size=4))
+    records = [list(e if draw(st.booleans()) else e[::-1]) for e in edges]
+    for _ in range(draw(st.integers(0, 2)) if records else 0):
+        draw(st.sampled_from(records))[draw(st.integers(0, 1))] = draw(atoms)
+    records = [tuple(e) if draw(st.booleans()) else e for e in records]
+    if draw(st.booleans()):
+        records.insert(draw(st.integers(0, len(records))), draw(shapes))
+    return c, records
+
+
+@settings(max_examples=300, deadline=None)
+@given(_required_records())
+def test_any_required_record_counts_or_raises_a_typed_error(case):
+    c, records = case
+    for read, _ in REQUIRED_EDGE_READERS:
+        try:
+            got = read(c, records)
+        except TwoTreeError:
+            continue
+        assert all(type(u) is type(v) is int for u, v in records), (read.__name__, records)
+        assert got == read(c, [edge(u, v) for u, v in records])
 
 
 def test_engine_rejects_a_missing_attach_edge():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -28,6 +29,38 @@ from twotrees import (
 from oracle import adjacency, random_chain_by_steps
 
 seeds = st.integers(0, 2**32 - 1)
+
+
+NON_INT_N = {  # a call with a non-int vertex or step count -> its OutOfRangeError message
+    "TwoTreeConstruction('5', ...)": (
+        lambda: TwoTreeConstruction("5", (0, 1), []), "a construction needs n >= 2, got '5'"
+    ),
+    "TwoTreeConstruction(None, ...)": (
+        lambda: TwoTreeConstruction(None, (0, 1), []), "a construction needs n >= 2, got None"
+    ),
+    "TwoTreeConstruction(4.0, ...)": (
+        lambda: TwoTreeConstruction(4.0, (0, 1), [(2, 0), (3, 0)]),
+        "a construction needs n >= 2, got 4.0",
+    ),
+    "book('5')": (lambda: book("5"), "need n >= 2, got '5'"),
+    "book(5.0)": (lambda: book(5.0), "need n >= 2, got 5.0"),
+    "path_square(5.0)": (lambda: path_square(5.0), "need n >= 2, got 5.0"),
+    "fan(5.0)": (lambda: fan(5.0), "need n >= 2, got 5.0"),
+    "random_chain(5.0, 1)": (lambda: random_chain(5.0, 1), "need n >= 3, got 5.0"),
+    "random_two_tree(5.5, 1)": (lambda: random_two_tree(5.5, 1), "need n >= 2, got 5.5"),
+    "all_labeled_two_trees('5')": (
+        lambda: all_labeled_two_trees("5"), "all_labeled_two_trees needs n >= 3, got '5'"
+    ),
+    "extend_with_chain(book(4), (0, 1), 2.0, 1)": (
+        lambda: extend_with_chain(book(4), (0, 1), 2.0, 1), "need at least one chain step, got 2.0"
+    ),
+}
+
+
+@pytest.mark.parametrize("make, message", NON_INT_N.values(), ids=list(NON_INT_N))
+def test_a_vertex_count_that_is_not_an_int_is_out_of_range(make, message):
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_book_shapes():
