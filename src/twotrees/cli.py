@@ -40,7 +40,7 @@ from .errors import (
     OutOfRangeError,
     TwoTreeError,
 )
-from .graph import Edge, SimpleGraph, TwoTreeConstruction, _union_find, edge
+from .graph import Edge, SimpleGraph, TwoTreeConstruction, _union_find
 
 EXIT_OK = 0
 EXIT_RANGE = 2
@@ -243,7 +243,7 @@ def _cmd_gen(args) -> dict:
 
 def _cmd_order(args) -> dict:
     c = _load_construction(args)
-    deletion_order = [v for v, _ in reversed(c.attachments)] + [c.base[0], c.base[1]]
+    deletion_order = [*reversed(c.order), *c.base]
     print(" ".join(str(v) for v in deletion_order))
     return {"order": deletion_order}
 
@@ -436,7 +436,7 @@ def _check_glue_identities(trials: int, seed: int) -> bool:
     for i in range(trials):
         n = 4 + rng.randrange(5) + rng.randrange(5)
         c = generators.random_two_tree(n, seed * 1000 + i)
-        v = c.attachments[-1][0]
+        v = c.order[-1]
         pool = [e for e in c.edges() if v not in e]
         rng.shuffle(pool)
         req: list[Edge] = []
@@ -453,15 +453,13 @@ def _check_chain_formulas(trials: int, seed: int) -> bool:
     rng = random.Random(seed)
     for i in range(trials):
         c = generators.random_two_tree(3 + rng.randrange(5), seed * 77 + i)
-        edges = c.edges()
-        start = edges[rng.randrange(len(edges))]
+        start = rng.choice(c.edges())
         alpha = counting.count_via_construction(c)
         beta = counting.count_via_construction(c, [start])
         for p in range(1, 4):
             grown_c = generators.extend_with_chain(c, start, p, seed + p)
             through_start, _, through_tip = counting.chain_edge_counts(alpha, beta, p)
-            tip_vertex, tip_attach = grown_c.attachments[-1]
-            tip_edge = edge(tip_vertex, tip_attach[0])
+            tip_edge = grown_c.edges_by_id()[-2]  # the last vertex to its attach edge's smaller end
             if counting.count_via_construction(grown_c, [start]) != through_start:
                 return False
             if counting.count_via_construction(grown_c, [tip_edge]) != through_tip:

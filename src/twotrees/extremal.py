@@ -39,6 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .counting import _count, _required_edges, count_via_construction
 from .errors import (
     AlreadyTwoSimplicialError,
+    CyclicRequirementError,
     ForeignEdgeError,
     InvariantError,
     IsBookError,
@@ -203,18 +204,19 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
 
     where the core returns s = 0 when S already joins w and z, as S + e then
     holds a cycle (e in S adds nothing to S + e).  Returns True iff all four
-    hold.  An edge outside G - v raises ForeignEdgeError; the engine rejects a cyclic S.
+    hold.  An edge outside G - v raises ForeignEdgeError, a cyclic S CyclicRequirementError.
     """
     if c.n < 3:
         raise OutOfRangeError(f"glue_identity_check needs n >= 3, got {c.n}")
     req = _required_edges(required, "the graph")
-    ids = _edge_ids(c.n, c.attachments, req)
+    ids = _edge_ids(c.n, c.order, c._attach_edges(), req)
     for (a, b), i in zip(req, ids):
         if i < 0:
             raise ForeignEdgeError(f"required edge ({a}, {b}) not in the graph")
         if i >= c.m - 2:  # v's two edges are the last ids
             raise ForeignEdgeError(f"required edge ({a}, {b}) touches the split vertex")
-    t_s = count_via_construction(c, req)  # the engine rejects a cyclic S
+    if not (t_s := _count(c.parent, ids)):  # 0 only through a cycle, as a 2-tree is connected
+        raise CyclicRequirementError("required edges contain a cycle")
 
     # G - v is the build order minus its last step, with the same edge ids.
     prime, e, vw, vz = c.parent[:-1], c.parent[-1], c.m - 2, c.m - 1

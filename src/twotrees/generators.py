@@ -15,7 +15,7 @@ import random
 from typing import Iterable, Iterator
 
 from .errors import OutOfRangeError, TooLargeError
-from .graph import Edge, TwoTreeConstruction, _edge_ids, edge
+from .graph import Edge, TwoTreeConstruction, _checked_edges, _edge_ids
 
 Seed = int
 
@@ -90,21 +90,20 @@ def extend_with_chain(
 
     New vertices take labels ``c.n``, ``c.n + 1``, ...; each one after the
     first glues onto an edge incident to its predecessor.  Returns ``c`` with
-    the chain's (vertex, attach-edge) records appended to its attachments.
+    the chain's steps appended; a start edge that is no edge of ``c`` is out of range.
     """
     if type(steps) is not int or steps < 1:
         raise OutOfRangeError(f"need at least one chain step, got {steps!r}")
-    x, y = edge(*start_edge)
-    if _edge_ids(c.n, c.attachments, [(x, y)]) == [-1]:
-        raise OutOfRangeError(f"start edge ({x}, {y}) not in graph")
+    try:  # the start edge's id; a loop raises LoopEdgeError
+        (p,) = _edge_ids(c.n, c.order, c._attach_edges(), _checked_edges(c.n, [start_edge]))
+    except OutOfRangeError:  # not two int ends in 0..n-1
+        p = -1
+    if p < 0:
+        raise OutOfRangeError(f"start edge {start_edge!r} not in graph")
+    # Step k + 1 goes on step k's edge to the smaller end (id 2k + 1) or the larger (2k + 2), by a coin.
     rng = random.Random(seed)
-    records: list[tuple[int, Edge]] = []
-    attach: Edge = (x, y)
-    for i in range(steps):
-        w = c.n + i
-        records.append((w, attach))
-        attach = edge(w, attach[rng.randrange(2)])
-    return TwoTreeConstruction(c.n + steps, c.base, c.attachments + tuple(records))
+    parent = [*c.parent, p, *(2 * k + 1 + rng.randrange(2) for k in range(c.n - 2, c.n + steps - 3))]
+    return TwoTreeConstruction(c.n + steps, c.base, zip([*c.order, *range(c.n, c.n + steps)], parent))
 
 
 def _require_n(n: int, minimum: int) -> None:

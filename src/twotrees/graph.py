@@ -11,10 +11,10 @@ trip with their original labels.
 
 An edge is named by the build step that made it: the base edge is id 0, and
 step i's new edges, from its vertex to the smaller and the larger end of its
-attach edge, are ids 2i + 1 and 2i + 2.  A construction stores ``parent``,
-the id of each step's attach edge, next to ``attachments``; the build rule
-(each attach edge present when its vertex arrives) is then
-``parent[i] < 2i + 1``.  The constructor checks it, with the vertex cover,
+attach edge, are ids 2i + 1 and 2i + 2.  A construction stores ``order``, the
+vertex of each step, and ``parent``, the id of its attach edge, and reads every
+edge's ends off them; the build rule (each attach edge present when its vertex
+arrives) is ``parent[i] < 2i + 1``.  The constructor checks it, with the cover,
 so every construction counts without further checks, and the counting engine
 and the enumeration walk index lists by id.  Both types are immutable
 ``__slots__`` classes that compare and hash by field, as frozen dataclasses
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     InvalidConstructionError,
@@ -45,9 +45,9 @@ def edge(u: int, v: int) -> Edge:
 
 
 class _Frozen:
-    """Base of the value types: the fields are the ``__match_args__``, set once
-    in ``__init__``; equality, hash and repr go by field, as for a frozen
-    dataclass.  A slot outside them holds what ``__init__`` derives from them."""
+    """Base of the value types: the fields are the ``__match_args__``, read off
+    the slots set once in ``__init__``; hash and repr go by field, as for a frozen
+    dataclass, and equality by slot, which fixes every field at a lower cost."""
 
     __slots__ = ()
 
@@ -63,7 +63,7 @@ class _Frozen:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __hash__(self):
         return hash(self._values())
@@ -110,16 +110,15 @@ class TwoTreeConstruction(_Frozen):
     """A 2-tree given as a base edge plus an ordered attachment sequence.
 
     ``attachments[i]`` is ``(new_vertex, attach_edge)``: the vertex added at
-    step ``i``, glued onto both endpoints of an edge already present.  A
-    caller may name the attach edge by its id instead of its ends; it is
-    stored as its ends either way, and ``parent[i]`` holds its id.  The base
-    endpoints together with the attached vertices must cover ``0 .. n-1``
-    exactly once each, and every label, attach edge ends too, is an ``int``.
-    The constructor raises InvalidConstructionError when a rule fails.
+    step ``i``, glued onto both endpoints of an edge already present, stored as
+    ``order[i]`` and ``parent[i]``, the attach edge's id, by which a caller may
+    also name it.  The base endpoints together with the attached vertices must
+    cover ``0 .. n-1`` exactly once each, and every label, attach edge ends too,
+    is an ``int``.  The constructor raises InvalidConstructionError when a rule fails.
     """
 
     __match_args__ = ("n", "base", "attachments")
-    __slots__ = (*__match_args__, "parent")
+    __slots__ = ("n", "base", "order", "parent")
 
     def __init__(self, n: int, base: Edge, attachments: Iterable[tuple[int, Edge | int]]):
         if type(n) is not int or n < 2:
@@ -129,8 +128,7 @@ class TwoTreeConstruction(_Frozen):
             atts = list(attachments)
             by_id = bool(atts) and type(atts[0][1]) is int
             if not by_id:
-                # Pairs already in canonical (v, (x, y)) form, as every peel
-                # passes them, are kept as given rather than rebuilt.
+                # Canonical (v, (x, y)) pairs, as every peel passes them, are not rebuilt.
                 atts = [
                     a if type(a) is tuple and type(a[1]) is tuple and a[1][0] < a[1][1]
                     else _attach_pair(*a)
@@ -149,17 +147,16 @@ class TwoTreeConstruction(_Frozen):
             ends = () if by_id else chain.from_iterable(map(itemgetter(1), atts))
             if {*map(type, introduced), *map(type, ends)} != {int}:  # True and 2.0 pass the cover
                 raise TypeError("a vertex label is not an int")
+            order = introduced[2:]
+            del introduced  # the cover and label checks are done; the lookup needs the room
             # Each attach edge's id: as given, or looked up once from its ends.
-            parent = [] if by_id else _edge_ids(n, atts, map(itemgetter(1), atts))
+            parent = [] if by_id else _edge_ids(n, order, [e for _, e in atts], map(itemgetter(1), atts))
             for i, (v, e) in enumerate(atts):  # the build rule, parent[i] < 2i + 1
                 p = e if by_id else parent[i]
                 if type(p) is not int or not 0 <= p <= 2 * i:
                     e = f"id {p!r}" if by_id else e
                     raise InvalidConstructionError(f"attach edge {e} absent when vertex {v} is added")
-                if by_id:  # read its ends off the step that made it; id 0 is base[0] to base[1]
-                    u, ends = atts[(p - 1) >> 1] if p else (base[0], base)
-                    w = ends[(p - 1) & 1]
-                    atts[i] = (v, (u, w) if u < w else (w, u))
+                if by_id:
                     parent.append(p)
         except LoopEdgeError:
             raise
@@ -167,8 +164,13 @@ class TwoTreeConstruction(_Frozen):
             raise InvalidConstructionError(f"malformed construction record: {exc}") from exc
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "attachments", tuple(atts))
+        object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "parent", tuple(parent))
+
+    @property
+    def attachments(self) -> tuple[tuple[int, Edge], ...]:
+        """Each step as ``(vertex, attach_edge)``, the attach edge read off its id."""
+        return tuple(zip(self.order, self._attach_edges()))
 
     @property
     def m(self) -> int:
@@ -183,25 +185,24 @@ class TwoTreeConstruction(_Frozen):
     def edges_by_id(self) -> list[Edge]:
         """The 2n - 3 edges of the 2-tree as canonical tuples, edge id i at index i."""
         out = [self.base]
-        for v, (x, y) in self.attachments:
+        for v, p in zip(self.order, self.parent):
+            x, y = out[p]
             out.append((v, x) if v < x else (x, v))
             out.append((v, y) if v < y else (y, v))
         return out
 
     def adjacency(self) -> list[set[int]]:
         """A fresh neighbour set per vertex, which the caller may edit."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        x, y = self.base
-        adj[x], adj[y] = {y}, {x}
-        for v, (x, y) in self.attachments:
-            adj[v] = {x, y}  # v has no neighbour before it arrives
-            adj[x].add(v)
-            adj[y].add(v)
-        return adj
+        return _neighbour_sets(self.n, self.edges_by_id())
 
     def realize(self) -> SimpleGraph:
         """The 2-tree as a :class:`SimpleGraph`; the oracles take ``self`` as is."""
         return SimpleGraph(self.n, tuple(self.edges()))
+
+    def _attach_edges(self) -> list[Edge]:
+        """Each step's attach edge as its canonical ends, for :func:`_edge_ids`."""
+        by_id = self.edges_by_id()
+        return [by_id[p] for p in self.parent]
 
 
 def _attach_pair(v: int, e: Edge) -> tuple[int, Edge]:
@@ -211,16 +212,15 @@ def _attach_pair(v: int, e: Edge) -> tuple[int, Edge]:
     return v, edge(*e)
 
 
-def _edge_ids(n: int, attachments, edges: Iterable[Edge]) -> list[int]:
-    """The id of each canonical edge in ``edges`` in the 2-tree that
-    ``attachments`` (checked for cover, not for order) build, or -1 for a pair
-    that is not an edge.
-
-    Edge {x, y} appears when the later of x and y arrives: it is the base edge
-    when both are base vertices, else one of the later one's two step edges.
+def _edge_ids(n: int, order: Iterable[int], attach: Sequence[Edge], edges: Iterable[Edge]) -> list[int]:
+    """The id of each canonical edge in ``edges``, or -1 for a pair that is not
+    one, in the 2-tree whose step k adds vertex ``order[k]`` on the edge with
+    ends ``attach[k]`` (checked for cover, not for order).  Edge {x, y} appears
+    when the later of x and y arrives: it is the base edge when both are base
+    vertices, else one of the later one's two step edges.
     """
     step = [-1] * n  # the step each vertex arrives at; -1 for the base vertices
-    for i, (v, _) in enumerate(attachments):
+    for i, v in enumerate(order):
         step[v] = i
     ids: list[int] = []
     append = ids.append
@@ -235,7 +235,7 @@ def _edge_ids(n: int, attachments, edges: Iterable[Edge]) -> list[int]:
             else:  # only the two base vertices share a step
                 append(0)
                 continue
-            ends = attachments[k][1]
+            ends = attach[k]
             if other == ends[0]:
                 p = 2 * k + 1
             elif other == ends[1]:
@@ -261,8 +261,8 @@ def _checked_edges(n: int, edges: Iterable[Edge]) -> Iterable[Edge]:
 
 
 def _neighbour_sets(n: int, edges: Iterable[Edge]) -> list[set[int]]:
-    """A neighbour set per vertex, for recognition, whose caller has checked
-    n >= 2; edges are checked as by :meth:`SimpleGraph.from_edges`."""
+    """A neighbour set per vertex, for recognition and ``adjacency()``, whose
+    caller has checked n >= 2; edges are checked as by :meth:`SimpleGraph.from_edges`."""
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in _checked_edges(n, edges):
         adj[u].add(v)

@@ -59,20 +59,20 @@ def recognize(n: int, edges: Collection[Edge]) -> TwoTreeConstruction:
     base = [v for v in range(n) if adj[v]]
     if not (len(base) == 2 and base[1] in adj[base[0]]):
         raise InvariantError(f"elimination left {base}, not a single edge")
-    removed.reverse()
-    return TwoTreeConstruction(n, (base[0], base[1]), tuple(removed))
+    return TwoTreeConstruction(n, (base[0], base[1]), reversed(removed))
 
 
 def simplicial_vertices(c: TwoTreeConstruction) -> list[int]:
     """Sorted degree-2 vertices of a 2-tree with n >= 3 (all are simplicial)."""
     if c.n < 3:
         raise OutOfRangeError(f"simplicial_vertices needs n >= 3, got {c.n}")
-    degree = [2] * c.n  # counted off the build order, with no graph realized
-    degree[c.base[0]] = degree[c.base[1]] = 1
-    for _, (x, y) in c.attachments:
-        degree[x] += 1
-        degree[y] += 1
-    return [v for v, d in enumerate(degree) if d == 2]
+    # Step i's vertex has degree 2 iff no step goes on its edges 2i + 1, 2i + 2; a
+    # base end iff step 0's vertex alone joins it: no other step on id 0, none on its id 1 or 2.
+    hit = set(c.parent)
+    simp = [v for i, v in enumerate(c.order) if 2 * i + 1 not in hit and 2 * i + 2 not in hit]
+    if c.parent.count(0) == 1:
+        simp += [end for end, i in zip(c.base, (1, 2)) if i not in hit]
+    return sorted(simp)
 
 
 def is_book(c: TwoTreeConstruction) -> bool:

@@ -10,7 +10,8 @@ former brute forces, a fresh union-find per (n-1)-subset and the
 backtracking walk over edge subsets that followed it, are kept as references
 for its parent-map count, and its former per-vertex
 ``random_chain`` loop as the reference for the chain that function now
-grows with ``extend_with_chain``.  The
+grows with ``extend_with_chain``, whose former loop over attach-edge ends is
+the reference for its steps by attach-edge id.  The
 list-growing enumeration materialises every level of the build order, as a
 reference for the package's depth-first walk and its choice order.  The
 rescanning degree-2 eliminations are the package's former quadratic loops
@@ -283,6 +284,20 @@ def recognize_by_rescan(n: int, edges):
         raise AssertionError(f"elimination left {base}, not a single edge")
     removed.reverse()
     return (base[0], base[1]), tuple(removed)
+
+
+def extend_with_chain_by_pairs(c, start_edge, steps: int, seed: int):
+    """The package's former ``extend_with_chain`` loop, which names each
+    chain step's attach edge by its ends: a coin per step picks the end of
+    the previous attach edge that the next one shares with the previous vertex."""
+    rng = random.Random(seed)
+    records = []
+    attach = edge(*start_edge)
+    for i in range(steps):
+        w = c.n + i
+        records.append((w, attach))
+        attach = edge(w, attach[rng.randrange(2)])
+    return TwoTreeConstruction(c.n + steps, c.base, c.attachments + tuple(records))
 
 
 def random_chain_by_steps(n: int, seed: int):

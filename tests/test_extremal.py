@@ -504,10 +504,10 @@ def test_glue_identity_check_notices_a_wrong_count(monkeypatch, wrong):
     assert len(calls) == 6  # S does not join w and z, so s is counted
 
 
-def test_glue_identity_check_looks_s_up_twice_and_tests_no_forest(monkeypatch):
-    # the engine's T(S) and the check itself each look S up; the core's count
-    # judges a cycle, so neither runs a forest test, whether or not S joins w
-    # and z, and the five counts by edge id look nothing up
+def test_glue_identity_check_looks_s_up_once_and_tests_no_forest(monkeypatch):
+    # the check looks S up once and takes all six counts, T(S) too, by edge
+    # id; the core's count judges a cycle, so no forest test runs, whether or
+    # not S joins w and z
     c = random_two_tree(60, 5)
     _, wz = c.attachments[-1]
     apart = _random_acyclic_subset(c, random.Random(1), 0.3)
@@ -530,7 +530,7 @@ def test_glue_identity_check_looks_s_up_twice_and_tests_no_forest(monkeypatch):
     for required in (apart, [wz, *apart]):  # S + wz is still a forest
         calls.update(_edge_ids=0, _union_find=0)
         assert glue_identity_check(c, required)
-        assert calls == {"_edge_ids": 2, "_union_find": 0}
+        assert calls == {"_edge_ids": 1, "_union_find": 0}
 
 
 @pytest.mark.parametrize("n", [401, 2000])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twotrees import (
+    LoopEdgeError,
     OutOfRangeError,
     TooLargeError,
     TwoTreeConstruction,
@@ -26,7 +27,7 @@ from twotrees import (
     simplicial_vertices,
 )
 
-from oracle import adjacency, random_chain_by_steps
+from oracle import adjacency, extend_with_chain_by_pairs, random_chain_by_steps
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -247,3 +248,27 @@ def test_extend_with_chain_records():
     for absent in [(2, 3), (2, 9), (7, 9)]:  # not an edge, or not even vertices
         with pytest.raises(OutOfRangeError, match="not in graph"):
             extend_with_chain(host, absent, 1, seed=0)
+
+
+@pytest.mark.parametrize("start", [("x", 1), (0, 1.0), 3, (0, 1, 2), (0, True)], ids=repr)
+def test_a_start_edge_that_is_not_two_int_ends_is_out_of_range(start):
+    # no edge of the graph, so out of range like an absent pair, never a bare TypeError
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(f'start edge {start!r} not in graph')}$"):
+        extend_with_chain(book(4), start, 2, seed=0)
+
+
+def test_a_loop_start_edge_is_a_loop():
+    with pytest.raises(LoopEdgeError, match="loop edge at vertex 1"):
+        extend_with_chain(book(4), (1, 1), 2, seed=0)
+
+
+def test_extend_with_chain_matches_the_pair_loop():
+    # the chain is appended by attach-edge id; the former loop tracked each
+    # attach edge's ends, with the same coin per step
+    for seed in range(300):
+        host = random_two_tree(2 + seed % 13, seed)
+        edges = host.edges()
+        start = edges[seed % len(edges)][:: 1 - 2 * (seed % 2)]
+        steps = 1 + seed % 9
+        grown = extend_with_chain(host, start, steps, seed)
+        assert grown == extend_with_chain_by_pairs(host, start, steps, seed)

@@ -171,6 +171,31 @@ def test_simplicial_vertices_families():
         simplicial_vertices(book(2))
 
 
+def _degree_two_from_edges(c: TwoTreeConstruction) -> list[int]:
+    return [v for v, nbrs in enumerate(adjacency(c.n, c.edges())) if len(nbrs) == 2]
+
+
+def test_simplicial_vertices_are_the_degree_two_vertices(corpus):
+    # read off the attach-edge ids, checked against degrees counted from the
+    # edges: every n <= 8 corpus 2-tree (base {0, 1}), then relabelled random
+    # 2-trees and chains, whose recognized bases are other pairs and whose
+    # base ends are of degree 2 now and then
+    assert all(simplicial_vertices(c) == _degree_two_from_edges(c) for n in corpus for c in corpus[n])
+    rng = random.Random(28)
+    other_base = degree_two_base_end = 0
+    for i in range(300):
+        n = rng.randrange(3, 40)
+        g = random_two_tree(n, i) if i % 2 else random_chain(n, i)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        c = recognize(n, [(perm[a], perm[b]) for a, b in g.edges()])
+        simp = simplicial_vertices(c)
+        assert simp == _degree_two_from_edges(c), c
+        other_base += c.base != (0, 1)
+        degree_two_base_end += bool(set(c.base) & set(simp))
+    assert other_base > 200 and degree_two_base_end > 20, (other_base, degree_two_base_end)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(5, 12), seeds)
 def test_family_simplicial_counts(n, seed):
