@@ -40,7 +40,7 @@ from .errors import (
     OutOfRangeError,
     TwoTreeError,
 )
-from .graph import Edge, SimpleGraph, TwoTreeConstruction, _union_find
+from .graph import Edge, SimpleGraph, TwoTreeConstruction, _EdgeCodes, _union_find
 
 EXIT_OK = 0
 EXIT_RANGE = 2
@@ -193,8 +193,8 @@ def _read_input(path: str) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _load(args) -> TwoTreeConstruction | tuple[int, list[Edge]]:
-    """The ``--in`` file as parsed (an edge list stays ``(n, edges)``, with no
+def _load(args) -> TwoTreeConstruction | tuple[int, _EdgeCodes]:
+    """The ``--in`` file as parsed (an edge list stays ``(n, codes)``, with no
     graph built), or the ``--family`` construction; never both."""
     if args.infile is not None and args.family is None and args.n is None:
         _refuse_seed(args, "--in FILE")
@@ -269,7 +269,8 @@ def _cmd_count(args) -> dict:
     elif method in ("kirchhoff", "brute"):  # each oracle checks its own caps
         g = _load(args)
         if not isinstance(g, TwoTreeConstruction):
-            g = SimpleGraph.from_edges(*g)
+            n, codes = g
+            g = SimpleGraph.from_edges(n, codes.edges(n))
         oracle = counting.kirchhoff_count if method == "kirchhoff" else counting.brute_force_count
         value = oracle(g)
         outputs["n"] = g.n

@@ -182,7 +182,7 @@ def brute_force_count(g: Graph) -> int:
 def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()) -> int:
     """Trees of the 2-tree ``c`` through every ``required`` edge, in O(n) steps."""
     req = set(_required_edges(required))
-    ids = _edge_ids(c.n, c.order, c._attach_edges(), req) if req else []
+    ids = _edge_ids(c.n, c.order, c._attach_ends(), req) if req else []
     foreign = [e for e, i in zip(req, ids) if i < 0]
     if foreign:
         raise ForeignEdgeError(f"required edge {min(foreign)} not in graph")

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .generators import all_labeled_two_trees
 from .graph import Edge, TwoTreeConstruction, _edge_ids, edge
-from .recognition import _is_book_shape, _path_order, _peel, simplicial_vertices
+from .recognition import _is_book_shape, _Live, _path_order, _peel, simplicial_vertices
 
 
 class SplitReport(NamedTuple):
@@ -93,19 +93,17 @@ def improve_min(c: TwoTreeConstruction) -> SplitReport:
     if c.n < 5:
         raise OutOfRangeError(f"improve_min needs n >= 5, got {c.n}")
 
-    adj = c.adjacency()
+    g = _Live.of(c)
     v1, v2 = pair = next(
-        (v1, v2) for i, v1 in enumerate(simp) for v2 in simp[i + 1 :] if adj[v1] != adj[v2]
+        (v1, v2) for i, v1 in enumerate(simp) for v2 in simp[i + 1 :] if g.ends(v1) != g.ends(v2)
     )
-    e1, e2 = edge(*adj[v1]), edge(*adj[v2])
+    e1, e2 = g.ends(v1), g.ends(v2)
 
     # Nothing hangs on the edges of a degree-2 vertex, so peeling G minus the
     # pair builds H in G's labels, and re-appending the pair gives G1 and G2.
-    for w in adj[v1] | adj[v2]:
-        adj[w].difference_update(pair)
-    adj[v1], adj[v2] = set(), set()
-    rest = tuple(reversed(_peel(adj)))
-    base = edge(*(w for w in range(c.n) if adj[w]))
+    g = _Live.of(c, leave_out=pair)
+    rest = tuple((u, g.ends(u)) for u in reversed(_peel(g)))
+    base = edge(*(w for w, d in enumerate(g.deg) if d))
     c_g1 = TwoTreeConstruction(c.n, base, rest + ((v1, e1), (v2, e1)))
     c_g2 = TwoTreeConstruction(c.n, base, rest + ((v1, e2), (v2, e2)))
 
@@ -142,13 +140,14 @@ def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
     # Delete the surplus degree-2 vertices (smallest first) until only v and
     # v' remain; the core left behind has exactly those two.
     v, v_prime = simp[0], simp[1]
-    adj = c.adjacency()
-    deletions = _peel(adj, keep={v, v_prime})
-    ends = [w for w in range(c.n) if len(adj[w]) == 2]
+    g = _Live.of(c)
+    deletions = [(u, g.ends(u)) for u in _peel(g, keep={v, v_prime})]
+    ends = [w for w, d in enumerate(g.deg) if d == 2]
     _check(ends == [v, v_prime], "peeled core must have exactly two degree-2 vertices")
 
     # Peeling on with only v' kept walks the core's Hamiltonian path from v.
-    order, path_deletions = _path_order(adj, v_prime)
+    order, peeled = _path_order(g, v_prime)
+    path_deletions = [(u, g.ends(u)) for u in order[:peeled]]
     _check(order[0] == v and order[-1] == v_prime, "core path must run from v to v'")
     tip = edge(v, path_deletions[0][1][0])
 
@@ -209,7 +208,7 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
     if c.n < 3:
         raise OutOfRangeError(f"glue_identity_check needs n >= 3, got {c.n}")
     req = _required_edges(required, "the graph")
-    ids = _edge_ids(c.n, c.order, c._attach_edges(), req)
+    ids = _edge_ids(c.n, c.order, c._attach_ends(), req)
     for (a, b), i in zip(req, ids):
         if i < 0:
             raise ForeignEdgeError(f"required edge ({a}, {b}) not in the graph")

@@ -11,11 +11,12 @@ Construction format::
     v x y        (n-2 lines: vertex v attached to edge {x, y}, in build order)
 
 The two base vertices are the ones never introduced by an attachment line.
-An edge list parses to ``(n, edges)`` with no graph built, so a header's n
-costs nothing until the caller checks it; a construction parses to a checked
-``TwoTreeConstruction``.  Tree streams, which are written and never read back,
-carry one tree per line ("u-v" tokens, canonically sorted) after a header line
-``# n=<n> expected=<count>``.
+An edge list parses in one pass over its lines, read lazily, to ``(n, codes)``:
+its edges as one set of codes u·n + v, with no line list, no edge list and
+nothing sized by n built, so a header's n costs nothing until the caller
+checks it.  A construction parses to a checked ``TwoTreeConstruction``.  Tree
+streams, which are written and never read back, carry one tree per line
+("u-v" tokens, canonically sorted) after a header line ``# n=<n> expected=<count>``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import FormatError
-from .graph import Edge, SimpleGraph, TwoTreeConstruction, edge
+from .graph import Edge, SimpleGraph, TwoTreeConstruction, _EdgeCodes, edge
 
 
 def serialize_edge_list(g: SimpleGraph | TwoTreeConstruction) -> str:
@@ -33,32 +34,45 @@ def serialize_edge_list(g: SimpleGraph | TwoTreeConstruction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str) -> tuple[int, list[Edge]]:
-    """Validate an edge list; its n and edges, with nothing sized by n built."""
-    rows = list(_data_lines(text))
-    if not rows:
+def parse_edge_list(text: str) -> tuple[int, _EdgeCodes]:
+    """Validate an edge list; its n and its edges as codes u·n + v (u < v).
+
+    Header errors come first, then a line count other than m, then the first
+    bad line, which is held until the lines have been counted.
+    """
+    rows = _data_lines(text)
+    header = next(rows, None)
+    if header is None:
         raise FormatError("empty edge-list input")
-    head = rows[0].split()
+    head = header.split()
     if len(head) != 2:
-        raise FormatError(f"edge-list header must be 'n m', got {rows[0]!r}")
+        raise FormatError(f"edge-list header must be 'n m', got {header!r}")
     n, m = _int(head[0]), _int(head[1])
-    if len(rows) - 1 != m:
-        raise FormatError(f"header promises {m} edges, found {len(rows) - 1}")
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
-    for row in rows[1:]:
-        parts = row.split()
-        if len(parts) != 2:
-            raise FormatError(f"edge line must be 'u v', got {row!r}")
-        u, v = _int(parts[0]), _int(parts[1])
-        if not (0 <= u < v < n):
-            raise FormatError(f"edge line {row!r} violates 0 <= u < v < n={n}")
-        e = (u, v)
-        if e in seen:
-            raise FormatError(f"duplicate edge {row!r}")
-        seen.add(e)
-        edges.append(e)
-    return n, edges
+    codes, found, bad = _EdgeCodes(), 0, None
+    try:
+        for row in rows:
+            found += 1
+            parts = row.split()
+            if len(parts) != 2:
+                raise FormatError(f"edge line must be 'u v', got {row!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                u, v = _int(parts[0]), _int(parts[1])  # raises for the first bad token
+            if not (0 <= u < v < n):
+                raise FormatError(f"edge line {row!r} violates 0 <= u < v < n={n}")
+            code = u * n + v
+            if code in codes:
+                raise FormatError(f"duplicate edge {row!r}")
+            codes.add(code)
+    except FormatError as exc:
+        bad = exc
+        found += sum(1 for _ in rows)
+    if found != m:
+        raise FormatError(f"header promises {m} edges, found {found}")
+    if bad is not None:
+        raise bad
+    return n, codes
 
 
 def serialize_construction(c: TwoTreeConstruction) -> str:
@@ -100,11 +114,11 @@ def parse_construction(text: str) -> TwoTreeConstruction:
     return TwoTreeConstruction(n, (base_vertices[0], base_vertices[1]), tuple(attachments))
 
 
-def sniff_and_parse(text: str) -> TwoTreeConstruction | tuple[int, list[Edge]]:
+def sniff_and_parse(text: str) -> TwoTreeConstruction | tuple[int, _EdgeCodes]:
     """Parse either supported format, keyed off the header token count.
 
     Only the lines up to the header are stripped here; the parser chosen makes
-    the one full pass.  An edge list comes back as ``(n, edges)``.
+    the one full pass.  An edge list comes back as ``(n, codes)``.
     """
     header = next(_data_lines(text), None)
     if header is None:
@@ -147,9 +161,18 @@ def decimal(count: int) -> str:
     return "".join(reversed(blocks))
 
 
+_LINE_BLOCK = 1 << 16
+
+
 def _data_lines(text: str) -> Iterator[str]:
-    """The stripped lines of ``text`` that are neither blank nor comments, lazily."""
-    return (row for row in map(str.strip, text.splitlines()) if row and not row.startswith("#"))
+    """The stripped lines of ``text`` that are neither blank nor comments, lazily:
+    ``str.splitlines`` on one block of whole lines at a time, each cut just after
+    a newline, which always ends a line."""
+    start = 0
+    while start < len(text):
+        end = text.rfind("\n", start, start + _LINE_BLOCK) + 1 or len(text)
+        yield from [row for row in map(str.strip, text[start:end].splitlines()) if row and row[0] != "#"]
+        start = end
 
 
 def _int(token: str) -> int:

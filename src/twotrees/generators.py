@@ -95,7 +95,7 @@ def extend_with_chain(
     if type(steps) is not int or steps < 1:
         raise OutOfRangeError(f"need at least one chain step, got {steps!r}")
     try:  # the start edge's id; a loop raises LoopEdgeError
-        (p,) = _edge_ids(c.n, c.order, c._attach_edges(), _checked_edges(c.n, [start_edge]))
+        (p,) = _edge_ids(c.n, c.order, c._attach_ends(), _checked_edges(c.n, [start_edge]))
     except OutOfRangeError:  # not two int ends in 0..n-1
         p = -1
     if p < 0:

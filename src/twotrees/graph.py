@@ -16,17 +16,19 @@ vertex of each step, and ``parent``, the id of its attach edge, and reads every
 edge's ends off them; the build rule (each attach edge present when its vertex
 arrives) is ``parent[i] < 2i + 1``.  The constructor checks it, with the cover,
 so every construction counts without further checks, and the counting engine
-and the enumeration walk index lists by id.  Both types are immutable
-``__slots__`` classes that compare and hash by field, as frozen dataclasses
-would; the package does not import ``dataclasses``, which would add its
-``inspect`` and ``ast`` imports to every CLI start.
+and the enumeration walk index lists by id.  A lookup by ends reads only the
+ids above the steps it needs.  Both types are immutable ``__slots__`` classes
+that compare and hash by their stored fields, as frozen dataclasses would, and
+a construction pickles as its id records; the package does not import
+``dataclasses``, which would add its ``inspect`` and ``ast`` imports to every
+CLI start.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     InvalidConstructionError,
@@ -46,13 +48,13 @@ def edge(u: int, v: int) -> Edge:
 
 class _Frozen:
     """Base of the value types: the fields are the ``__match_args__``, read off
-    the slots set once in ``__init__``; hash and repr go by field, as for a frozen
-    dataclass, and equality by slot, which fixes every field at a lower cost."""
+    the slots set once in ``__init__``; repr goes by field, as for a frozen
+    dataclass, and equality and hash by slot, which fixes every field at a lower cost."""
 
     __slots__ = ()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -72,7 +74,7 @@ class _Frozen:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__name__}({fields})"
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
+    def __reduce__(self):  # copy and pickle rebuild through __init__, from the slots
         return type(self), self._values()
 
 
@@ -150,7 +152,8 @@ class TwoTreeConstruction(_Frozen):
             order = introduced[2:]
             del introduced  # the cover and label checks are done; the lookup needs the room
             # Each attach edge's id: as given, or looked up once from its ends.
-            parent = [] if by_id else _edge_ids(n, order, [e for _, e in atts], map(itemgetter(1), atts))
+            attach = [] if by_id else [e for _, e in atts]
+            parent = [] if by_id else _edge_ids(n, order, attach.__getitem__, attach)
             for i, (v, e) in enumerate(atts):  # the build rule, parent[i] < 2i + 1
                 p = e if by_id else parent[i]
                 if type(p) is not int or not 0 <= p <= 2 * i:
@@ -167,10 +170,14 @@ class TwoTreeConstruction(_Frozen):
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "parent", tuple(parent))
 
+    def __reduce__(self):  # copy and pickle rebuild from the id records
+        return TwoTreeConstruction, (self.n, self.base, tuple(zip(self.order, self.parent)))
+
     @property
     def attachments(self) -> tuple[tuple[int, Edge], ...]:
         """Each step as ``(vertex, attach_edge)``, the attach edge read off its id."""
-        return tuple(zip(self.order, self._attach_edges()))
+        by_id = self.edges_by_id()
+        return tuple((v, by_id[p]) for v, p in zip(self.order, self.parent))
 
     @property
     def m(self) -> int:
@@ -193,16 +200,33 @@ class TwoTreeConstruction(_Frozen):
 
     def adjacency(self) -> list[set[int]]:
         """A fresh neighbour set per vertex, which the caller may edit."""
-        return _neighbour_sets(self.n, self.edges_by_id())
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        for u, v in self.edges_by_id():
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
 
     def realize(self) -> SimpleGraph:
         """The 2-tree as a :class:`SimpleGraph`; the oracles take ``self`` as is."""
         return SimpleGraph(self.n, tuple(self.edges()))
 
-    def _attach_edges(self) -> list[Edge]:
-        """Each step's attach edge as its canonical ends, for :func:`_edge_ids`."""
-        by_id = self.edges_by_id()
-        return [by_id[p] for p in self.parent]
+    def _attach_ends(self) -> Callable[[int], Edge]:
+        """Step k's attach edge as its canonical ends, for :func:`_edge_ids`: an
+        edge's ends are read off the ids above it alone, and kept for later calls."""
+        order, parent, known = self.order, self.parent, {0: self.base}
+
+        def ends(k: int) -> Edge:
+            above, p = [], parent[k]
+            while p not in known:  # edge p > 0 joins step j's vertex to end r of parent[j]
+                above.append(p)
+                p = parent[(p - 1) // 2]
+            for p in reversed(above):
+                j, r = divmod(p - 1, 2)
+                v, x = order[j], known[parent[j]][r]
+                known[p] = (v, x) if v < x else (x, v)
+            return known[parent[k]]
+
+        return ends
 
 
 def _attach_pair(v: int, e: Edge) -> tuple[int, Edge]:
@@ -212,10 +236,12 @@ def _attach_pair(v: int, e: Edge) -> tuple[int, Edge]:
     return v, edge(*e)
 
 
-def _edge_ids(n: int, order: Iterable[int], attach: Sequence[Edge], edges: Iterable[Edge]) -> list[int]:
+def _edge_ids(
+    n: int, order: Iterable[int], attach: Callable[[int], Edge], edges: Iterable[Edge]
+) -> list[int]:
     """The id of each canonical edge in ``edges``, or -1 for a pair that is not
     one, in the 2-tree whose step k adds vertex ``order[k]`` on the edge with
-    ends ``attach[k]`` (checked for cover, not for order).  Edge {x, y} appears
+    canonical ends ``attach(k)`` (checked for cover, not for order).  Edge {x, y} appears
     when the later of x and y arrives: it is the base edge when both are base
     vertices, else one of the later one's two step edges.
     """
@@ -235,7 +261,7 @@ def _edge_ids(n: int, order: Iterable[int], attach: Sequence[Edge], edges: Itera
             else:  # only the two base vertices share a step
                 append(0)
                 continue
-            ends = attach[k]
+            ends = attach(k)
             if other == ends[0]:
                 p = 2 * k + 1
             elif other == ends[1]:
@@ -260,22 +286,20 @@ def _checked_edges(n: int, edges: Iterable[Edge]) -> Iterable[Edge]:
         yield (u, v) if u < v else (v, u)
 
 
-def _neighbour_sets(n: int, edges: Iterable[Edge]) -> list[set[int]]:
-    """A neighbour set per vertex, for recognition and ``adjacency()``, whose
-    caller has checked n >= 2; edges are checked as by :meth:`SimpleGraph.from_edges`."""
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in _checked_edges(n, edges):
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+class _EdgeCodes(set):
+    """Checked distinct edges of a graph on n vertices as codes ``u * n + v``
+    (u < v), as an edge list parses: ``recognize`` takes them as they are."""
+
+    def edges(self, n: int) -> Iterator[Edge]:
+        return (divmod(code, n) for code in self)
 
 
 SpanningTree = frozenset  # frozenset[Edge]; edge set of a spanning tree
 
 
-def _union_find(n: int, edges: Iterable[Edge]) -> Callable[[int], int] | None:
+def _union_find(n: int, edges: Iterable[Edge], cycles: bool = False) -> Callable[[int], int] | None:
     """``find`` after joining every edge, or None when an edge, a repeated one
-    included, closes a cycle.
+    included, closes a cycle; with ``cycles``, such an edge is passed over.
 
     This path-halving union-find is the package's only one and its one forest test.
     """
@@ -289,7 +313,8 @@ def _union_find(n: int, edges: Iterable[Edge]) -> Callable[[int], int] | None:
 
     for u, v in edges:
         ru, rv = find(u), find(v)
-        if ru == rv:
+        if ru != rv:
+            parent[ru] = rv
+        elif not cycles:
             return None
-        parent[ru] = rv
     return find

@@ -4,8 +4,9 @@ A graph is a 2-tree iff repeatedly deleting a degree-2 vertex whose two
 neighbours are adjacent reduces it to a single edge.  :func:`recognize` reads
 an edge list as parsed, ``(n, edges)``, and returns the deletion order,
 reversed, as a construction; a list too short for 2n-3 edges is rejected
-before anything sized by n is built.  Ties go to the smallest-index eligible
-vertex; :func:`_peel` keeps the candidates in a heap, so the elimination is
+before anything sized by n is built.  :func:`_peel` runs on the edges as
+codes and three numbers per vertex (:class:`_Live`).  Ties go to the
+smallest-index eligible vertex, kept in a heap, so the elimination is
 O(n log n).  The structural queries take a construction, so :func:`recognize`
 is the one place a graph becomes a 2-tree.
 """
@@ -13,38 +14,36 @@ is the one place a graph becomes a 2-tree.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import isqrt
 from typing import Collection
 
 from .errors import InvariantError, NotTwoTreeError, NotTwoTreeReason, OutOfRangeError
-from .graph import Edge, TwoTreeConstruction, _neighbour_sets, edge
+from .graph import Edge, TwoTreeConstruction, _checked_edges, _EdgeCodes, _union_find
 
 
 def recognize(n: int, edges: Collection[Edge]) -> TwoTreeConstruction:
     """A construction of the graph on n vertices with these edges, or NotTwoTreeError.
 
-    Edges are checked, and a repeated one counts once, as in ``SimpleGraph.from_edges``.
-    The attachments are the deletion order reversed, and ``.edges()`` is the graph's.
+    Edges are checked, and a repeated one counts once, as in ``SimpleGraph.from_edges``,
+    unless they are an edge list's codes as parsed.  The attachments are the
+    deletion order reversed, and ``.edges()`` is the graph's.
     """
     if type(n) is not int or n < 2:
         raise OutOfRangeError(f"recognition needs n >= 2, got {n!r}")
     if len(edges) < 2 * n - 3:  # before a header's n sizes anything
         raise NotTwoTreeError.wrong_edge_count(n, len(edges))
-    adj = _neighbour_sets(n, edges)
-    m = sum(map(len, adj)) // 2
-    if m != 2 * n - 3:
-        raise NotTwoTreeError.wrong_edge_count(n, m)
-    seen, stack = {0}, [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) < n:
-        raise NotTwoTreeError(NotTwoTreeReason.DISCONNECTED, "graph is disconnected")
+    codes = edges if type(edges) is _EdgeCodes else _EdgeCodes(u * n + v for u, v in _checked_edges(n, edges))
+    if len(codes) != 2 * n - 3:
+        raise NotTwoTreeError.wrong_edge_count(n, len(codes))
 
-    removed = _peel(adj)
+    g = _Live(n, codes)
+    removed = _peel(g)
     if len(removed) < n - 2:
-        if any(len(s) == 2 for s in adj):
+        # Deleting a simplicial vertex keeps the rest as connected, so only a failed peel can
+        find = _union_find(n, codes.edges(n), cycles=True)
+        if any(find(v) != find(0) for v in range(n)):
+            raise NotTwoTreeError(NotTwoTreeReason.DISCONNECTED, "graph is disconnected")
+        if 2 in g.deg:
             raise NotTwoTreeError(
                 NotTwoTreeReason.NONADJACENT_NEIGHBORS,
                 "every degree-2 vertex has nonadjacent neighbours",
@@ -56,10 +55,23 @@ def recognize(n: int, edges: Collection[Edge]) -> TwoTreeConstruction:
 
     # 2(n-2) edges were removed from 2n-3, so exactly the base edge remains,
     # and only its two ends still have neighbours.
-    base = [v for v in range(n) if adj[v]]
-    if not (len(base) == 2 and base[1] in adj[base[0]]):
+    base = [v for v, d in enumerate(g.deg) if d]
+    if not (len(base) == 2 and g.adjacent(*base)):
         raise InvariantError(f"elimination left {base}, not a single edge")
-    return TwoTreeConstruction(n, (base[0], base[1]), reversed(removed))
+    # Step k's attach edge xy, x the later to arrive, is the base edge (id 0) or x's edge to
+    # y: id 2 step[x] + 1 if y is the smaller of x's attach ends, which sum to s[x], else + 2.
+    removed.reverse()
+    step = [-1] * n
+    for k, v in enumerate(removed):
+        step[v] = k
+    parent = []
+    for v in removed:
+        x, y = g.ends(v)
+        if step[x] < step[y]:
+            x, y = y, x
+        parent.append(2 * step[x] + 1 + (2 * y > g.s[x]) if step[x] >= 0 else 0)
+    del g, step  # the peel state goes before the construction is built
+    return TwoTreeConstruction(n, (base[0], base[1]), zip(removed, parent))
 
 
 def simplicial_vertices(c: TwoTreeConstruction) -> list[int]:
@@ -100,7 +112,7 @@ def path_ordering_if_two_simplicial(c: TwoTreeConstruction) -> tuple[int, ...] |
     simp = simplicial_vertices(c)
     if len(simp) != 2:
         return None
-    order, _ = _path_order(c.adjacency(), simp[1])
+    order, _ = _path_order(_Live.of(c), simp[1])
     return tuple(order)
 
 
@@ -109,52 +121,93 @@ def _is_book_shape(n: int, degree_two: list[int]) -> bool:
     return n == 3 or len(degree_two) == n - 2
 
 
-def _path_order(adj: list[set[int]], goal: int) -> tuple[list[int], list[tuple[int, Edge]]]:
-    """The Hamiltonian path of the 2-tree left in ``adj``, which is peeled in
-    place, from its degree-2 vertex other than ``goal`` to ``goal``, and the
-    peel's deletions.
+def _path_order(g: _Live, goal: int) -> tuple[list[int], int]:
+    """The Hamiltonian path of the 2-tree left in ``g``, which is peeled in
+    place, from its degree-2 vertex other than ``goal`` to ``goal``, and how
+    many of its first vertices the peel deleted.
 
     Only one vertex besides goal is ever eligible until the closing triangle,
     so the smallest-first peel walks the path; the one vertex it leaves
     beside goal comes second to last.  Each step must be an edge.  A step
     from a peeled vertex is checked against its attach edge, which holds
     exactly its neighbours when it is deleted: the next vertex is still
-    there, and an edge leaves ``adj`` only with an endpoint.  The steps from
-    the vertices the peel leaves are checked against the live ``adj``.
+    there, and an edge leaves the live graph only with an endpoint.  The
+    steps from the vertices the peel leaves are checked against the live graph.
     """
-    deletions = _peel(adj, keep={goal})
-    order = [v for v, _ in deletions]
-    order.extend(v for v in range(len(adj)) if adj[v] and v != goal)
+    order = _peel(g, keep={goal})
+    peeled = len(order)
+    order.extend(v for v, d in enumerate(g.deg) if d and v != goal)
     order.append(goal)
-    around = [f for _, f in deletions] + [adj[v] for v in order[len(deletions) : -1]]
-    for earlier, later, neighbours in zip(order, order[1:], around):
-        if later not in neighbours:
+    for i, (earlier, later) in enumerate(zip(order, order[1:])):
+        if not (later in g.ends(earlier) if i < peeled else g.adjacent(earlier, later)):
             raise InvariantError(f"path ordering steps across non-edge ({earlier}, {later})")
-    return order, deletions
+    return order, peeled
 
 
-def _peel(adj: list[set[int]], keep: Collection[int] = ()) -> list[tuple[int, Edge]]:
+class _Live:
+    """A graph being peeled: its edge codes ``u * n + v`` (u < v), never edited,
+    and per vertex the live degree (0 once deleted) and the sum ``s`` and the
+    sum of squares ``q`` of the live neighbours.  Neighbours a < b give
+    b - a = isqrt(2q - s^2); a deleted vertex's sums name its attach edge."""
+
+    __slots__ = ("n", "codes", "deg", "s", "q")
+
+    def __init__(self, n: int, codes: Collection[int]):
+        deg, s, q = [0] * n, [0] * n, [0] * n
+        for code in codes:
+            u, v = divmod(code, n)
+            deg[u] += 1
+            deg[v] += 1
+            s[u] += v
+            s[v] += u
+            q[u] += v * v
+            q[v] += u * u
+        self.n, self.codes, self.deg, self.s, self.q = n, codes, deg, s, q
+
+    @classmethod
+    def of(cls, c: TwoTreeConstruction, leave_out: Collection[int] = ()) -> _Live:
+        """The 2-tree of ``c`` less the vertices in ``leave_out``."""
+        n = c.n
+        return cls(n, {u * n + v for u, v in c.edges_by_id() if u not in leave_out and v not in leave_out})
+
+    def ends(self, v: int) -> Edge:
+        """The neighbours of ``v`` at live degree 2, or when it was deleted."""
+        s = self.s[v]
+        d = isqrt(2 * self.q[v] - s * s)
+        return (s - d) >> 1, (s + d) >> 1
+
+    def adjacent(self, a: int, b: int) -> bool:
+        return (a * self.n + b if a < b else b * self.n + a) in self.codes
+
+
+def _peel(g: _Live, keep: Collection[int] = ()) -> list[int]:
     """Delete degree-2 vertices with adjacent neighbours, smallest index first.
 
-    ``adj`` is updated in place; vertices in ``keep`` are never deleted.
-    Returns the deletions in order as ``(v, attach_edge)``.  Deletions only
-    remove edges, so a degree-2 vertex with nonadjacent neighbours never
-    becomes eligible again, and every vertex reaches degree 2 at most once.
+    ``g`` is updated in place; vertices in ``keep`` are never deleted.
+    Returns the deleted vertices in order; ``g.ends(v)`` is the attach edge
+    of each.  Deletions only remove edges, so a degree-2 vertex with
+    nonadjacent neighbours never becomes eligible again, and every vertex
+    reaches degree 2 at most once.
     """
-    heap = [v for v in range(len(adj)) if len(adj[v]) == 2 and v not in keep]
-    deletions: list[tuple[int, Edge]] = []
+    n, codes, deg, s, q = g.n, g.codes, g.deg, g.s, g.q
+    heap = [v for v, d in enumerate(deg) if d == 2 and v not in keep]
+    deleted: list[int] = []
     while heap:
         v = heappop(heap)
-        if len(adj[v]) != 2:
+        if deg[v] != 2:
             continue  # deleted, or a deletion took it below degree 2
-        a, b = adj[v]
-        if b not in adj[a]:
+        sv = s[v]  # g.ends(v), inline in this loop
+        d = isqrt(2 * q[v] - sv * sv)
+        a, b = (sv - d) >> 1, (sv + d) >> 1
+        if a * n + b not in codes:
             continue
-        adj[a].discard(v)
-        adj[b].discard(v)
-        adj[v].clear()
-        deletions.append((v, edge(a, b)))
+        deg[v] = 0
+        deleted.append(v)
+        vv = v * v
         for w in (a, b):
-            if len(adj[w]) == 2 and w not in keep:
+            deg[w] -= 1
+            s[w] -= v
+            q[w] -= vv
+            if deg[w] == 2 and w not in keep:
                 heappush(heap, w)
-    return deletions
+    return deleted

@@ -21,8 +21,10 @@ each edge's pair by its tuple in a dict, is the reference for the engine on
 edge ids.  The max surgery's former positional rule, which ranks each
 hanging edge by where along the core path it first appears, is the reference
 for the crucial edge it now reads off the path peel; it runs on the package's
-own peels, which the rescans above check.  Only references live here:
-nothing from the package is moved in to keep it alive.
+own peels, which the rescans above check.  The edge-list parser's former
+list-based pass, which held every line, every edge and a set of the edges
+seen, is the reference for its one pass into edge codes.  Only references
+live here: nothing from the package is moved in to keep it alive.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import sys
 from collections import deque
 from itertools import combinations
 
+from twotrees.errors import FormatError
 from twotrees.graph import TwoTreeConstruction, edge
-from twotrees.recognition import _path_order, _peel, simplicial_vertices
+from twotrees.recognition import _Live, _path_order, _peel, simplicial_vertices
 
 
 def is_tree_edge_set(n: int, edges) -> bool:
@@ -390,9 +393,10 @@ def crucial_edge_by_positions(c):
     path vertex at that position wins over the rest, the smaller first.
     """
     v, v_prime = simplicial_vertices(c)[:2]
-    adj = c.adjacency()
-    deletions = _peel(adj, keep={v, v_prime})
-    order, path_deletions = _path_order(adj, v_prime)
+    g = _Live.of(c)
+    deletions = [(u, g.ends(u)) for u in _peel(g, keep={v, v_prime})]
+    order, peeled = _path_order(g, v_prime)
+    path_deletions = [(u, g.ends(u)) for u in order[:peeled]]
     q = len(order)
     pos = {vertex: q - i for i, vertex in enumerate(order)}
     root = {}
@@ -409,3 +413,37 @@ def crucial_edge_by_positions(c):
     v_j = order[q - j_star]
     incident = [f for f in at_peak if v_j in f]
     return min(incident or at_peak), q - j_star + 1
+
+
+def parse_edge_list_by_lines(text: str):
+    """The package's former edge-list parser: ``(n, edges)`` in line order,
+    from a list of every data line, an edge list and a set of the edges seen."""
+
+    def integer(token: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise FormatError(f"expected an integer, got {token!r}") from None
+
+    rows = [row for row in map(str.strip, text.splitlines()) if row and not row.startswith("#")]
+    if not rows:
+        raise FormatError("empty edge-list input")
+    head = rows[0].split()
+    if len(head) != 2:
+        raise FormatError(f"edge-list header must be 'n m', got {rows[0]!r}")
+    n, m = integer(head[0]), integer(head[1])
+    if len(rows) - 1 != m:
+        raise FormatError(f"header promises {m} edges, found {len(rows) - 1}")
+    edges, seen = [], set()
+    for row in rows[1:]:
+        parts = row.split()
+        if len(parts) != 2:
+            raise FormatError(f"edge line must be 'u v', got {row!r}")
+        u, v = integer(parts[0]), integer(parts[1])
+        if not (0 <= u < v < n):
+            raise FormatError(f"edge line {row!r} violates 0 <= u < v < n={n}")
+        if (u, v) in seen:
+            raise FormatError(f"duplicate edge {row!r}")
+        seen.add((u, v))
+        edges.append((u, v))
+    return n, edges

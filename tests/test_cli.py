@@ -222,7 +222,7 @@ def _tripwire(monkeypatch, owner, name):
 )
 def test_two_tree_edge_list_checks_the_header_before_building(capsys, tmp_path, monkeypatch, argv):
     target = tmp_path / "g.edges"
-    _tripwire(monkeypatch, recognition, "_neighbour_sets")  # a set per vertex
+    _tripwire(monkeypatch, recognition, "_Live")  # the peel's state per vertex
     target.write_text("300000 0\n")
     run(capsys, *argv, "--in", str(target))  # warm: the handler's lazy imports
     tracemalloc.start()
@@ -240,6 +240,25 @@ def test_two_tree_edge_list_checks_the_header_before_building(capsys, tmp_path, 
     )
     target.write_text("5 1\n0 x\n")  # a malformed line is reported before the count
     assert run(capsys, *argv, "--in", str(target)) == (2, "", "error: expected an integer, got 'x'\n")
+
+
+@pytest.mark.parametrize("family", ["random", "path-square"])
+def test_an_edge_list_is_recognized_in_one_compact_copy(capsys, tmp_path, family):
+    # n = 20,000: the text, its edge codes and a few numbers per vertex; a
+    # neighbour set per vertex and the parse's line and edge lists took 15.9 MB
+    target = tmp_path / "g.edges"
+    seed = ["--seed", "1"] if family == "random" else []
+    assert run(capsys, "gen", family, "20000", *seed, "--out", str(target))[0] == 0
+    run(capsys, "count", "--in", str(target))  # warm: the handlers' lazy imports
+    for argv in (["order"], ["count"]):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv, "--in", str(target))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "") and len(out) > 1
+        assert peak < 10_000_000, f"{argv}: peak {peak} bytes"
 
 
 def test_brute_force_cap_is_checked_before_building_a_graph(capsys, tmp_path, monkeypatch):

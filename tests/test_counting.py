@@ -26,6 +26,7 @@ from twotrees import (
     count_two_simplicial,
     count_via_construction,
     enumerate_spanning_trees,
+    extend_with_chain,
     fan,
     fibonacci,
     glue_identity_check,
@@ -609,3 +610,28 @@ def test_golden_ratio_square_limit():
     a, b = fibonacci(58), fibonacci(56)
     d = 2 * a - 3 * b
     assert 250_000 * abs(d * d - 5 * b * b) < b * b
+
+
+def test_a_required_edge_is_looked_up_without_listing_every_edge(monkeypatch):
+    # one required edge, or a start edge, reads the attach edges above its own
+    # step alone: no call lists all 2n - 3 edges
+    for c in (random_two_tree(3000, 1), path_square(3000)):
+        by_id = c.edges_by_id()
+        edges = [c.base, by_id[2 * (c.n // 2) + 1], by_id[2 * (c.n - 4) + 2]]
+        want = [
+            (count_via_construction(c, [e]), glue_identity_check(c, [e]), extend_with_chain(c, e, 3, 7))
+            for e in edges
+        ]
+
+        def refuse(self):
+            raise AssertionError("edges_by_id called")
+
+        monkeypatch.setattr(TwoTreeConstruction, "edges_by_id", refuse)
+        got = [
+            (count_via_construction(c, [e]), glue_identity_check(c, [e]), extend_with_chain(c, e, 3, 7))
+            for e in edges
+        ]
+        with pytest.raises(ForeignEdgeError, match=r"required edge \(0, 3000\) not in graph"):
+            count_via_construction(c, [(0, c.n)])
+        monkeypatch.undo()
+        assert got == want

@@ -52,7 +52,7 @@ from twotrees import cli, graph, recognition
 from twotrees.enumeration import tree_stream_blocks
 from twotrees.formats import serialize_edge_list
 from twotrees.graph import _union_find
-from twotrees.recognition import _peel
+from twotrees.recognition import _Live, _peel
 
 from oracle import crucial_edge_by_positions, peel_to_core_by_rescan
 
@@ -183,7 +183,8 @@ def test_core_peel_matches_rescan_on_corpus(corpus):
             edges = c.edges()
             for v in range(n):
                 for w in range(v + 1, n):
-                    deletions = _peel(c.adjacency(), keep={v, w})
+                    g = _Live.of(c)
+                    deletions = [(u, g.ends(u)) for u in _peel(g, keep={v, w})]
                     alive = set(range(n)).difference(u for u, _ in deletions)
                     assert (alive, deletions) == peel_to_core_by_rescan(n, edges, v, w)
 
@@ -360,9 +361,11 @@ def test_improve_max_guards_a_path_peel_without_hanging_edges(monkeypatch):
     # holds no hanging edge, so no piece can be chosen to move
     real = extremal._path_order
 
-    def off_the_graph(adj, goal):
-        order, deletions = real(adj, goal)
-        return order, [(u, (len(adj), len(adj) + 1)) for u, _ in deletions]
+    def off_the_graph(g, goal):
+        order, peeled = real(g, goal)
+        for u in order[:peeled]:  # the sums a deleted vertex keeps name its attach edge
+            g.s[u], g.q[u] = 2 * g.n + 1, g.n**2 + (g.n + 1) ** 2  # (n, n + 1)
+        return order, peeled
 
     monkeypatch.setattr(extremal, "_path_order", off_the_graph)
     with pytest.raises(InvariantError, match="no path triangle holds a hanging edge"):

@@ -16,15 +16,20 @@ from twotrees.formats import (
     tree_stream_header,
 )
 
-from oracle import decimal_by_str
+from oracle import decimal_by_str, parse_edge_list_by_lines
 
 seeds = st.integers(0, 2**32 - 1)
+
+
+def _codes(n, edges):
+    """An edge list as it parses: its edges as codes u * n + v."""
+    return {u * n + v for u, v in edges}
 
 
 def test_edge_list_golden():
     text = serialize_edge_list(book(4).realize())
     assert text == "4 5\n0 1\n0 2\n0 3\n1 2\n1 3\n"
-    assert parse_edge_list(text) == (4, book(4).edges())
+    assert parse_edge_list(text) == (4, _codes(4, book(4).edges()))
 
 
 def test_construction_golden():
@@ -44,7 +49,7 @@ def test_construction_base_inference():
 @given(st.integers(2, 12), seeds)
 def test_edge_list_round_trip(n, seed):
     g = random_two_tree(n, seed).realize()
-    assert parse_edge_list(serialize_edge_list(g)) == (g.n, g.edges())
+    assert parse_edge_list(serialize_edge_list(g)) == (g.n, _codes(g.n, g.edges()))
 
 
 @settings(max_examples=30, deadline=None)
@@ -63,7 +68,7 @@ def test_recognized_construction_serializes(n, seed):
 
 
 def test_sniffing():
-    assert sniff_and_parse("2 1\n0 1\n") == (2, [(0, 1)])
+    assert sniff_and_parse("2 1\n0 1\n") == (2, {1})
     assert isinstance(sniff_and_parse("2\n"), TwoTreeConstruction)
     with pytest.raises(FormatError):
         sniff_and_parse("1 2 3 4\n")
@@ -140,3 +145,87 @@ def test_decimal_writes_counts_past_the_str_digit_cap():
     for count in (0, 7, 10**4000 - 1, 10**4000, 10**4000 + 1, 3**30000, 10**12001 + 5):
         assert decimal(count) == decimal_by_str(count)
         assert tree_stream_header(3, count) == f"# n=3 expected={decimal_by_str(count)}"
+
+
+# Every line boundary of ``str.splitlines``; "\x1f" and "\t" are whitespace inside a line.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_pieces = st.one_of(
+    st.sampled_from(LINE_BREAKS),
+    st.sampled_from([" ", "\t", "\x1f", "#", "# note", "x", "-1", "1.5", "0 1 2", "", "9" * 5000]),
+    st.integers(-2, 12).map(str),
+    st.text(max_size=3),
+)
+
+
+def _same_parse(text: str) -> None:
+    """The one-pass parse gives the n and the edges of the list-based one, or
+    its error type and message."""
+    try:
+        want = parse_edge_list_by_lines(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == str(exc), text
+    else:
+        n, edges = want
+        assert parse_edge_list(text) == (n, _codes(n, edges)), text
+
+
+@st.composite
+def _perturbed_edge_lists(draw) -> str:
+    """An edge list of a random 2-tree whose header, lines and line breaks are
+    perturbed: bad or short headers, wrong counts, non-int tokens, ends out of
+    range or out of order, repeats, comments, blank lines, and any break."""
+    n = draw(st.integers(2, 9))
+    rows = [f"{u} {v}" for u, v in random_two_tree(n, draw(st.integers(0, 2**32 - 1))).edges()]
+    m = len(rows)
+    headers = [f"{n} {m}", f"{n} {m + 1}", f"{n} {m - 1}", f"{n}", f"{n} x", f"{n} 1 2", "", f"  {n}\t{m} "]
+    rows.insert(0, draw(st.sampled_from(headers)))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(rows)))
+        op = draw(st.sampled_from(["insert", "repeat", "replace", "reverse", "splice"]))
+        if op == "insert" or not 0 < i < len(rows):
+            extra = ["", "   ", "# comment", "#", f"0 {n}", "1 0", "2 two", "0 1"]
+            rows.insert(i, draw(st.sampled_from(extra)))
+        elif op == "repeat":
+            rows.insert(draw(st.integers(i, len(rows))), rows[i])
+        elif op == "replace":
+            rows[i] = " ".join(draw(st.lists(_pieces, max_size=3)))
+        elif op == "reverse":
+            rows[i] = " ".join(reversed(rows[i].split()))
+        else:  # a piece, a line break perhaps, spliced into the line
+            j = draw(st.integers(0, len(rows[i])))
+            rows[i] = rows[i][:j] + draw(_pieces) + rows[i][j:]
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(rows), max_size=len(rows)))
+    return "".join(row + end for row, end in zip(rows, breaks))[: None if draw(st.booleans()) else -1]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_perturbed_edge_lists())
+def test_one_pass_parse_matches_the_line_list_parse(text):
+    _same_parse(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_pieces, max_size=12))
+def test_one_pass_parse_matches_on_arbitrary_pieces(pieces):
+    _same_parse("".join(pieces))
+
+
+def test_one_pass_parse_matches_across_line_blocks():
+    # past the parse's 65,536-character blocks: every break, comments, blanks,
+    # and a bad line in a later block that the count check still comes before
+    c = random_two_tree(6000, 1)
+    rows = [f"{c.n} {c.m}"] + [f"{u} {v}" for u, v in c.edges()]
+    for i in range(0, len(rows), 7):
+        rows[i] += LINE_BREAKS[i % len(LINE_BREAKS)] + ("# comment" if i % 2 else "  ")
+    text = "\r\n".join(rows) + "\n"
+    assert len(text) > 65536
+    for pad in range(8):  # the blocks' cuts fall at other places in the lines
+        _same_parse(" " * pad + text)
+    _same_parse(text.replace("\r\n", "\r"))
+    line = "\r\n" + rows[9001] + "\r\n"
+    assert text.index(line) > 65536
+    bad = text.replace(line, "\r\nfive" + line[line.index(" ") :], 1)
+    _same_parse(bad)
+    _same_parse(bad + "0 1\n")  # a count mismatch goes before the bad line

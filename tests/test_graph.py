@@ -199,6 +199,38 @@ def test_value_types_are_frozen_and_compare_by_field():
     assert len({c, TwoTreeConstruction(3, (1, 0), [(2, (1, 0))]), g}) == 2
 
 
+def _refuse_edges_by_id(monkeypatch):
+    """Make listing every edge fail the test."""
+
+    def refuse(self):
+        raise AssertionError("edges_by_id called")
+
+    monkeypatch.setattr(TwoTreeConstruction, "edges_by_id", refuse)
+
+
+class _PairForm:
+    """Pickles as a construction did before: its ``(vertex, (x, y))`` records."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def __reduce__(self):
+        return TwoTreeConstruction, (self.c.n, self.c.base, self.c.attachments)
+
+
+def test_a_construction_hashes_and_pickles_by_its_stored_fields(monkeypatch):
+    # hash, pickle and deepcopy read n, base, order and parent, and list no edge
+    for c in (random_two_tree(300, 3), recognize(5, book(5).edges()[::-1]), book(2)):
+        old_pickle = pickle.dumps(_PairForm(c))
+        _refuse_edges_by_id(monkeypatch)
+        h = hash(c)
+        copies = [pickle.loads(pickle.dumps(c)), copy.deepcopy(c), copy.copy(c)]
+        monkeypatch.undo()
+        for x in copies:
+            assert x == c and hash(x) == h and x.order == c.order and x.parent == c.parent
+        assert pickle.loads(old_pickle) == c  # a pickle in the former pair form still loads
+
+
 def _id_layout_holds(c: TwoTreeConstruction) -> bool:
     """Edge 0 is the base; step i's edges from its vertex to the smaller and
     the larger end of its attach edge are 2i + 1 and 2i + 2; parent[i] names

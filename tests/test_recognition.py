@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import random
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from twotrees import (
     OutOfRangeError,
     TwoTreeConstruction,
     book,
+    cli,
     fan,
     is_book,
     path_ordering_if_two_simplicial,
@@ -24,7 +27,7 @@ from twotrees import (
     recognize,
     simplicial_vertices,
 )
-from twotrees.recognition import _path_order
+from twotrees.recognition import _Live, _path_order
 
 from oracle import (
     NotTwoTree,
@@ -244,8 +247,10 @@ def test_path_ordering_families():
     ],
 )
 def test_path_order_rejects_a_step_off_the_graph(adj, goal, step):
+    n = len(adj)
+    g = _Live(n, {u * n + v for u, nbrs in enumerate(adj) for v in nbrs if u < v})
     with pytest.raises(InvariantError, match=re.escape(f"non-edge {step}")):
-        _path_order(adj, goal)
+        _path_order(g, goal)
 
 
 @settings(max_examples=30, deadline=None)
@@ -280,7 +285,15 @@ def _relabelled(n, seed):
     ]
 
 
-def _same_as_rescan(n, edges):
+@pytest.fixture(scope="module")
+def edge_file(tmp_path_factory):
+    """One edge-list file, rewritten for each input."""
+    return tmp_path_factory.mktemp("order") / "input.edges"
+
+
+def _same_as_rescan(n, edges, path=None):
+    """``recognize`` gives the rescan's construction or its rejection; with a
+    file, so does ``order --in`` on the edge list, whose codes it recognizes."""
     try:
         want = recognize_by_rescan(n, edges)
     except NotTwoTree as rejected:
@@ -288,33 +301,47 @@ def _same_as_rescan(n, edges):
             recognize(n, edges)
         assert err.value.reason.value == rejected.reason
         assert str(err.value) == str(rejected)
+        expected = (cli.EXIT_NOT_TWO_TREE, "", f"error: not a 2-tree ({rejected.reason}): {rejected}\n")
     else:
         c = recognize(n, edges)
         assert (c.base, c.attachments) == want
+        deletions = [*(v for v, _ in reversed(c.attachments)), *c.base]
+        expected = (cli.EXIT_OK, " ".join(map(str, deletions)) + "\n", "")
+    if path is not None:
+        path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["order", "--in", str(path)])
+        assert (code, out.getvalue(), err.getvalue()) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_recognize_matches_rescan_on_arbitrary_graphs(data):
+def test_recognize_matches_rescan_on_arbitrary_graphs(edge_file, data):
     n = data.draw(st.integers(2, 10))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(pairs), min_size=2 * n - 3, max_size=2 * n - 3, unique=True))
-    _same_as_rescan(n, edges)
+    _same_as_rescan(n, edges, edge_file)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 300), seeds)
-def test_recognize_matches_rescan_on_random_two_trees(n, seed):
-    _same_as_rescan(n, _relabelled(n, seed))
+def test_recognize_matches_rescan_on_random_two_trees(edge_file, n, seed):
+    _same_as_rescan(n, _relabelled(n, seed), edge_file)
 
 
-def test_recognize_matches_rescan_on_each_failure_reason():
+def test_recognize_matches_rescan_on_each_failure_reason(edge_file):
     for n, edges in [
         (6, [(a, b) for a in range(5) for b in range(a + 1, 5) if (a, b) != (3, 4)]),
         (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)]),
         (6, [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]),
+        # peels that delete some vertices, then stop: on a triangle beside a K5,
+        # which the connectivity check after them finds apart, and on a
+        # triangle joined to a K4
+        (8, [(0, 1), (0, 2), (1, 2)] + [(a, b) for a in range(3, 8) for b in range(a + 1, 8)]),
+        (7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (3, 6), (4, 6), (5, 6), (0, 3), (1, 3)]),
     ]:
-        _same_as_rescan(n, edges)
+        _same_as_rescan(n, edges, edge_file)
 
 
 def test_path_ordering_matches_walk_on_corpus(corpus):
