@@ -25,7 +25,8 @@ Two constructive surgeries drive the extremal picture:
 
 Both surgeries, like the paper's proofs, take G's construction and edit its
 order rather than a graph: every 2-tree a surgery reports is a construction
-built out of G's own degree-2 peel, so the next surgery can run on it as is.
+built out of G's own degree-2 peel, handed over by attach-edge id read off the
+one peel state, so the next surgery can run on it as is.
 
 ``survey_extremal`` runs both classifications over every distinct small
 labeled 2-tree in one pass over the corpus stream and reports the attained
@@ -97,19 +98,19 @@ def improve_min(c: TwoTreeConstruction) -> SplitReport:
     v1, v2 = pair = next(
         (v1, v2) for i, v1 in enumerate(simp) for v2 in simp[i + 1 :] if g.ends(v1) != g.ends(v2)
     )
-    e1, e2 = g.ends(v1), g.ends(v2)
 
-    # Nothing hangs on the edges of a degree-2 vertex, so peeling G minus the
-    # pair builds H in G's labels, and re-appending the pair gives G1 and G2.
-    g = _Live.of(c, leave_out=pair)
-    rest = tuple((u, g.ends(u)) for u in reversed(_peel(g)))
+    # Nothing hangs on the edges of a degree-2 vertex, so peeling the pair, then the
+    # rest, builds H in G's labels; re-appended, the pair's attach ids name e1 and e2.
+    _peel(g, keep=set(range(c.n)).difference(pair))
+    order = _peel(g)
+    order.reverse()
+    order += pair
     base = edge(*(w for w, d in enumerate(g.deg) if d))
-    c_g1 = TwoTreeConstruction(c.n, base, rest + ((v1, e1), (v2, e1)))
-    c_g2 = TwoTreeConstruction(c.n, base, rest + ((v1, e2), (v2, e2)))
-
-    # H keeps the ids of G1 and G2 minus their last two steps, which name e1 and e2.
-    c_h = _compact(base, rest)
-    h, h1, h2 = c_h.parent, c_g1.parent[-1], c_g2.parent[-1]
+    *h, h1, h2 = g.ids(order)
+    del g  # the peel state goes before the constructions are built
+    c_g1 = TwoTreeConstruction(c.n, base, zip(order, [*h, h1, h1]))
+    c_g2 = TwoTreeConstruction(c.n, base, zip(order, [*h, h2, h2]))
+    c_h = _compact(base, order[:-2], h)
     t_h = _count(h)
     beta1 = _count(h, [h1])
     beta2 = _count(h, [h2])
@@ -141,26 +142,27 @@ def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
     # v' remain; the core left behind has exactly those two.
     v, v_prime = simp[0], simp[1]
     g = _Live.of(c)
-    deletions = [(u, g.ends(u)) for u in _peel(g, keep={v, v_prime})]
+    deleted = _peel(g, keep={v, v_prime})
     ends = [w for w, d in enumerate(g.deg) if d == 2]
     _check(ends == [v, v_prime], "peeled core must have exactly two degree-2 vertices")
 
     # Peeling on with only v' kept walks the core's Hamiltonian path from v.
     order, peeled = _path_order(g, v_prime)
-    path_deletions = [(u, g.ends(u)) for u in order[:peeled]]
     _check(order[0] == v and order[-1] == v_prime, "core path must run from v to v'")
-    tip = edge(v, path_deletions[0][1][0])
+    tip = edge(v, g.ends(v)[0])
 
     # Replaying the deletions rebuilds G; a re-added vertex's piece hangs on
     # its attach edge when both ends are core vertices, else on an end's.
     root: dict[int, Edge] = {}
-    for u, (a, b) in reversed(deletions):
+    for u in reversed(deleted):
+        a, b = g.ends(u)
         root[u] = r = root.get(a) or root.get(b) or (a, b)
         _check(root.get(b, r) == r, "a peeled vertex chains back to one core edge")
     hanging = set(root.values())
     # A side at the peeled vertex beats the attach edge.  At most one side
     # hangs: v's hold nothing, and after v one is the previous attach edge.
-    for p, (u, (a, b)) in enumerate(path_deletions, 1):
+    for p, u in enumerate(order[:peeled], 1):
+        a, b = g.ends(u)
         sides = {edge(u, a), edge(u, b)} & hanging
         if sides or (a, b) in hanging:
             crucial = min(sides, default=(a, b))
@@ -168,26 +170,25 @@ def improve_max(c: TwoTreeConstruction) -> SurgeryReport:
     else:
         raise InvariantError("no path triangle holds a hanging edge")
 
-    moved = {u for u, r in root.items() if r == crucial}
+    # J is the moved piece rebuilt on the crucial edge, in G's rebuild order.
+    moved = [u for u, r in root.items() if r == crucial]
+    piece = _compact(crucial, moved, g.ids(moved))
 
-    # G' rebuilds the core in path order, then re-adds every peeled vertex,
-    # with the moved piece's glue vertices renamed canonical endpoint to
-    # canonical endpoint onto the tip edge, which the core already holds.
+    # G' rebuilds the core in path order, then re-adds every peeled vertex, the
+    # moved piece's sums renamed canonical endpoint to canonical endpoint onto
+    # the tip edge, which the core already holds.
     rename = {crucial[0]: tip[0], crucial[1]: tip[1]}
-    rebuilt = tuple(
-        (u, edge(rename.get(f[0], f[0]), rename.get(f[1], f[1])) if u in moved else f)
-        for u, f in reversed(deletions)
-    )
-    c_prime = TwoTreeConstruction(
-        c.n, edge(order[-2], v_prime), tuple(reversed(path_deletions)) + rebuilt
-    )
+    for u in moved:
+        a, b = (rename.get(w, w) for w in g.ends(u))
+        g.s[u], g.q[u] = a + b, a * a + b * b
+    deleted += order[:peeled]
+    deleted.reverse()
+    c_prime = TwoTreeConstruction(c.n, edge(order[-2], v_prime), zip(deleted, g.ids(deleted)))
 
     t_g = count_via_construction(c)
     t_gprime = count_via_construction(c_prime)
     _check(t_gprime > t_g, "T(G') > T(G) after the reattachment")
 
-    # J is the moved piece rebuilt on the crucial edge, in G's rebuild order.
-    piece = _compact(crucial, [(u, f) for u, f in reversed(deletions) if u in moved])
     return SurgeryReport(crucial, p, piece, c_prime, t_g, t_gprime)
 
 
@@ -278,11 +279,10 @@ def _check(ok: bool, identity: str) -> None:
         raise InvariantError(identity)
 
 
-def _compact(base: Edge, attachments: Sequence[tuple[int, Edge]]) -> TwoTreeConstruction:
-    """The 2-tree built by ``attachments`` on ``base``, its vertices relabelled
-    densely in sorted order.  The relabelling is increasing, so it keeps every
-    canonical edge canonical and every edge id.
-    """
-    remap = {old: new for new, old in enumerate(sorted([*base, *(u for u, _ in attachments)]))}
-    relabelled = tuple((remap[u], (remap[a], remap[b])) for u, (a, b) in attachments)
+def _compact(base: Edge, order: Sequence[int], parent: Sequence[int]) -> TwoTreeConstruction:
+    """The 2-tree that ``order`` builds on ``base`` by attach-edge id ``parent``,
+    its vertices relabelled densely in sorted order: the relabelling is
+    increasing, so it keeps every canonical edge canonical and every edge id."""
+    remap = {old: new for new, old in enumerate(sorted([*base, *order]))}
+    relabelled = zip(map(remap.__getitem__, order), parent)
     return TwoTreeConstruction(len(remap), (remap[base[0]], remap[base[1]]), relabelled)

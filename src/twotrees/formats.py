@@ -76,9 +76,14 @@ def parse_edge_list(text: str) -> tuple[int, _EdgeCodes]:
 
 
 def serialize_construction(c: TwoTreeConstruction) -> str:
-    lines = [str(c.n)]
-    lines.extend(f"{v} {x} {y}" for v, (x, y) in c.attachments)
-    return "\n".join(lines) + "\n"
+    """The construction file of ``c``, written from its build order a block of
+    steps at a time: each step's vertex and the ends of its attach edge's id."""
+    by_id, blocks = c.edges_by_id(), [f"{c.n}\n"]
+    for start in range(0, c.n - 2, _STEP_BLOCK):
+        steps = slice(start, start + _STEP_BLOCK)
+        ends = map(by_id.__getitem__, c.parent[steps])
+        blocks.append("".join([f"{v} {x} {y}\n" for v, (x, y) in zip(c.order[steps], ends)]))
+    return "".join(blocks)
 
 
 def parse_construction(text: str) -> TwoTreeConstruction:
@@ -162,6 +167,7 @@ def decimal(count: int) -> str:
 
 
 _LINE_BLOCK = 1 << 16
+_STEP_BLOCK = 1 << 12
 
 
 def _data_lines(text: str) -> Iterator[str]:

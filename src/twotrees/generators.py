@@ -1,5 +1,5 @@
-"""Named 2-tree families, seeded random 2-trees, and the small exhaustive corpus:
-a lazy stream of constructions in choice order, with no deduplication.
+"""Named 2-tree families, seeded random 2-trees, and the small exhaustive corpus
+(a lazy stream in choice order, with no deduplication), each built by attach-edge id.
 
 Randomness comes from the standard library's Mersenne Twister
 (``random.Random(seed)``) drawing via ``randrange``; identical seeds produce
@@ -25,19 +25,19 @@ ALL_LABELED_MAX_N = 9  # (2*9-5)!! = 135135 attach sequences
 def book(n: int) -> TwoTreeConstruction:
     """Every added vertex glued onto the base edge {0, 1}."""
     _require_n(n, 2)
-    return TwoTreeConstruction(n, (0, 1), tuple((k, (0, 1)) for k in range(2, n)))
+    return _replay(n, itertools.repeat(0))
 
 
 def path_square(n: int) -> TwoTreeConstruction:
     """The n-path with extra edges between vertices at distance two."""
     _require_n(n, 2)
-    return TwoTreeConstruction(n, (0, 1), tuple((k, (k - 2, k - 1)) for k in range(2, n)))
+    return _replay(n, range(0, 2 * n, 2))  # k on k - 1's edge to k - 2, id 2k - 4
 
 
 def fan(n: int) -> TwoTreeConstruction:
     """Vertex 0 joined to every vertex of the path 1 .. n-1."""
     _require_n(n, 2)
-    return TwoTreeConstruction(n, (0, 1), tuple((k, (0, k - 1)) for k in range(2, n)))
+    return _replay(n, itertools.chain([0], range(1, 2 * n, 2)))  # k > 2 on k - 1's edge to 0
 
 
 def random_chain(n: int, seed: Seed) -> TwoTreeConstruction:

@@ -130,7 +130,7 @@ class TwoTreeConstruction(_Frozen):
             atts = list(attachments)
             by_id = bool(atts) and type(atts[0][1]) is int
             if not by_id:
-                # Canonical (v, (x, y)) pairs, as every peel passes them, are not rebuilt.
+                # Canonical (v, (x, y)) pairs, as the construction parser passes them, are not rebuilt.
                 atts = [
                     a if type(a) is tuple and type(a[1]) is tuple and a[1][0] < a[1][1]
                     else _attach_pair(*a)

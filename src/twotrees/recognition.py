@@ -5,10 +5,10 @@ neighbours are adjacent reduces it to a single edge.  :func:`recognize` reads
 an edge list as parsed, ``(n, edges)``, and returns the deletion order,
 reversed, as a construction; a list too short for 2n-3 edges is rejected
 before anything sized by n is built.  :func:`_peel` runs on the edges as
-codes and three numbers per vertex (:class:`_Live`).  Ties go to the
-smallest-index eligible vertex, kept in a heap, so the elimination is
-O(n log n).  The structural queries take a construction, so :func:`recognize`
-is the one place a graph becomes a 2-tree.
+codes and three numbers per vertex (:class:`_Live`), ties to the smallest
+eligible index, kept in a heap: O(n log n); :meth:`_Live.ids` reads the steps
+of any peel as attach-edge ids.  The structural queries take a construction,
+so :func:`recognize` is the one place a graph becomes a 2-tree.
 """
 
 from __future__ import annotations
@@ -58,19 +58,9 @@ def recognize(n: int, edges: Collection[Edge]) -> TwoTreeConstruction:
     base = [v for v, d in enumerate(g.deg) if d]
     if not (len(base) == 2 and g.adjacent(*base)):
         raise InvariantError(f"elimination left {base}, not a single edge")
-    # Step k's attach edge xy, x the later to arrive, is the base edge (id 0) or x's edge to
-    # y: id 2 step[x] + 1 if y is the smaller of x's attach ends, which sum to s[x], else + 2.
     removed.reverse()
-    step = [-1] * n
-    for k, v in enumerate(removed):
-        step[v] = k
-    parent = []
-    for v in removed:
-        x, y = g.ends(v)
-        if step[x] < step[y]:
-            x, y = y, x
-        parent.append(2 * step[x] + 1 + (2 * y > g.s[x]) if step[x] >= 0 else 0)
-    del g, step  # the peel state goes before the construction is built
+    parent = g.ids(removed)
+    del g  # the peel state goes before the construction is built
     return TwoTreeConstruction(n, (base[0], base[1]), zip(removed, parent))
 
 
@@ -165,10 +155,10 @@ class _Live:
         self.n, self.codes, self.deg, self.s, self.q = n, codes, deg, s, q
 
     @classmethod
-    def of(cls, c: TwoTreeConstruction, leave_out: Collection[int] = ()) -> _Live:
-        """The 2-tree of ``c`` less the vertices in ``leave_out``."""
+    def of(cls, c: TwoTreeConstruction) -> _Live:
+        """The 2-tree of ``c``, not yet peeled."""
         n = c.n
-        return cls(n, {u * n + v for u, v in c.edges_by_id() if u not in leave_out and v not in leave_out})
+        return cls(n, {u * n + v for u, v in c.edges_by_id()})
 
     def ends(self, v: int) -> Edge:
         """The neighbours of ``v`` at live degree 2, or when it was deleted."""
@@ -178,6 +168,21 @@ class _Live:
 
     def adjacent(self, a: int, b: int) -> bool:
         return (a * self.n + b if a < b else b * self.n + a) in self.codes
+
+    def ids(self, order: list[int]) -> list[int]:
+        """The attach-edge id of each step of ``order``, deleted vertices in reverse deletion
+        order: step k's attach edge xy, x the later to arrive, is the base edge (id 0) or x's
+        edge to y, id 2 step[x] + 1 if y is the smaller of x's ends, which sum to s[x], else + 2."""
+        step = [-1] * self.n
+        for k, v in enumerate(order):
+            step[v] = k
+        parent = []
+        for v in order:
+            x, y = self.ends(v)
+            if step[x] < step[y]:
+                x, y = y, x
+            parent.append(2 * step[x] + 1 + (2 * y > self.s[x]) if step[x] >= 0 else 0)
+        return parent
 
 
 def _peel(g: _Live, keep: Collection[int] = ()) -> list[int]:

@@ -23,7 +23,9 @@ hanging edge by where along the core path it first appears, is the reference
 for the crucial edge it now reads off the path peel; it runs on the package's
 own peels, which the rescans above check.  The edge-list parser's former
 list-based pass, which held every line, every edge and a set of the edges
-seen, is the reference for its one pass into edge codes.  Only references
+seen, is the reference for its one pass into edge codes, and the
+construction writer's former line list over ``attachments`` the reference
+for its writer from the build order.  Only references
 live here: nothing from the package is moved in to keep it alive.
 """
 
@@ -447,3 +449,11 @@ def parse_edge_list_by_lines(text: str):
         seen.add((u, v))
         edges.append((u, v))
     return n, edges
+
+
+def serialize_construction_by_pairs(c) -> str:
+    """The package's former construction writer: one list of every line, each
+    from a ``(v, (x, y))`` record of ``c.attachments``."""
+    lines = [str(c.n)]
+    lines.extend(f"{v} {x} {y}" for v, (x, y) in c.attachments)
+    return "\n".join(lines) + "\n"

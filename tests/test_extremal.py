@@ -48,7 +48,7 @@ from twotrees import (
     survey_extremal,
     verify_bounds,
 )
-from twotrees import cli, graph, recognition
+from twotrees import cli, generators, graph, recognition
 from twotrees.enumeration import tree_stream_blocks
 from twotrees.formats import serialize_edge_list
 from twotrees.graph import _union_find
@@ -190,24 +190,32 @@ def test_core_peel_matches_rescan_on_corpus(corpus):
 
 
 SURGERY_REPORTS_SHA256 = "5470ce564e4946766981fae864147021e7c57f44e829e333e3f0184ef1faa36a"
+# the same reports with each construction as its stored build order, which the
+# edge sets above cannot see: a changed order or changed ids
+SURGERY_BUILD_ORDERS_SHA256 = "3a1f68aefbf86c5406873ff3f1140638c8ae7730133e3836a5f1dfdf34de75e5"
 
 
-def _surgery_digest(graphs) -> str:
-    """sha256 over every field of both surgeries' reports, or their errors."""
-    digest = hashlib.sha256()
+def _surgery_digests(graphs) -> tuple[str, str]:
+    """sha256 over every field of both surgeries' reports, or their errors, once
+    with each construction as ``(n, edges())`` and once as ``(n, base, order, parent)``."""
+    digests = hashlib.sha256(), hashlib.sha256()
     for g in graphs:
         for surgery in (improve_min, improve_max):
             try:
                 rep = surgery(recognize(g.n, g.edges()))
             except TwoTreeError as exc:
-                line = f"{type(exc).__name__}: {exc}"
+                lines = [f"{type(exc).__name__}: {exc}"] * 2
             else:
-                line = repr([
-                    (name, (val.n, val.edges()) if isinstance(val, TwoTreeConstruction) else val)
-                    for name, val in rep._asdict().items()
-                ])
-            digest.update(line.encode() + b"\n")
-    return digest.hexdigest()
+                lines = [
+                    repr([
+                        (name, view(val) if isinstance(val, TwoTreeConstruction) else val)
+                        for name, val in rep._asdict().items()
+                    ])
+                    for view in (lambda c: (c.n, c.edges()), lambda c: (c.n, c.base, c.order, c.parent))
+                ]
+            for digest, line in zip(digests, lines):
+                digest.update(line.encode() + b"\n")
+    return digests[0].hexdigest(), digests[1].hexdigest()
 
 
 def _relabelled_random(count: int, n_max: int):
@@ -225,7 +233,7 @@ def test_surgery_reports_match_golden(corpus):
     for n in (5, 6, 7):  # pinned on each n's graphs in edge-tuple order, through recognize
         graphs.extend(sorted(corpus[n], key=TwoTreeConstruction.edges))
     graphs.extend(_relabelled_random(200, 200))
-    assert _surgery_digest(graphs) == SURGERY_REPORTS_SHA256
+    assert _surgery_digests(graphs) == (SURGERY_REPORTS_SHA256, SURGERY_BUILD_ORDERS_SHA256)
 
 
 def test_neither_surgery_calls_recognize(monkeypatch, tmp_path):
@@ -257,6 +265,39 @@ def test_neither_surgery_calls_recognize(monkeypatch, tmp_path):
     ):
         assert cli.main(argv) == 0, argv
 
+
+
+def test_constructions_are_handed_over_by_id(monkeypatch):
+    # recognize, both surgeries and the families give the constructor each
+    # step's attach-edge id, so no attach edge is looked up by its ends
+    c = random_two_tree(40, 2)
+    edges = c.edges()
+
+    def refuse(*args):
+        pytest.fail("an attach edge was looked up by its ends")
+
+    for module in (graph, counting, extremal, generators):  # patched where it is bound
+        monkeypatch.setattr(module, "_edge_ids", refuse)
+    recognize(c.n, edges)
+    improve_min(c)
+    improve_max(c)
+    for family in (book, path_square, fan):
+        family(30)
+
+
+def test_improve_min_builds_one_live_state(monkeypatch):
+    # the pair is chosen, peeled and re-appended in the live state of G that H is peeled in
+    built, real = [], _Live.__init__
+
+    def counted(self, n, codes):
+        built.append(n)
+        real(self, n, codes)
+
+    monkeypatch.setattr(_Live, "__init__", counted)
+    for c in (random_two_tree(40, 2), path_square(9), random_chain(12, 3)):
+        built.clear()
+        improve_min(c)
+        assert built == [c.n]
 
 def test_oracle_callers_pass_the_construction_as_is(monkeypatch, capsys):
     # Kirchhoff, brute force and count_containing read n, m and edges(), so

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twotrees import FormatError, TwoTreeConstruction, book, random_two_tree, recognize
+from twotrees import FormatError, TwoTreeConstruction, book, fan, path_square, random_two_tree, recognize
 from twotrees.formats import (
     decimal,
     parse_construction,
@@ -16,7 +18,7 @@ from twotrees.formats import (
     tree_stream_header,
 )
 
-from oracle import decimal_by_str, parse_edge_list_by_lines
+from oracle import decimal_by_str, parse_edge_list_by_lines, serialize_construction_by_pairs
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -36,6 +38,24 @@ def test_construction_golden():
     text = serialize_construction(book(4))
     assert text == "4\n2 0 1\n3 0 1\n"
     assert parse_construction(text) == book(4)
+
+
+def test_construction_writer_reads_the_build_order(monkeypatch):
+    # the same bytes as the former writer over the (v, (x, y)) records, written
+    # from order and the attach edges' ids, with no records built; the last
+    # random 2-tree runs over two blocks of steps and into a third
+    cs = [family(n) for family in (book, path_square, fan) for n in range(2, 40)]
+    cs += [random_two_tree(n, n) for n in (2, 3, 17, 4098, 2 * 4096 + 3)]
+    label = list(range(50))
+    random.Random(5).shuffle(label)  # a relabelled 2-tree, base and order as recognized
+    cs.append(recognize(50, [(label[u], label[v]) for u, v in random_two_tree(50, 5).edges()]))
+    want = [serialize_construction_by_pairs(c) for c in cs]
+
+    def refuse(self):
+        pytest.fail("the writer read attachments")
+
+    monkeypatch.setattr(TwoTreeConstruction, "attachments", property(refuse))
+    assert [serialize_construction(c) for c in cs] == want
 
 
 def test_construction_base_inference():

@@ -86,6 +86,15 @@ def test_fan_shape():
     assert g.m == len(g.edges()) == 9
 
 
+def test_families_equal_their_pair_form_constructions():
+    # the families replay attach-edge ids; the pair forms name each attach edge by its ends
+    for n in range(2, 61):
+        steps = range(2, n)
+        assert book(n) == TwoTreeConstruction(n, (0, 1), [(k, (0, 1)) for k in steps])
+        assert path_square(n) == TwoTreeConstruction(n, (0, 1), [(k, (k - 2, k - 1)) for k in steps])
+        assert fan(n) == TwoTreeConstruction(n, (0, 1), [(k, (0, k - 1)) for k in steps])
+
+
 def test_four_vertex_families_coincide():
     assert book(4).m == path_square(4).m == fan(4).m == 5
 
