@@ -18,8 +18,9 @@ Exit codes: 0 success, 2 usage or out-of-range input, 3 not a 2-tree,
 (``run_report.schema.json``) as stderr's last line and leaves stdout as it is;
 counts are always decimal strings.
 
-Handlers import ``counting``, ``enumeration``, ``extremal``, ``recognition``
-and ``json`` where they use them, so a run loads only what its subcommand runs.
+Handlers import ``counting``, ``enumeration``, ``extremal``, ``generators``,
+``recognition`` and ``json`` where they use them, so a run loads only what its
+subcommand runs: an ``--in`` run builds no family and never loads ``generators``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import sys
 import time
 from contextlib import nullcontext
 
-from . import formats, generators
+from . import formats
 from .errors import (
     CrossCheckError,
     FormatError,
@@ -59,12 +60,12 @@ VERIFY_FLAGS = {
     "identities": {"trials": (50, 1, None), "seed": (0, None, None)},
 }
 
-FAMILIES = {
-    "book": generators.book,
-    "path-square": generators.path_square,
-    "fan": generators.fan,
-    "chain": generators.random_chain,
-    "random": generators.random_two_tree,
+FAMILIES = {  # family -> the name of its maker in ``generators``
+    "book": "book",
+    "path-square": "path_square",
+    "fan": "fan",
+    "chain": "random_chain",
+    "random": "random_two_tree",
 }
 CLOSED_FORM_FAMILIES = {  # family -> its closed form in ``counting``, its generator's least n
     "book": ("count_book", 2),
@@ -214,7 +215,8 @@ def _load_construction(args) -> TwoTreeConstruction:
 
 
 def _generate(args) -> TwoTreeConstruction:
-    maker = FAMILIES[args.family]
+    from . import generators
+    maker = getattr(generators, FAMILIES[args.family])
     if args.family not in ("chain", "random"):
         _refuse_seed(args, f"{args.family} family")
         return maker(args.n)
@@ -242,9 +244,14 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_order(args) -> dict:
-    c = _load_construction(args)
-    deletion_order = [*reversed(c.order), *c.base]
-    print(" ".join(str(v) for v in deletion_order))
+    loaded = _load(args)
+    if isinstance(loaded, TwoTreeConstruction):
+        deletion_order = [*reversed(loaded.order), *loaded.base]
+    else:  # an edge list's peel is the answer: no attach-edge ids, no construction
+        from . import recognition
+        deletion_order, base = recognition._eliminate(*loaded)[:2]  # the peel state is dropped
+        deletion_order += base
+    print(" ".join(map(str, deletion_order)))
     return {"order": deletion_order}
 
 
@@ -263,6 +270,7 @@ def _cmd_count(args) -> dict:
             raise OutOfRangeError(EITHER_INPUT)
         _refuse_seed(args, "closed-form counting")
         closed_form, least_n = CLOSED_FORM_FAMILIES[args.family]
+        from . import generators
         generators._require_n(args.n, least_n)  # the family's own bound and message
         value = getattr(counting, closed_form)(args.n)
         outputs["n"] = args.n
@@ -361,7 +369,7 @@ def _cmd_improve(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    from . import counting
+    from . import counting, generators
     suite = args.suite
     _verify_flags(args)
     checks: list[tuple[str, bool]] = []
@@ -432,7 +440,7 @@ def _verify_flags(args) -> None:
 
 
 def _check_glue_identities(trials: int, seed: int) -> bool:
-    from . import extremal
+    from . import extremal, generators
     rng = random.Random(seed)
     for i in range(trials):
         n = 4 + rng.randrange(5) + rng.randrange(5)
@@ -450,7 +458,7 @@ def _check_glue_identities(trials: int, seed: int) -> bool:
 
 
 def _check_chain_formulas(trials: int, seed: int) -> bool:
-    from . import counting
+    from . import counting, generators
     rng = random.Random(seed)
     for i in range(trials):
         c = generators.random_two_tree(3 + rng.randrange(5), seed * 77 + i)
@@ -469,7 +477,7 @@ def _check_chain_formulas(trials: int, seed: int) -> bool:
 
 
 def _check_deletion_contraction(trials: int, seed: int) -> bool:
-    from . import counting
+    from . import counting, generators
     rng = random.Random(seed)
     for i in range(trials):
         c = generators.random_two_tree(4 + rng.randrange(7), seed * 31 + i)

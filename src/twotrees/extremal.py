@@ -47,7 +47,6 @@ from .errors import (
     OutOfRangeError,
     TooLargeError,
 )
-from .generators import all_labeled_two_trees
 from .graph import Edge, TwoTreeConstruction, _edge_ids, edge
 from .recognition import _is_book_shape, _Live, _path_order, _peel, simplicial_vertices
 
@@ -258,6 +257,7 @@ def survey_extremal(n: int) -> ExtremalSurvey:
         raise OutOfRangeError(f"survey_extremal needs n >= 4, got {n}")
     if n > 8:
         raise TooLargeError(f"survey_extremal capped at n = 8, got {n}")
+    from .generators import all_labeled_two_trees  # the corpus: only the survey reads it
     for size, c in enumerate(all_labeled_two_trees(n), 1):  # n >= 4: never empty
         t = count_via_construction(c)
         simp = simplicial_vertices(c)

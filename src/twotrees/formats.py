@@ -122,10 +122,10 @@ def parse_construction(text: str) -> TwoTreeConstruction:
 def sniff_and_parse(text: str) -> TwoTreeConstruction | tuple[int, _EdgeCodes]:
     """Parse either supported format, keyed off the header token count.
 
-    Only the lines up to the header are stripped here; the parser chosen makes
-    the one full pass.  An edge list comes back as ``(n, codes)``.
+    Only the lines up to the header are read here, in short blocks; the parser
+    chosen makes the one full pass.  An edge list comes back as ``(n, codes)``.
     """
-    header = next(_data_lines(text), None)
+    header = next(_data_lines(text, _HEADER_BLOCK), None)
     if header is None:
         raise FormatError("empty input")
     width = len(header.split())
@@ -167,16 +167,18 @@ def decimal(count: int) -> str:
 
 
 _LINE_BLOCK = 1 << 16
+_HEADER_BLOCK = 1 << 8
 _STEP_BLOCK = 1 << 12
 
 
-def _data_lines(text: str) -> Iterator[str]:
+def _data_lines(text: str, block: int = _LINE_BLOCK) -> Iterator[str]:
     """The stripped lines of ``text`` that are neither blank nor comments, lazily:
     ``str.splitlines`` on one block of whole lines at a time, each cut just after
-    a newline, which always ends a line."""
+    the last newline in its first ``block`` characters, as a newline always ends
+    a line, or else at the end of ``text``."""
     start = 0
     while start < len(text):
-        end = text.rfind("\n", start, start + _LINE_BLOCK) + 1 or len(text)
+        end = text.rfind("\n", start, start + block) + 1 or len(text)
         yield from [row for row in map(str.strip, text[start:end].splitlines()) if row and row[0] != "#"]
         start = end
 

@@ -1,10 +1,11 @@
 """Decide 2-tree-ness and read off structural classifications.
 
 A graph is a 2-tree iff repeatedly deleting a degree-2 vertex whose two
-neighbours are adjacent reduces it to a single edge.  :func:`recognize` reads
-an edge list as parsed, ``(n, edges)``, and returns the deletion order,
-reversed, as a construction; a list too short for 2n-3 edges is rejected
-before anything sized by n is built.  :func:`_peel` runs on the edges as
+neighbours are adjacent reduces it to a single edge.  :func:`_eliminate` reads
+an edge list as parsed, ``(n, edges)``, and returns that deletion order and
+the base edge left, or NotTwoTreeError; a list too short for 2n-3 edges is
+rejected before anything sized by n is built.  :func:`recognize` returns the
+order, reversed, as a construction.  :func:`_peel` runs on the edges as
 codes and three numbers per vertex (:class:`_Live`), ties to the smallest
 eligible index, kept in a heap: O(n log n); :meth:`_Live.ids` reads the steps
 of any peel as attach-edge ids.  The structural queries take a construction,
@@ -28,6 +29,17 @@ def recognize(n: int, edges: Collection[Edge]) -> TwoTreeConstruction:
     unless they are an edge list's codes as parsed.  The attachments are the
     deletion order reversed, and ``.edges()`` is the graph's.
     """
+    removed, base, g = _eliminate(n, edges)
+    removed.reverse()
+    parent = g.ids(removed)
+    del g  # the peel state goes before the construction is built
+    return TwoTreeConstruction(n, base, zip(removed, parent))
+
+
+def _eliminate(n: int, edges: Collection[Edge]) -> tuple[list[int], Edge, _Live]:
+    """The deletion order of the graph on n vertices with these edges, read as in
+    :func:`recognize`, the base edge it leaves, and the peeled graph, whose sums
+    name each deleted vertex's attach edge; or NotTwoTreeError."""
     if type(n) is not int or n < 2:
         raise OutOfRangeError(f"recognition needs n >= 2, got {n!r}")
     if len(edges) < 2 * n - 3:  # before a header's n sizes anything
@@ -58,10 +70,7 @@ def recognize(n: int, edges: Collection[Edge]) -> TwoTreeConstruction:
     base = [v for v, d in enumerate(g.deg) if d]
     if not (len(base) == 2 and g.adjacent(*base)):
         raise InvariantError(f"elimination left {base}, not a single edge")
-    removed.reverse()
-    parent = g.ids(removed)
-    del g  # the peel state goes before the construction is built
-    return TwoTreeConstruction(n, (base[0], base[1]), zip(removed, parent))
+    return removed, (base[0], base[1]), g
 
 
 def simplicial_vertices(c: TwoTreeConstruction) -> list[int]:

@@ -132,3 +132,34 @@ def test_a_cli_run_loads_only_what_its_subcommand_runs(argv, loads, skips):
     loaded = _child_modules(PROBE, *argv)
     assert loads <= loaded
     assert not skips & loaded
+
+
+@pytest.fixture(scope="module")
+def edge_list_file(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("inputs") / "g.edges"
+    path.write_text("5 7\n0 1\n0 2\n1 2\n1 3\n2 3\n2 4\n3 4\n")  # the path square on 5 vertices
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv", [["order"], ["count"], ["enumerate", "--limit", "3"], ["improve", "min"]], ids=" ".join
+)
+def test_an_in_run_builds_no_family_and_skips_generators(edge_list_file, argv):
+    loaded = _child_modules(PROBE, *argv, "--in", edge_list_file)
+    assert "twotrees.recognition" in loaded
+    assert "twotrees.generators" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "book", "3", "--out", os.devnull],
+        ["count", "--family", "book", "--n", "5"],
+        ["count", "--family", "book", "--n", "5", "--method", "closed-form"],
+        ["verify", "oracle", "--n-max", "4"],
+        ["survey", "--n", "4"],
+    ],
+    ids=" ".join,
+)
+def test_a_family_or_corpus_run_loads_generators(argv):
+    assert "twotrees.generators" in _child_modules(PROBE, *argv)

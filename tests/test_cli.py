@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from twotrees import (
     SimpleGraph,
     TwoTreeConstruction,
+    all_labeled_two_trees,
     book,
     cli,
     count_two_simplicial,
@@ -91,6 +94,102 @@ def test_order_accepts_construction_file(capsys, tmp_path):
     assert code == 0
     # deletion order: attachments reversed, then the base endpoints
     assert [int(t) for t in out.split()] == [4, 3, 2, 0, 1]
+
+
+def _relabelled_edge_list(c: TwoTreeConstruction, rng: random.Random) -> str:
+    """The edge list of ``c`` with its vertices relabelled and its lines shuffled by ``rng``."""
+    label = list(range(c.n))
+    rng.shuffle(label)
+    lines = [f"{min(label[u], label[v])} {max(label[u], label[v])}\n" for u, v in c.edges()]
+    rng.shuffle(lines)
+    return f"{c.n} {len(lines)}\n" + "".join(lines)
+
+
+def _order_inputs(kind: str) -> Iterator[str]:
+    """The edge lists an ``order`` golden runs on, in a fixed order."""
+    if kind == "corpus":  # every labelled 2-tree with n <= 8, relabelled
+        rng = random.Random(0)
+        yield "2 1\n0 1\n"
+        for n in range(3, 9):
+            for c in all_labeled_two_trees(n):
+                yield _relabelled_edge_list(c, rng)
+    else:  # random 2-trees and the families, as written and relabelled
+        rng = random.Random(1)
+        for n, seed in [(n, seed) for n in (9, 12, 30, 100, 600) for seed in range(6)] + [(2500, 0)]:
+            c = random_two_tree(n, seed)
+            yield serialize_edge_list(c)
+            yield _relabelled_edge_list(c, rng)
+        for c in (book(40), path_square(40), path_square(2500)):
+            yield serialize_edge_list(c)
+            yield _relabelled_edge_list(c, rng)
+
+
+# sha256 of `order --in` on each of _order_inputs(kind) in turn: its exit
+# code, stdout and stderr, each followed by a NUL byte
+ORDER_SHA256 = {
+    "corpus": "1601f606734f4c76ae79fbda8fa56e0951f476ab214ec0a31edcbc327dfbaf70",
+    "random": "9ffccdadacf84d65b82c300c5394649db5ce275e906cd4a48ce2ce5d704d2404",
+}
+
+
+@pytest.mark.parametrize("kind", ORDER_SHA256)
+def test_order_bytes_golden(capsys, tmp_path, monkeypatch, kind):
+    # building the same parser is most of an in-process run, so it is built once here
+    monkeypatch.setattr(cli, "_build_parser", functools.lru_cache(cli._build_parser))
+    target, digest, runs = tmp_path / "g.edges", hashlib.sha256(), 0
+    for text in _order_inputs(kind):
+        target.write_text(text)
+        code, out, err = run(capsys, "order", "--in", str(target))
+        digest.update(f"{code}\0{out}\0{err}\0".encode())
+        runs += 1
+    assert runs == (11_465 if kind == "corpus" else 68)
+    assert digest.hexdigest() == ORDER_SHA256[kind]
+
+
+@pytest.mark.parametrize(
+    "text, code, err",
+    [
+        (  # a 4-cycle: the edge count is checked first
+            "4 4\n0 1\n0 3\n1 2\n2 3\n",
+            3, "error: not a 2-tree (WrongEdgeCount): a 2-tree on 4 vertices has 5 edges, this graph has 4\n",
+        ),
+        (  # K4: one edge too many
+            "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+            3, "error: not a 2-tree (WrongEdgeCount): a 2-tree on 4 vertices has 5 edges, this graph has 6\n",
+        ),
+        (  # K5 and a separate edge, 2n - 3 edges in all
+            "7 11\n0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n5 6\n",
+            3, "error: not a 2-tree (Disconnected): graph is disconnected\n",
+        ),
+        (  # K4 and a path 0-4-5-1 whose inner vertices have nonadjacent neighbours
+            "6 9\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n0 4\n4 5\n1 5\n",
+            3, "error: not a 2-tree (NonAdjacentNeighbors): every degree-2 vertex has nonadjacent neighbours\n",
+        ),
+        (  # K4 and a pendant vertex: no degree-2 vertex at all
+            "5 7\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n0 4\n",
+            3, "error: not a 2-tree (NoDegree2Simplicial): no degree-2 vertex left to eliminate\n",
+        ),
+        ("1 0\n", 2, "error: recognition needs n >= 2, got 1\n"),
+        ("0 0\n", 2, "error: recognition needs n >= 2, got 0\n"),
+    ],
+    ids=["short", "long", "disconnected", "nonadjacent", "no-degree-2", "n1", "n0"],
+)
+def test_order_rejects_each_non_two_tree_with_its_reason(capsys, tmp_path, text, code, err):
+    target = tmp_path / "g.edges"
+    target.write_text(text)
+    assert run(capsys, "order", "--in", str(target)) == (code, "", err)
+
+
+def test_an_edge_list_order_is_printed_off_the_peel(capsys, tmp_path, monkeypatch):
+    # the deletion order is the answer: no attach-edge ids, no construction
+    target = tmp_path / "g.edges"
+    target.write_text(serialize_edge_list(random_two_tree(300, 4)))
+    _tripwire(monkeypatch, recognition._Live, "ids")
+    _tripwire(monkeypatch, TwoTreeConstruction, "__init__")
+    code, out, err = run(capsys, "order", "--in", str(target), "--json")
+    order = [int(token) for token in out.split()]
+    assert code == 0 and sorted(order) == list(range(300))
+    assert json.loads(err)["outputs"] == {"order": order}
 
 
 @pytest.mark.parametrize(

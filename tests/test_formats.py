@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from twotrees import FormatError, TwoTreeConstruction, book, fan, path_square, random_two_tree, recognize
 from twotrees.formats import (
+    _data_lines,
     decimal,
     parse_construction,
     parse_edge_list,
@@ -230,6 +231,27 @@ def test_one_pass_parse_matches_the_line_list_parse(text):
 @given(st.lists(_pieces, max_size=12))
 def test_one_pass_parse_matches_on_arbitrary_pieces(pieces):
     _same_parse("".join(pieces))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pieces, max_size=12), st.sampled_from([1, 2, 5, 256]))
+def test_data_lines_in_short_blocks_are_the_whole_texts(pieces, block):
+    text = "".join(pieces)
+    rows = [row for row in map(str.strip, text.splitlines()) if row and row[0] != "#"]
+    assert list(_data_lines(text, block)) == rows
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
+def test_sniff_reads_the_header_behind_every_line_break(brk):
+    # the blank and comment lines end before, at and past the first 256-character block
+    for pad in [0, 1, 100, *range(240, 262), 600]:
+        lead = brk.join(["", "  ", "# " + "c" * pad, "#", ""])
+        assert sniff_and_parse(lead + "2 1" + brk + "0 1" + brk) == (2, {1})
+        assert sniff_and_parse(lead + " 3 " + brk + "2 0 1") == TwoTreeConstruction(3, (0, 1), [(2, (0, 1))])
+        with pytest.raises(FormatError, match="^empty input$"):
+            sniff_and_parse(lead)
+        with pytest.raises(FormatError, match="^unrecognised header line '1 2 3'$"):
+            sniff_and_parse(lead + "1 2 3" + brk + "0 1" + brk)
 
 
 def test_one_pass_parse_matches_across_line_blocks():
