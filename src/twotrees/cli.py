@@ -308,8 +308,9 @@ def _cmd_enumerate(args) -> dict:
     expected = enumeration.expected_tree_count(c)
     limit = args.limit
     emitted = 0  # counted from the walk's blocks, never from ``expected``
+    header = formats.tree_stream_header(c.n, expected)  # the one decimal conversion of ``expected``
     with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as sink:
-        sink.write(formats.tree_stream_header(c.n, expected) + "\n")
+        sink.write(header + "\n")
         for text, lines in enumeration.tree_stream_blocks(c) if limit != 0 else ():
             if limit is not None and emitted + lines >= limit:
                 sink.write("".join(text.splitlines(True)[: limit - emitted]))
@@ -318,7 +319,7 @@ def _cmd_enumerate(args) -> dict:
             sink.write(text)
             emitted += lines
     truncated = limit is not None and emitted == limit and expected > limit
-    outputs = {"emitted": emitted, "expected": formats.decimal(expected), "truncated": truncated}
+    outputs = {"emitted": emitted, "expected": header.rpartition("=")[2], "truncated": truncated}
     if not truncated and emitted != expected:
         print(
             f"error: invariant failed: emitted {emitted} trees, expected {outputs['expected']}",

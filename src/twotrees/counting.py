@@ -39,8 +39,8 @@ Graph = SimpleGraph | TwoTreeConstruction  # the oracles read its n, m and edges
 
 def fibonacci(k: int) -> int:
     """F(k) with F(-1) = 1, F(0) = 0, F(1) = 1."""
-    if k < -1:
-        raise OutOfRangeError(f"fibonacci index must be >= -1, got {k}")
+    if type(k) is not int or k < -1:
+        raise OutOfRangeError(f"fibonacci index must be >= -1, got {k!r}")
     prev, cur = 1, 0  # F(-1), F(0)
     for _ in range(k):
         prev, cur = cur, prev + cur
@@ -49,8 +49,8 @@ def fibonacci(k: int) -> int:
 
 def count_book(n: int) -> int:
     """n * 2^(n-3) spanning trees of the n-page book; 1 for n = 2."""
-    if n < 2:
-        raise OutOfRangeError(f"count_book needs n >= 2, got {n}")
+    if type(n) is not int or n < 2:
+        raise OutOfRangeError(f"count_book needs n >= 2, got {n!r}")
     if n == 2:
         return 1
     return n * 2 ** (n - 3)
@@ -58,8 +58,8 @@ def count_book(n: int) -> int:
 
 def count_two_simplicial(n: int) -> int:
     """F(2n-2): the count shared by every 2-tree with two degree-2 vertices."""
-    if n < 2:
-        raise OutOfRangeError(f"count_two_simplicial needs n >= 2, got {n}")
+    if type(n) is not int or n < 2:
+        raise OutOfRangeError(f"count_two_simplicial needs n >= 2, got {n!r}")
     return fibonacci(2 * n - 2)
 
 
@@ -77,10 +77,10 @@ def chain_edge_counts(alpha: int, beta: int, p: int) -> tuple[int, int, int]:
     additionally ``p >= 2``; at ``p = 1`` the tip and the unused side are
     interchangeable, so those two counts coincide.
     """
-    if p < 1:
-        raise OutOfRangeError(f"chain_edge_counts needs p >= 1, got {p}")
-    if not (0 <= beta <= alpha):
-        raise OutOfRangeError(f"need 0 <= beta <= alpha, got ({alpha}, {beta})")
+    if type(p) is not int or p < 1:
+        raise OutOfRangeError(f"chain_edge_counts needs p >= 1, got {p!r}")
+    if type(alpha) is not int or type(beta) is not int or not 0 <= beta <= alpha:
+        raise OutOfRangeError(f"need 0 <= beta <= alpha, got ({alpha!r}, {beta!r})")
     through_start = fibonacci(2 * p + 1) * beta
     through_side = fibonacci(2 * p - 1) * alpha + fibonacci(2 * p) * beta
     through_tip = fibonacci(2 * p) * alpha + fibonacci(2 * p - 1) * beta

@@ -253,8 +253,8 @@ class ExtremalSurvey(NamedTuple):
 
 def survey_extremal(n: int) -> ExtremalSurvey:
     """Sweep the exhaustive corpus in one pass and classify the extreme attainers."""
-    if n < 4:
-        raise OutOfRangeError(f"survey_extremal needs n >= 4, got {n}")
+    if type(n) is not int or n < 4:
+        raise OutOfRangeError(f"survey_extremal needs n >= 4, got {n!r}")
     if n > 8:
         raise TooLargeError(f"survey_extremal capped at n = 8, got {n}")
     from .generators import all_labeled_two_trees  # the corpus: only the survey reads it

@@ -34,6 +34,7 @@ from twotrees import (
     path_square,
     random_two_tree,
     recognize,
+    survey_extremal,
     verify_bounds,
 )
 from twotrees import counting
@@ -86,6 +87,35 @@ def test_count_two_simplicial_values():
     assert count_two_simplicial(16) == 832_040  # F(30)
     with pytest.raises(OutOfRangeError):
         count_two_simplicial(1)
+
+
+NON_INT_ARGUMENT = {  # a closed form called with a non-int -> its OutOfRangeError message
+    "count_book(3.0)": (lambda: count_book(3.0), "count_book needs n >= 2, got 3.0"),
+    "count_book(5.5)": (lambda: count_book(5.5), "count_book needs n >= 2, got 5.5"),
+    "count_book(True)": (lambda: count_book(True), "count_book needs n >= 2, got True"),
+    "count_two_simplicial(4.0)": (
+        lambda: count_two_simplicial(4.0), "count_two_simplicial needs n >= 2, got 4.0"
+    ),
+    "fibonacci(2.0)": (lambda: fibonacci(2.0), "fibonacci index must be >= -1, got 2.0"),
+    "fibonacci('3')": (lambda: fibonacci("3"), "fibonacci index must be >= -1, got '3'"),
+    "chain_edge_counts(5, 3, 2.0)": (
+        lambda: chain_edge_counts(5, 3, 2.0), "chain_edge_counts needs p >= 1, got 2.0"
+    ),
+    "chain_edge_counts(5.0, 3, 2)": (
+        lambda: chain_edge_counts(5.0, 3, 2), "need 0 <= beta <= alpha, got (5.0, 3)"
+    ),
+    "chain_edge_counts(5, False, 2)": (
+        lambda: chain_edge_counts(5, False, 2), "need 0 <= beta <= alpha, got (5, False)"
+    ),
+    "survey_extremal('5')": (lambda: survey_extremal("5"), "survey_extremal needs n >= 4, got '5'"),
+    "survey_extremal(5.0)": (lambda: survey_extremal(5.0), "survey_extremal needs n >= 4, got 5.0"),
+}
+
+
+@pytest.mark.parametrize("call, message", NON_INT_ARGUMENT.values(), ids=list(NON_INT_ARGUMENT))
+def test_a_closed_form_argument_that_is_not_an_int_is_out_of_range(call, message):
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @settings(max_examples=30, deadline=None)
