@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import CyclicRequirementError, ForeignEdgeError, OutOfRangeError, TooLargeError
-from .graph import Edge, SimpleGraph, TwoTreeConstruction, _edge_ids, _union_find, edge
+from .graph import Edge, SimpleGraph, TwoTreeConstruction, _union_find, edge
 
 BRUTE_FORCE_EDGE_LIMIT = 25
 KIRCHHOFF_MAX_N = 400  # the cofactor matrix holds (n - 1)^2 ints; n = 300 takes seconds
@@ -38,13 +38,15 @@ Graph = SimpleGraph | TwoTreeConstruction  # the oracles read its n, m and edges
 
 
 def fibonacci(k: int) -> int:
-    """F(k) with F(-1) = 1, F(0) = 0, F(1) = 1."""
+    """F(k) with F(-1) = 1, F(0) = 0, F(1) = 1, by fast doubling: O(log k) products."""
     if type(k) is not int or k < -1:
         raise OutOfRangeError(f"fibonacci index must be >= -1, got {k!r}")
-    prev, cur = 1, 0  # F(-1), F(0)
-    for _ in range(k):
-        prev, cur = cur, prev + cur
-    return cur if k >= 0 else prev
+    a, b = 0, 1  # F(j), F(j + 1) for j the leading bits of k read so far
+    for bit in bin(max(k, 0))[2:]:
+        a, b = a * (2 * b - a), a * a + b * b  # F(2j), F(2j + 1)
+        if bit == "1":
+            a, b = b, a + b
+    return a if k >= 0 else 1
 
 
 def count_book(n: int) -> int:
@@ -182,7 +184,7 @@ def brute_force_count(g: Graph) -> int:
 def count_via_construction(c: TwoTreeConstruction, required: Iterable[Edge] = ()) -> int:
     """Trees of the 2-tree ``c`` through every ``required`` edge, in O(n) steps."""
     req = set(_required_edges(required))
-    ids = _edge_ids(c.n, c.order, c._attach_ends(), req) if req else []
+    ids = c._ids(req) if req else []
     foreign = [e for e, i in zip(req, ids) if i < 0]
     if foreign:
         raise ForeignEdgeError(f"required edge {min(foreign)} not in graph")

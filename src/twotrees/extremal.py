@@ -47,7 +47,7 @@ from .errors import (
     OutOfRangeError,
     TooLargeError,
 )
-from .graph import Edge, TwoTreeConstruction, _edge_ids, edge
+from .graph import Edge, TwoTreeConstruction, edge
 from .recognition import _is_book_shape, _Live, _path_order, _peel, simplicial_vertices
 
 
@@ -208,7 +208,7 @@ def glue_identity_check(c: TwoTreeConstruction, required: Iterable[Edge]) -> boo
     if c.n < 3:
         raise OutOfRangeError(f"glue_identity_check needs n >= 3, got {c.n}")
     req = _required_edges(required, "the graph")
-    ids = _edge_ids(c.n, c.order, c._attach_ends(), req)
+    ids = c._ids(req)
     for (a, b), i in zip(req, ids):
         if i < 0:
             raise ForeignEdgeError(f"required edge ({a}, {b}) not in the graph")

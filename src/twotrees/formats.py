@@ -116,7 +116,7 @@ def parse_construction(text: str) -> TwoTreeConstruction:
             "exactly two vertices must never be introduced (the base edge), "
             f"found {len(base_vertices)}"
         )
-    return TwoTreeConstruction(n, (base_vertices[0], base_vertices[1]), tuple(attachments))
+    return TwoTreeConstruction(n, (base_vertices[0], base_vertices[1]), attachments)
 
 
 def sniff_and_parse(text: str) -> TwoTreeConstruction | tuple[int, _EdgeCodes]:

@@ -116,7 +116,8 @@ class TwoTreeConstruction(_Frozen):
     ``order[i]`` and ``parent[i]``, the attach edge's id, by which a caller may
     also name it.  The base endpoints together with the attached vertices must
     cover ``0 .. n-1`` exactly once each, and every label, attach edge ends too,
-    is an ``int``.  The constructor raises InvalidConstructionError when a rule fails.
+    is an ``int``.  An n under 2, or not an int, raises OutOfRangeError, a loop
+    LoopEdgeError, and a record that breaks any other rule InvalidConstructionError.
     """
 
     __match_args__ = ("n", "base", "attachments")
@@ -140,34 +141,31 @@ class TwoTreeConstruction(_Frozen):
                 raise InvalidConstructionError(
                     f"expected {n - 2} attachments for n={n}, got {len(atts)}"
                 )
-            introduced = [*base, *map(itemgetter(0), atts)]
-            if sorted(introduced) != list(range(n)):
+            order = tuple(map(itemgetter(0), atts))
+            if sorted([*base, *order]) != list(range(n)):
                 raise InvalidConstructionError(
                     "base endpoints plus attached vertices must cover each of "
                     f"0..{n - 1} exactly once"
                 )
             ends = () if by_id else chain.from_iterable(map(itemgetter(1), atts))
-            if {*map(type, introduced), *map(type, ends)} != {int}:  # True and 2.0 pass the cover
+            if {*map(type, base), *map(type, order), *map(type, ends)} != {int}:  # True and 2.0 pass the cover
                 raise TypeError("a vertex label is not an int")
-            order = introduced[2:]
-            del introduced  # the cover and label checks are done; the lookup needs the room
-            # Each attach edge's id: as given, or looked up once from its ends.
-            attach = [] if by_id else [e for _, e in atts]
-            parent = [] if by_id else _edge_ids(n, order, attach.__getitem__, attach)
-            for i, (v, e) in enumerate(atts):  # the build rule, parent[i] < 2i + 1
-                p = e if by_id else parent[i]
+            # Each step's vertex and attach-edge id: as given, or the id looked up once from its ends.
+            attach = () if by_id else [e for _, e in atts]
+            steps = atts if by_id else zip(order, _edge_ids(n, order, attach.__getitem__, attach))
+            parent = []
+            for i, (v, p) in enumerate(steps):  # the build rule, parent[i] < 2i + 1
                 if type(p) is not int or not 0 <= p <= 2 * i:
-                    e = f"id {p!r}" if by_id else e
+                    e = f"id {p!r}" if by_id else attach[i]
                     raise InvalidConstructionError(f"attach edge {e} absent when vertex {v} is added")
-                if by_id:
-                    parent.append(p)
+                parent.append(p)
         except LoopEdgeError:
             raise
         except (TypeError, ValueError, IndexError) as exc:  # a record of the wrong shape
             raise InvalidConstructionError(f"malformed construction record: {exc}") from exc
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "parent", tuple(parent))
 
     def __reduce__(self):  # copy and pickle rebuild from the id records
@@ -210,9 +208,8 @@ class TwoTreeConstruction(_Frozen):
         """The 2-tree as a :class:`SimpleGraph`; the oracles take ``self`` as is."""
         return SimpleGraph(self.n, tuple(self.edges()))
 
-    def _attach_ends(self) -> Callable[[int], Edge]:
-        """Step k's attach edge as its canonical ends, for :func:`_edge_ids`: an
-        edge's ends are read off the ids above it alone, and kept for later calls."""
+    def _ids(self, edges: Iterable[Edge]) -> list[int]:
+        """:func:`_edge_ids` in this 2-tree, each attach edge's ends read off the ids above it alone."""
         order, parent, known = self.order, self.parent, {0: self.base}
 
         def ends(k: int) -> Edge:
@@ -226,7 +223,7 @@ class TwoTreeConstruction(_Frozen):
                 known[p] = (v, x) if v < x else (x, v)
             return known[parent[k]]
 
-        return ends
+        return _edge_ids(self.n, order, ends, edges)
 
 
 def _attach_pair(v: int, e: Edge) -> tuple[int, Edge]:

@@ -156,8 +156,8 @@ RUNS = [
     # the engine on the families whose folded pieces grow: 7.2 GB when it kept each piece
     Run("count --family path-square --n 200000", 60, 80),  # 50.7-51.9 MB, 7-9 s
     Run("count --family book --n 200000", 60, 70),  # 44.6-45.7 MB, 2.5-4.6 s
-    Run("count --family path-square --n 200000 --method closed-form"),
-    Run("count --family book --n 200000 --method closed-form"),
+    Run("count --family path-square --n 200000 --method closed-form", 10),  # 0.15-0.21 s; 1.8-2.5 s by k additions
+    Run("count --family book --n 200000 --method closed-form", 10),
     # the tree stream through --out and stdout, and a reader that stops early
     Run("enumerate --family book --n 16 --out stream.out"),
     Run("enumerate --family book --n 16"),

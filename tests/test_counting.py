@@ -37,7 +37,7 @@ from twotrees import (
     survey_extremal,
     verify_bounds,
 )
-from twotrees import counting
+from twotrees import counting, graph
 from twotrees.counting import _count, _det_bareiss
 from twotrees.graph import TwoTreeConstruction, _union_find, edge
 
@@ -64,9 +64,14 @@ def test_fibonacci_values():
         fibonacci(-2)
 
 
-@given(st.integers(-1, 200))
+@given(st.integers(-1, 5000))
 def test_fibonacci_matches_recurrence(k):
     assert fibonacci(k) == fib_by_recurrence(k)
+
+
+def test_fibonacci_matches_the_engine_past_the_recurrence_range():
+    # fast doubling against the series-parallel engine: F(2n - 2) trees of a path square
+    assert fibonacci(19_998) == count_via_construction(path_square(10**4))
 
 
 def test_count_book_values():
@@ -342,6 +347,16 @@ def test_count_via_construction_families():
     assert count_via_construction(book(3)) == 3
     assert count_via_construction(book(5)) == 20
     assert count_via_construction(path_square(5)) == 21
+
+
+def test_a_count_with_no_required_edges_looks_no_id_up(monkeypatch):
+    # the id lookup builds a step per vertex; a plain count has nothing to look up
+    def refuse(*args):
+        pytest.fail("a count with no required edges looked an edge id up")
+
+    monkeypatch.setattr(graph, "_edge_ids", refuse)
+    assert count_via_construction(path_square(12)) == fibonacci(22)
+    assert count_via_construction(random_two_tree(30, 4), []) == kirchhoff_count(random_two_tree(30, 4))
 
 
 @settings(max_examples=30, deadline=None)

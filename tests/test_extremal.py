@@ -48,7 +48,7 @@ from twotrees import (
     survey_extremal,
     verify_bounds,
 )
-from twotrees import cli, generators, graph, recognition
+from twotrees import cli, graph, recognition
 from twotrees.enumeration import tree_stream_blocks
 from twotrees.formats import serialize_edge_list
 from twotrees.graph import _union_find
@@ -276,8 +276,7 @@ def test_constructions_are_handed_over_by_id(monkeypatch):
     def refuse(*args):
         pytest.fail("an attach edge was looked up by its ends")
 
-    for module in (graph, counting, extremal, generators):  # patched where it is bound
-        monkeypatch.setattr(module, "_edge_ids", refuse)
+    monkeypatch.setattr(graph, "_edge_ids", refuse)  # graph alone binds it
     recognize(c.n, edges)
     improve_min(c)
     improve_max(c)
@@ -566,8 +565,8 @@ def test_glue_identity_check_looks_s_up_once_and_tests_no_forest(monkeypatch):
 
         return wrapper
 
-    # each name is patched where it is bound: extremal binds no _union_find
-    for name, modules in (("_edge_ids", (graph, counting, extremal)), ("_union_find", (graph, counting))):
+    # each name is patched where it is bound: graph alone binds _edge_ids
+    for name, modules in (("_edge_ids", (graph,)), ("_union_find", (graph, counting))):
         wrapper = counted(name, getattr(graph, name))
         for module in modules:
             monkeypatch.setattr(module, name, wrapper)

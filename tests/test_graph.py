@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import pickle
+import pkgutil
 import random
 import re
 import tracemalloc
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twotrees
 from twotrees import (
     InvalidConstructionError,
     LoopEdgeError,
@@ -143,6 +146,47 @@ def test_construction_errors_keep_their_precedence():
         TwoTreeConstruction(4, (0, 1), ((2, (0, 3)),))
     with pytest.raises(InvalidConstructionError, match="exactly once"):
         TwoTreeConstruction(4, (0, 1), ((2, (0, 3)), (2, (0, 1))))
+
+
+def test_id_records_keep_their_error_precedence():
+    # attachment count, then coverage, then a non-int label, then the build rule
+    for attachments, wrong in (
+        (((2, 9), (2.0, 7), (3, 0)), "expected 2 attachments"),
+        (((2, 9), (2.0, 0)), "exactly once"),
+        (((2, 9), (3.0, 0)), "a vertex label is not an int"),
+        (((2, 9), (3, 0)), "id 9 absent when vertex 2"),
+    ):
+        with pytest.raises(InvalidConstructionError, match=wrong):
+            TwoTreeConstruction(4, (0, 1), attachments)
+
+
+def test_a_third_field_is_malformed_in_its_turn():
+    # a record of three fields among two-field ones is malformed in both forms
+    # (a transposing unpack, zip(*records), would cut it to two), but only where
+    # it is read: after the cover and the labels, and by id after every earlier record
+    for attachments in ([(2, 0, 9), (3, 1)], [(2, (0, 1), 9), (3, (1, 2))], [(2, 0), (3, 1, 9)]):
+        with pytest.raises(InvalidConstructionError, match="too many values to unpack"):
+            TwoTreeConstruction(4, (0, 1), attachments)
+    for attachments, wrong in (
+        ([(2, 0, 9), (2, 1)], "exactly once"),
+        ([(2, (0, 1), 9), (2, (1, 2))], "exactly once"),
+        ([(2, 0, 9), (3.0, 1)], "a vertex label is not an int"),
+        ([(2, (0, 1), 9), (3, (1.0, 2))], "a vertex label is not an int"),
+        ([(2, 9), (3, 1, 9)], "id 9 absent when vertex 2"),
+    ):
+        with pytest.raises(InvalidConstructionError, match=wrong):
+            TwoTreeConstruction(4, (0, 1), attachments)
+
+
+def test_only_graph_binds_the_edge_id_lookup():
+    # every caller asks the construction for ids; graph alone turns ends into them
+    for info in pkgutil.iter_modules(twotrees.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"twotrees.{info.name}")
+        assert hasattr(module, "_edge_ids") == (info.name == "graph"), info.name
+        assert not hasattr(module, "_attach_ends"), info.name
+    assert not hasattr(TwoTreeConstruction, "_attach_ends")
 
 
 def test_construction_canonicalizes_its_edges():
